@@ -27,15 +27,12 @@ print(f"\nstage 1  band-smooth: ||b - b'|| = {op_norm(b - smoothed.m):.3e}, "
       f"||[a, b']|| = {op_norm(commutator(a, smoothed.m)):.3e}")
 
 part = partition(a, smoothed.m, EPS)
-print(f"stage 2  partition: {len(list(part.k_range))} windows, "
+print(f"stage 2  partition: {len(part.blocks)} nonempty windows, "
       f"sum residual {part.sum_residual():.1e}, "
-      f"chain residual {part.chain_residual():.1e}")
-for k in part.k_range:
-    ca, cb = part.comm_bounds[k]
-    rank = int(round(float(np.trace(part.projections[k].m).real)))
-    if rank:
-        print(f"         window {k:+d}: rank {rank:2d},  ||[a,p]|| = {ca:.2e},"
-              f"  ||[b',p]|| = {cb:.2e}   (budget {EPS})")
+      f"chain residual {part.chain_residual:.1e}")
+for blk in part.blocks:
+    print(f"         window {blk.k:+d}: rank {blk.q.shape[1]:2d},  ||[a,p]|| = {blk.comm_a:.2e},"
+          f"  ||[b',p]|| = {blk.comm_b:.2e}   (budget {EPS})")
 
 res = theorem_c_correct(a, b, EPS)
 print("stage 3  per-block solve and reassembly")

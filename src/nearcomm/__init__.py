@@ -104,6 +104,7 @@ from .pipeline import (
     theorem_c_correct,
 )
 from .projections import (
+    PartitionBlock,
     ProjectionPartition,
     WindowProjectionResult,
     partition,

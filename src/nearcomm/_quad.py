@@ -1,12 +1,10 @@
-"""Internal quadrature helpers: Gauss-Legendre panels and checked Simpson."""
+"""Internal quadrature helpers: Gauss-Legendre nodes and composite Simpson."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import QuadratureError
 
 
 @lru_cache(maxsize=64)
@@ -24,11 +22,6 @@ def gl_nodes(a: float, b: float, k: int):
     return a + half * (x + 1.0), half * w
 
 
-def gl_integrate(f, a: float, b: float, k: int = 96) -> float:
-    x, w = gl_nodes(a, b, k)
-    return float(w @ np.asarray(f(x), dtype=float))
-
-
 def simpson_uniform(y: np.ndarray, h: float) -> float:
     """Composite Simpson on a uniform grid; len(y) must be odd."""
     n = len(y)
@@ -36,27 +29,3 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
         raise ValueError("simpson_uniform needs an odd number of samples >= 3")
     s = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])
     return float(s * h / 3.0)
-
-
-def simpson_checked(f, a: float, b: float, n_intervals: int, tol: float,
-                    label: str = "integral") -> float:
-    """Composite Simpson with a Richardson consistency check.
-
-    Evaluates with n and 2n intervals and errors out if the two disagree
-    by more than tol; the finer value is returned.  f must accept a vector.
-    """
-    if n_intervals % 2 == 1:
-        n_intervals += 1
-    coarse_x = np.linspace(a, b, n_intervals + 1)
-    fine_x = np.linspace(a, b, 2 * n_intervals + 1)
-    y_fine = np.asarray(f(fine_x), dtype=float)
-    y_coarse = y_fine[::2]
-    if len(y_coarse) != n_intervals + 1:
-        y_coarse = np.asarray(f(coarse_x), dtype=float)
-    i_coarse = simpson_uniform(y_coarse, (b - a) / n_intervals)
-    i_fine = simpson_uniform(y_fine, (b - a) / (2 * n_intervals))
-    if abs(i_fine - i_coarse) > tol:
-        raise QuadratureError(
-            f"{label}: Simpson refinement moved by {abs(i_fine - i_coarse):.3e} "
-            f"(> {tol:.1e}); grid too coarse or integrand misbehaved")
-    return i_fine

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import NearcommError
 from .ensembles import instance_rng, pair_instance
-from .hermitian import commutator, op_norm
 from .kernels import band_smooth
 from .projections import partition
 from .serialize import dump_json, load_json
@@ -88,12 +87,7 @@ def _edge_statistic(n: int, nu: float, rng) -> float:
         part = partition(inst.a, smoothed.m, eps=np.inf, enforce=False)
     except NearcommError:
         return np.inf
-    worst = 0.0
-    for edge in part.edges.values():
-        worst = max(worst,
-                    op_norm(commutator(inst.a, edge.m)),
-                    op_norm(commutator(smoothed.m, edge.m)))
-    return 2.0 * worst
+    return 2.0 * part.edge_comm
 
 
 def build_calibration(eps_grid=DEFAULT_EPS_GRID, nu_grid=DEFAULT_NU_GRID,

@@ -36,8 +36,8 @@ def hermitian_part(m) -> "HermitianMatrix":
 class HermitianMatrix:
     """Immutable complex square matrix with A = A*.
 
-    Construction verifies self-adjointness entrywise to 1e-12 (absolute)
-    and then stores the exactly symmetrized entries, read-only.
+    Construction verifies finiteness and self-adjointness entrywise to
+    1e-12 (absolute) and then stores the exactly symmetrized entries, read-only.
     """
 
     __slots__ = ("m", "n")
@@ -47,6 +47,8 @@ class HermitianMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not _checked:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("matrix has non-finite entries (NaN or inf)")
             asym = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
             if asym > HERMITICITY_ATOL:
                 raise ValueError(
@@ -122,11 +124,15 @@ class SpectralDecomposition:
 
 
 def op_norm(x) -> float:
-    """Operator (spectral) norm; max |eigenvalue| for Hermitian input."""
+    """Operator (spectral) norm; max |eigenvalue| for Hermitian input.
+
+    Rectangular arrays take the largest singular value.
+    """
     arr = as_array(x)
     if arr.size == 0:
         return 0.0
-    if np.max(np.abs(arr - arr.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(arr))):
+    square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+    if square and np.max(np.abs(arr - arr.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(arr))):
         try:
             return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
         except np.linalg.LinAlgError:

@@ -16,13 +16,19 @@ compressed to the window subspace ran E_a(t-1/4, t+1/4) and rounded back to
 a projection q0 there; finally p = q0 + E_a[t+1/4, oo).  Because q0 is built
 inside the explicit window column span, the sandwich certificates and the
 chain monotonicity e_{k+1} <= e_k hold at rounding level by construction.
+
+The partition is stored as one orthonormal column basis q_k per nonempty
+block, p_k = q_k q_k^*.  Each edge splits its window eigenvectors into the
+selected columns (inside e_k) and the rest, so q_k is read off directly as
+[selected window-k columns | eigenvectors of a in [k+1/4, k+3/4] |
+unselected window-(k+1) columns]; the three sets are disjoint, which makes
+q_k orthonormal by construction.  Empty windows are not stored.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,7 +48,9 @@ class WindowProjectionResult:
     """Projection p with measured commutators and sandwich certificates.
 
     sandwich_lo = ||E_a[t+1/4,oo) (1-p)|| certifies the lower operator bound,
-    sandwich_hi = ||p (1 - E_a(t-1/4,oo))|| the upper one.
+    sandwich_hi = ||p (1 - E_a(t-1/4,oo))|| the upper one.  win_in and
+    win_out are orthonormal columns splitting ran E_a(t-1/4, t+1/4) into
+    the part inside p and the part outside it.
     """
 
     p: HermitianMatrix
@@ -50,46 +58,46 @@ class WindowProjectionResult:
     comm_b: float
     sandwich_lo: float
     sandwich_hi: float
+    win_in: np.ndarray
+    win_out: np.ndarray
     inner_report: SolverReport | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class PartitionBlock:
+    """Nonempty block p_k = q q^* of the partition, q an n x rank isometry.
+
+    comm_a and comm_b are ||[a, p_k]|| and ||[b, p_k]||.
+    """
+
+    k: int
+    q: np.ndarray
+    comm_a: float
+    comm_b: float
 
 
 @dataclasses.dataclass(frozen=True)
 class ProjectionPartition:
     """Partition of unity p_k = e_k - e_{k+1} subordinate to unit windows of a.
 
-    projections maps k to p_k for k in k_range; edges keeps the monotone
-    chain e_k (k_range plus one past the end) for invariant checks;
-    comm_bounds maps k to (||[a, p_k]||, ||[b, p_k]||).
+    blocks holds the nonempty p_k in increasing k.  chain_residual is the
+    worst ||e_{k+1} (1 - e_k)|| and edge_comm the worst ||[a, e_k]|| or
+    ||[b, e_k]|| over the edge projections, both measured while building.
     """
 
-    k_range: range
-    projections: dict
-    comm_bounds: dict
-    edges: dict
-
-    def items(self):
-        return [(k, self.projections[k]) for k in self.k_range]
+    blocks: tuple
+    chain_residual: float
+    edge_comm: float
 
     def sum_residual(self) -> float:
-        total = sum(self.projections[k].m for k in self.k_range)
+        total = sum(blk.q @ blk.q.conj().T for blk in self.blocks)
         return op_norm(total - np.eye(total.shape[0]))
 
     def orthogonality_residual(self) -> float:
-        worst = 0.0
-        ks = list(self.k_range)
-        for i, ki in enumerate(ks):
-            for kj in ks[i + 1:]:
-                worst = max(worst, op_norm(self.projections[ki].m @ self.projections[kj].m))
-        return worst
-
-    def chain_residual(self) -> float:
-        worst = 0.0
-        n = self.edges[self.k_range.start].m.shape[0]
-        eye = np.eye(n)
-        for k in self.k_range:
-            e_lo, e_hi = self.edges[k].m, self.edges[k + 1].m
-            worst = max(worst, op_norm(e_hi @ (eye - e_lo)))
-        return worst
+        """max ||p_i p_j|| = max ||q_i^* q_j|| over distinct blocks."""
+        return max((op_norm(bi.q.conj().T @ bj.q)
+                    for i, bi in enumerate(self.blocks) for bj in self.blocks[i + 1:]),
+                   default=0.0)
 
 
 def _split_masks(eigvals: np.ndarray, t: float, scale: float):
@@ -123,7 +131,7 @@ def _window_core(am, bm, decomp: SpectralDecomposition, t: float, eps: float,
     if not np.any(win):
         # no spectrum in the window: q0 = 0 regardless of b, so p = E_a[t+1/4,oo)
         pm = e_hi
-        sel_cols = v_hi
+        win_in = win_out = v_win
     else:
         ramp = _step_eval(lam - t)
         cm = hermitian_part((v * ramp) @ v.conj().T).m
@@ -136,8 +144,8 @@ def _window_core(am, bm, decomp: SpectralDecomposition, t: float, eps: float,
         q_cols = pair.basis[:, pair.diag_b > 0.5]
         m_win = v_win.conj().T @ _span_projection(q_cols) @ v_win
         mu, w = np.linalg.eigh(hermitian_part(m_win).m)
-        sel_cols = np.concatenate([v_win @ w[:, mu > 0.5], v_hi], axis=1)
-        pm = _span_projection(sel_cols)
+        win_in, win_out = v_win @ w[:, mu > 0.5], v_win @ w[:, mu <= 0.5]
+        pm = _span_projection(np.concatenate([win_in, v_hi], axis=1))
 
     pm = hermitian_part(pm).m
     n = pm.shape[0]
@@ -157,7 +165,8 @@ def _window_core(am, bm, decomp: SpectralDecomposition, t: float, eps: float,
             f"comm_a={comm_a:.3e} comm_b={comm_b:.3e} (commutator of inputs too large)")
     return WindowProjectionResult(p=HermitianMatrix(pm, _checked=True), comm_a=comm_a,
                                   comm_b=comm_b, sandwich_lo=sandwich_lo,
-                                  sandwich_hi=sandwich_hi, inner_report=report)
+                                  sandwich_hi=sandwich_hi, win_in=win_in,
+                                  win_out=win_out, inner_report=report)
 
 
 def window_projection(a, b, t: float, eps: float, *,
@@ -185,8 +194,17 @@ def _edge_range(eigvals: np.ndarray) -> range:
     return range(kmin, kmax + 1)
 
 
-def partition(a, b, eps: float, *, enforce: bool = True,
-              workers: int | None = None) -> ProjectionPartition:
+def _comm_norm(x: np.ndarray, q: np.ndarray) -> float:
+    """||[x, q q^*]|| for Hermitian x and an isometry q.
+
+    The commutator is block off-diagonal with respect to ran q, so its norm
+    is that of (1 - q q^*) x q, an n x rank array.
+    """
+    xq = x @ q
+    return op_norm(xq - q @ (q.conj().T @ xq))
+
+
+def partition(a, b, eps: float, *, enforce: bool = True) -> ProjectionPartition:
     """Partition of unity {p_k} subordinate to the unit spectral windows of a.
 
     Each edge projection e_k is built at cut point t = k with commutator
@@ -196,42 +214,37 @@ def partition(a, b, eps: float, *, enforce: bool = True,
     """
     am, bm = as_array(a), as_array(b)
     decomp = spectral_decomp(am)
-    ks = _edge_range(decomp.eigenvalues)
+    lam, v = decomp.eigenvalues, decomp.basis
+    scale = float(np.max(np.abs(lam)))
+    ks = _edge_range(lam)
+    eye = np.eye(am.shape[0])
 
-    def build_edges(inner_tol: float, inner_sweeps: int):
-        def one(k):
-            return _window_core(am, bm, decomp, float(k), eps / 2,
-                                inner_tol, inner_sweeps, enforce)
-        edge_ks = list(ks) + [ks.stop]
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, edge_ks))
-        else:
-            results = [one(k) for k in edge_ks]
-        return dict(zip(edge_ks, results))
+    def build(inner_tol: float, inner_sweeps: int):
+        blocks, chain, edge_comm = [], [], 0.0
+        hi_edge = _window_core(am, bm, decomp, float(ks.start), eps / 2,
+                               inner_tol, inner_sweeps, enforce)
+        for k in ks:
+            lo_edge, hi_edge = hi_edge, _window_core(am, bm, decomp, float(k + 1), eps / 2,
+                                                     inner_tol, inner_sweeps, enforce)
+            edge_comm = max(edge_comm, lo_edge.comm_a, lo_edge.comm_b)
+            chain.append(op_norm(hi_edge.p.m @ (eye - lo_edge.p.m)))
+            _, _, hi = _split_masks(lam, float(k), scale)
+            lo_next, _, _ = _split_masks(lam, float(k + 1), scale)
+            q = np.concatenate([lo_edge.win_in, v[:, hi & lo_next], hi_edge.win_out], axis=1)
+            if q.shape[1]:
+                blocks.append(PartitionBlock(k=k, q=q, comm_a=_comm_norm(am, q),
+                                    comm_b=_comm_norm(bm, q)))
+        edge_comm = max(edge_comm, hi_edge.comm_a, hi_edge.comm_b)
+        return blocks, chain, edge_comm
 
-    def chain_ok(edges) -> bool:
-        eye = np.eye(am.shape[0])
-        return all(op_norm(edges[k + 1].p.m @ (eye - edges[k].p.m)) <= CERTIFICATE_TOL
-                   for k in ks)
-
-    edges = build_edges(DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
-    if not chain_ok(edges):
-        edges = build_edges(DEFAULT_TOL / 10, 2 * DEFAULT_MAX_SWEEPS)
-        if not chain_ok(edges):
-            worst = max(op_norm(edges[k + 1].p.m @ (np.eye(am.shape[0]) - edges[k].p.m))
-                        for k in ks)
+    blocks, chain, edge_comm = build(DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    if not all(c <= CERTIFICATE_TOL for c in chain):
+        blocks, chain, edge_comm = build(DEFAULT_TOL / 10, 2 * DEFAULT_MAX_SWEEPS)
+        if not all(c <= CERTIFICATE_TOL for c in chain):
             raise MonotonicityViolation(
-                f"edge projections not nested after retry: worst residual {worst:.3e}")
-
-    projections, comm_bounds = {}, {}
-    for k in ks:
-        pk = hermitian_part(edges[k].p.m - edges[k + 1].p.m)
-        projections[k] = pk
-        comm_bounds[k] = (op_norm(commutator(am, pk.m)), op_norm(commutator(bm, pk.m)))
-    return ProjectionPartition(k_range=ks, projections=projections,
-                               comm_bounds=comm_bounds,
-                               edges={k: r.p for k, r in edges.items()})
+                f"edge projections not nested after retry: worst residual {max(chain):.3e}")
+    return ProjectionPartition(blocks=tuple(blocks), chain_residual=max(chain),
+                               edge_comm=edge_comm)
 
 
 def window_commutation_diagnostic(a, part: ProjectionPartition) -> float:
@@ -245,9 +258,9 @@ def window_commutation_diagnostic(a, part: ProjectionPartition) -> float:
     lam, v = decomp.eigenvalues, decomp.basis
     scale = float(np.max(np.abs(lam)))
     worst = 0.0
-    for j in part.k_range:
+    for j in _edge_range(lam):
         _, win, _ = _split_masks(lam, float(j), scale)
         e_win = _span_projection(v[:, win])
-        for k in part.k_range:
-            worst = max(worst, op_norm(commutator(e_win, part.projections[k].m)))
+        for blk in part.blocks:
+            worst = max(worst, _comm_norm(e_win, blk.q))
     return worst

@@ -39,6 +39,8 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
 
 def hermitian_from_json(obj, field: str = "matrix") -> HermitianMatrix:
     arr = matrix_from_json(obj, field)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"field '{field}' has non-finite entries (NaN or inf)")
     asym = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
     if asym > 1e-9 * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0):
         raise ValueError(f"field '{field}' is not Hermitian (asymmetry {asym:.3e})")

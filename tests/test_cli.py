@@ -91,6 +91,22 @@ class TestCorrectCommand:
         assert code == EXIT_ERROR
         assert "'b'" in capsys.readouterr().err
 
+    def test_nan_input_is_an_error_line(self, tmp_path):
+        # Python's json reads NaN, so the value reaches the matrix reader
+        inp, out = tmp_path / "pair.json", tmp_path / "res.json"
+        inst = write_pair(inp)
+        payload = {"a": matrix_to_json(inst.a), "b": matrix_to_json(inst.b)}
+        payload["b"]["re"][1][1] = float("nan")
+        inp.write_text(json.dumps(payload))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nearcomm.cli", "correct", "--input",
+             str(inp), "--output", str(out)], capture_output=True, text=True)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr.startswith("error: ")
+        assert "'b'" in proc.stderr and "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         inp = tmp_path / "pair.json"
         write_pair(inp, nu=1e-3)

@@ -33,6 +33,13 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError, match="self-adjoint"):
             HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianMatrix([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianMatrix([[bad, 0.0], [0.0, 1.0]])
+
     def test_immutable(self):
         m = HermitianMatrix(SZ)
         with pytest.raises(AttributeError):
@@ -68,6 +75,12 @@ class TestOpNorm:
     def test_non_hermitian_input(self):
         m = np.array([[0.0, 3.0], [0.0, 0.0]])
         assert op_norm(m) == pytest.approx(3.0, abs=1e-12)
+
+    def test_rectangular_input(self):
+        rng = np.random.default_rng(13)
+        for shape in ((2, 3), (3, 2), (5, 1), (1, 4)):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert op_norm(x) == pytest.approx(np.linalg.norm(x, 2), abs=1e-12)
 
     def test_empty(self):
         assert op_norm(np.zeros((0, 0))) == 0.0

@@ -88,6 +88,14 @@ class TestTheoremCCorrect:
         with pytest.raises(ValueError, match="eps"):
             theorem_c_correct(inst.a, inst.b, eps=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        inst = pair_instance(4, 1e-3, instance_rng(8, 0, 0, 0))
+        b = inst.b.copy()
+        b[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            theorem_c_correct(inst.a, b, eps=0.05)
+
     def test_tridiagonal_check_measures_far_blocks(self):
         # diagonal a with well-separated spectrum: far blocks of b vanish
         # only after smoothing; the raw b has a visible far entry

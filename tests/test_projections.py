@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from nearcomm.ensembles import instance_rng, pair_instance
 from nearcomm.errors import SandwichViolation
 from nearcomm.hermitian import commutator, op_norm
 from nearcomm.kernels import band_smooth
+from nearcomm.pipeline import tridiagonal_check
 from nearcomm.projections import (partition, window_commutation_diagnostic,
                                   window_projection)
 
@@ -85,16 +87,19 @@ class TestPartition:
         part = partition(a, b1, eps=0.05)
         assert part.sum_residual() <= CERT_TOL
         assert part.orthogonality_residual() <= CERT_TOL
-        assert part.chain_residual() <= CERT_TOL
+        assert part.chain_residual <= CERT_TOL
 
     def test_comm_bounds_within_budget(self):
         rng = np.random.default_rng(79)
         eps = 0.05
         a, b1 = smoothed_pair(8, 1e-4, rng)
         part = partition(a, b1, eps=eps)
-        for k in part.k_range:
-            ca, cb = part.comm_bounds[k]
-            assert ca <= eps and cb <= eps
+        assert part.edge_comm < eps / 2
+        for blk in part.blocks:
+            assert blk.comm_a <= eps and blk.comm_b <= eps
+            pk = blk.q @ blk.q.conj().T
+            assert blk.comm_a == pytest.approx(op_norm(commutator(a, pk)), abs=1e-12)
+            assert blk.comm_b == pytest.approx(op_norm(commutator(b1, pk)), abs=1e-12)
 
     def test_projections_subordinate_to_windows(self):
         # p_k lives inside the window (k - 1/4, k + 5/4) of the spectrum of a
@@ -102,38 +107,49 @@ class TestPartition:
         a, b1 = smoothed_pair(8, 1e-4, rng)
         part = partition(a, b1, eps=0.05)
         lam, v = np.linalg.eigh(a)
-        for k in part.k_range:
-            pk = part.projections[k].m
-            outside = (lam <= k - 0.25 - 1e-9) | (lam >= k + 1.25 + 1e-9)
+        for blk in part.blocks:
+            outside = (lam <= blk.k - 0.25 - 1e-9) | (lam >= blk.k + 1.25 + 1e-9)
             cols = v[:, outside]
-            assert op_norm(cols.conj().T @ pk @ cols) <= 1e-8
+            assert op_norm(cols.conj().T @ blk.q) <= 1e-8
 
     def test_commuting_input_recovers_spectral_partition(self):
         a = np.diag([0.1, 0.9, 1.5, 2.6]).astype(complex)
         b = np.diag([0.2, -0.1, 0.4, -0.3]).astype(complex)
         part = partition(a, b, eps=1e-6)
-        ranks = {k: int(round(np.trace(part.projections[k].m).real))
-                 for k in part.k_range}
-        assert sum(ranks.values()) == 4
+        assert sum(blk.q.shape[1] for blk in part.blocks) == 4
         # eigenvalues 0.1 and 0.9 end up split across the k=0 edge cuts;
         # whatever the split, each projection commutes with both inputs
-        for k in part.k_range:
-            pk = part.projections[k].m
+        for blk in part.blocks:
+            pk = blk.q @ blk.q.conj().T
             assert op_norm(commutator(a, pk)) < 1e-9
             assert op_norm(commutator(b, pk)) < 1e-9
-
-    def test_worker_count_does_not_change_result(self):
-        rng = np.random.default_rng(89)
-        a, b1 = smoothed_pair(8, 1e-3, rng)
-        part1 = partition(a, b1, eps=0.05, workers=1)
-        part3 = partition(a, b1, eps=0.05, workers=3)
-        assert list(part1.k_range) == list(part3.k_range)
-        for k in part1.k_range:
-            np.testing.assert_array_equal(part1.projections[k].m,
-                                          part3.projections[k].m)
 
     def test_window_commutation_diagnostic_small(self):
         rng = np.random.default_rng(97)
         a, b1 = smoothed_pair(6, 1e-4, rng)
         part = partition(a, b1, eps=0.05)
         assert window_commutation_diagnostic(a, part) < 0.05
+
+
+class TestBlockStorage:
+    """Only nonempty blocks are stored, however wide the spectrum of a."""
+
+    @pytest.mark.parametrize("a_norm", [100.0, 1000.0])
+    def test_wide_spectrum_diagonal_pair(self, a_norm):
+        n = 16
+        inst = pair_instance(n, 1e-3, instance_rng(5, 0, 0, int(a_norm)), a_norm=a_norm)
+        smoothed = band_smooth(inst.a, inst.b).m
+        part = partition(inst.a, smoothed, eps=0.1)
+        assert len(part.blocks) <= n
+        assert sum(blk.q.shape[1] for blk in part.blocks) == n
+        ks = [blk.k for blk in part.blocks]
+        assert ks == sorted(set(ks))
+        # the n x n definition: max ||p_i x p_j|| over k_j - k_i > 1; the
+        # unsmoothed b keeps far entries, so that comparison is not 0 = 0
+        projs = [(blk.k, blk.q @ blk.q.conj().T) for blk in part.blocks]
+        for b in (smoothed, inst.b):
+            expected = max(op_norm(pi @ x @ pj)
+                           for ki, pi in projs for kj, pj in projs if kj - ki > 1
+                           for x in (inst.a, b))
+            assert tridiagonal_check(part, inst.a, b) == pytest.approx(expected, abs=1e-12)
+        assert tridiagonal_check(part, inst.a, inst.b) > 1e-9

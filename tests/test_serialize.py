@@ -41,6 +41,12 @@ class TestMatrixJson:
         ok = hermitian_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]})
         assert op_norm(ok.m - np.array([[0, 1], [1, 0]])) < 1e-15
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected_with_field(self, bad):
+        obj = {"n": 2, "re": [[0.0, 1.0], [1.0, bad]]}
+        with pytest.raises(ValueError, match="'b' has non-finite"):
+            hermitian_from_json(obj, field="b")
+
     def test_fmt_float_round_trips(self):
         for x in (0.1, 1e-17, 5.389243043554071, -3.0, 0.0):
             assert float(fmt_float(x)) == x
