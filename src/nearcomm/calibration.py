@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -91,29 +90,17 @@ def _edge_statistic(n: int, nu: float, rng) -> float:
 
 
 def build_calibration(eps_grid=DEFAULT_EPS_GRID, nu_grid=DEFAULT_NU_GRID,
-                      dims=(8, 16), trials: int = 12, seed: int = 20240915,
-                      workers: int | None = None) -> CalibrationTable:
+                      dims=(8, 16), trials: int = 12,
+                      seed: int = 20240915) -> CalibrationTable:
     """Measure the admissible-nu table on the standard ensemble."""
     eps_grid = tuple(sorted(float(e) for e in eps_grid))
     nu_grid = tuple(sorted(float(v) for v in nu_grid))
-    jobs = [(i_dim, n, i_nu, nu, trial)
-            for i_dim, n in enumerate(dims)
-            for i_nu, nu in enumerate(nu_grid)
-            for trial in range(trials)]
-
-    def run(job):
-        i_dim, n, i_nu, nu, trial = job
-        return _edge_statistic(n, nu, instance_rng(seed, i_dim, i_nu, trial))
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(run, jobs))
-    else:
-        stats = [run(job) for job in jobs]
-
     by_nu = {nu: [] for nu in nu_grid}
-    for job, stat in zip(jobs, stats):
-        by_nu[job[3]].append(stat)
+    for i_dim, n in enumerate(dims):
+        for i_nu, nu in enumerate(nu_grid):
+            for trial in range(trials):
+                rng = instance_rng(seed, i_dim, i_nu, trial)
+                by_nu[nu].append(_edge_statistic(n, nu, rng))
 
     nu_admissible = []
     for eps in eps_grid:
@@ -140,7 +127,7 @@ def fixture_path() -> str:
 def save_calibration(table: CalibrationTable, path: str | None = None) -> str:
     path = path or fixture_path()
     dump_json(path, table.to_payload())
-    load_calibration.cache_clear()
+    _load_from.cache_clear()
     return path
 
 
@@ -151,6 +138,3 @@ def _load_from(path: str) -> CalibrationTable:
 
 def load_calibration(path: str | None = None) -> CalibrationTable:
     return _load_from(path or fixture_path())
-
-
-load_calibration.cache_clear = _load_from.cache_clear

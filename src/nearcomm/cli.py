@@ -4,7 +4,7 @@ Every command writes machine-readable output (JSON or CSV) that embeds the
 resolved configuration and the kernel constants in use, so a result file is
 reproducible from its own header.  Exit codes: 0 success, 2 for a flagged
 result (out-of-regime input, violated inequality, excessive drift), 1 for
-errors.
+errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class RunConfig:
     dims: tuple = ()
     nu_targets: tuple = ()
     trials: int = 1
-    workers: int | None = None
     timings: bool = False
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class RunConfig:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if any(int(d) < 1 for d in self.dims):
             raise ValueError(f"dims must be positive integers, got {self.dims}")
         if any(t < 0 for t in self.nu_targets):
@@ -85,11 +82,10 @@ class RunConfig:
         return out
 
     def embed_payload(self) -> dict:
-        """Config as embedded in outputs: execution-only details (worker
-        count, output destination) are omitted so identical runs produce
-        byte-identical files regardless of parallelism."""
+        """Config as embedded in outputs: the output destination is omitted
+        so identical runs written to different paths produce byte-identical
+        files."""
         out = self.to_payload()
-        del out["workers"]
         del out["output_path"]
         return out
 
@@ -137,7 +133,7 @@ def cmd_sweep(config: RunConfig) -> int:
     """Seeded ensemble sweep; CSV rows plus a per-(n, nu) median summary."""
     rows = pipeline.modulus_sweep(config.dims, config.nu_targets, config.trials,
                                   config.seed, eps=config.eps,
-                                  workers=config.workers, timings=config.timings)
+                                  timings=config.timings)
     text = _metadata_lines(config) + pipeline.sweep_rows_to_csv(rows)
     _write_text(config.output_path, text)
     medians = pipeline.sweep_medians(rows)
@@ -153,7 +149,7 @@ def cmd_kms(config: RunConfig) -> int:
     dims = config.dims if config.dims else kms.DEFAULT_KMS_DIMS
     scale = config.nu if config.nu is not None else 0.05
     rows = kms.kms_experiment(config.trials, config.c, config.seed, dims=dims,
-                              perturb_scale=scale, workers=config.workers)
+                              perturb_scale=scale)
     text = _metadata_lines(config) + kms.kms_rows_to_csv(rows)
     _write_text(config.output_path, text)
     worst = min(row[6] for row in rows)
@@ -186,8 +182,7 @@ def cmd_calibrate(config: RunConfig) -> int:
     """Regenerate the admissible-nu table fixture."""
     dims = config.dims if config.dims else (8, 16, 32)
     table = calibration.build_calibration(dims=dims, trials=config.trials,
-                                          seed=config.seed,
-                                          workers=config.workers)
+                                          seed=config.seed)
     path = calibration.save_calibration(table, config.output_path)
     print(f"calibration written to {path}")
     return EXIT_OK
@@ -201,8 +196,17 @@ def _float_list(text: str) -> tuple:
     return tuple(float(part) for part in text.split(",") if part)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code reserved here for flagged
+    results; raising instead lets main report it as an error (exit 1)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nearcomm",
         description="Almost-commuting matrix correction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -221,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=10)
     p_sweep.add_argument("--seed", type=int, default=20240915)
     p_sweep.add_argument("--eps", type=float, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--timings", action="store_true")
 
     p_kms = sub.add_parser("kms", help="two-state inequality ensemble to CSV")
@@ -232,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kms.add_argument("--nu", type=float, default=None,
                        help="scale of the b1-b2 difference (0 for b1 = b2)")
     p_kms.add_argument("--dims", type=_int_list, default=())
-    p_kms.add_argument("--workers", type=int, default=None)
 
     p_car = sub.add_parser("car-path", help="three-point measure path trace")
     p_car.add_argument("--input", required=True)
@@ -244,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--dims", type=_int_list, default=())
     p_cal.add_argument("--trials", type=int, default=12)
     p_cal.add_argument("--seed", type=int, default=20240915)
-    p_cal.add_argument("--workers", type=int, default=None)
 
     return parser
 
@@ -269,10 +270,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
-        config = _config_from_args(ns)
+        config = _config_from_args(_build_parser().parse_args(argv))
         return _DISPATCH[config.command](config)
     except DegenerateMeasure as exc:
         print(f"error: degenerate measure: {exc}; a single-atom state is "

@@ -126,13 +126,16 @@ class SpectralDecomposition:
 def op_norm(x) -> float:
     """Operator (spectral) norm; max |eigenvalue| for Hermitian input.
 
-    Rectangular arrays take the largest singular value.
+    eigvalsh reads one triangle only, so it is used just for arrays that
+    are Hermitian to 1e-10 of their own largest entry; an absolute floor
+    would pass small non-Hermitian arrays.  Other arrays, rectangular ones
+    included, take the largest singular value.
     """
     arr = as_array(x)
     if arr.size == 0:
         return 0.0
     square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
-    if square and np.max(np.abs(arr - arr.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(arr))):
+    if square and np.max(np.abs(arr - arr.conj().T)) <= 1e-10 * np.max(np.abs(arr)):
         try:
             return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
         except np.linalg.LinAlgError:

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.optimize
 
-from ._quad import gl_nodes, simpson_uniform
+from ._quad import _leggauss, gl_nodes, simpson_uniform
 from .errors import QuadratureError
 from .hermitian import HermitianMatrix, as_array, hermitian_part, op_norm, \
     commutator, func_calc, spectral_decomp
@@ -36,6 +36,8 @@ BAND_HALF_WIDTH = 0.5          # Fourier support of the mollifier: (-1/2, 1/2)
 RAMP_HALF_WIDTH = 0.25         # bump support for both kernels: (-1/4, 1/4)
 _TIME_CUTOFF = 1200.0          # |psi(t)|^2 ~ 1e-19 here; tails are negligible
 _FREQ_CUTOFF = 1000.0          # |slope transform| ~ 2e-9 here, tail ~ 1e-7
+_K1_INTERVALS = 51200          # k1's check grid on [0, _TIME_CUTOFF]; even (Simpson)
+DUMP_POINTS = 256              # samples per kernel in the dump payloads
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -76,7 +78,7 @@ def _autocorr(omega: np.ndarray, k: int = 200) -> np.ndarray:
     omv = om[live]
     lo = -RAMP_HALF_WIDTH
     hi = RAMP_HALF_WIDTH - omv                      # overlap upper edge
-    base, wts = np.polynomial.legendre.leggauss(k)
+    base, wts = _leggauss(k)
     half = 0.5 * (hi - lo)
     nodes = lo + half[:, None] * (base[None, :] + 1.0)
     vals = _bump_quarter(nodes) * _bump_quarter(nodes + omv[:, None])
@@ -101,17 +103,12 @@ def _psi(t: np.ndarray, k: int = 96) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class MollifierKernel:
-    """Band-limiting mollifier with its Fourier samples and constants.
+    """Band-limiting mollifier with its constants.
 
-    fourier_values are samples of the transfer function F on fourier_grid;
-    F vanishes identically outside (-1/2, 1/2), so the endpoint samples
-    are exactly zero.  k1 = integral f(t) |t| dt controls how far smoothing
-    can move an operator: ||b - b1|| <= k1 * ||[a, b]||.
+    k1 = integral f(t) |t| dt controls how far smoothing can move an
+    operator: ||b - b1|| <= k1 * ||[a, b]||.
     """
 
-    grid_points: int
-    fourier_grid: np.ndarray
-    fourier_values: np.ndarray
     k1: float
     unit_mass_check: float
 
@@ -130,9 +127,12 @@ class MollifierKernel:
         return _psi(np.asarray(t, dtype=float)) ** 2 / z
 
     def dump(self) -> dict:
+        """Transfer function F sampled on DUMP_POINTS points of [-1/2, 1/2];
+        F vanishes outside (-1/2, 1/2), so the endpoint samples are 0.0."""
+        grid = np.linspace(-BAND_HALF_WIDTH, BAND_HALF_WIDTH, DUMP_POINTS)
         return {
-            "grid": self.fourier_grid.tolist(),
-            "values": self.fourier_values.tolist(),
+            "grid": grid.tolist(),
+            "values": self.multiplier(grid).tolist(),
             "k1": self.k1,
         }
 
@@ -145,18 +145,17 @@ class StepKernel:
     ||[b, step(a)]|| <= c_const * ||[a, b]||.
     """
 
-    grid_points: int
-    ramp_grid: np.ndarray
-    ramp_values: np.ndarray
     c_const: float
 
     def __call__(self, x) -> np.ndarray:
         return _step_eval(np.asarray(x, dtype=float))
 
     def dump(self) -> dict:
+        """The ramp sampled on DUMP_POINTS points of [-1/4, 1/4]."""
+        grid = np.linspace(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, DUMP_POINTS)
         return {
-            "grid": self.ramp_grid.tolist(),
-            "values": self.ramp_values.tolist(),
+            "grid": grid.tolist(),
+            "values": self(grid).tolist(),
             "c_const": self.c_const,
         }
 
@@ -175,7 +174,7 @@ def _step_eval(x: np.ndarray, k: int = 64) -> np.ndarray:
     mid = (v > -RAMP_HALF_WIDTH) & (v < RAMP_HALF_WIDTH)
     if np.any(mid):
         tv = v[mid]
-        base, wts = np.polynomial.legendre.leggauss(k)
+        base, wts = _leggauss(k)
         half = 0.5 * (tv + RAMP_HALF_WIDTH)
         nodes = -RAMP_HALF_WIDTH + half[:, None] * (base[None, :] + 1.0)
         # the cumulative quadrature can overshoot [0, 1] by rounding noise
@@ -219,7 +218,7 @@ def _abs_transform_integral(scan_step: float, gl_order: int,
         cuts.append(float(scipy.optimize.brentq(
             f_scalar, grid[i], grid[i + 1], xtol=1e-13)))
     cuts.append(_FREQ_CUTOFF)
-    base, wts = np.polynomial.legendre.leggauss(gl_order)
+    base, wts = _leggauss(gl_order)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         half = 0.5 * (hi - lo)
@@ -232,27 +231,19 @@ def _abs_transform_integral(scan_step: float, gl_order: int,
     return 2.0 * total
 
 
-@lru_cache(maxsize=8)
-def build_mollifier(grid_points: int = 256) -> MollifierKernel:
+@lru_cache(maxsize=1)
+def build_mollifier() -> MollifierKernel:
     """Construct the band-limiting mollifier kernel.
 
-    grid_points controls the stored Fourier samples and the density of the
-    time-domain quadrature used for k1; the defining integrals are checked
-    by grid refinement and raise QuadratureError on disagreement.
+    The defining integrals are checked by grid refinement and raise
+    QuadratureError on disagreement.
     """
-    if grid_points < 64:
-        raise ValueError("grid_points must be >= 64")
-    grid = np.linspace(-BAND_HALF_WIDTH, BAND_HALF_WIDTH, grid_points)
-    a0 = _autocorr_norm()
-    values = _autocorr(grid) / a0
-
     # k1 and the mass check share one fine time grid (integrands psi^2 * t
     # and psi^2); Richardson via the half-density subgrid.
-    n_intervals = 8 * grid_points * 25          # even by construction
-    t = np.linspace(0.0, _TIME_CUTOFF, 2 * n_intervals + 1)
-    h = _TIME_CUTOFF / (2 * n_intervals)
+    t = np.linspace(0.0, _TIME_CUTOFF, 2 * _K1_INTERVALS + 1)
+    h = _TIME_CUTOFF / (2 * _K1_INTERVALS)
     psi2 = _psi(t) ** 2
-    z = a0 / (2.0 * np.pi)
+    z = _autocorr_norm() / (2.0 * np.pi)
 
     def checked(y, label):
         fine = simpson_uniform(y, h)
@@ -264,28 +255,17 @@ def build_mollifier(grid_points: int = 256) -> MollifierKernel:
 
     k1 = 2.0 * checked(psi2 * t, "k1") / z
     mass = 2.0 * checked(psi2, "unit mass") / z
-
-    grid.flags.writeable = False
-    values.flags.writeable = False
-    return MollifierKernel(grid_points=grid_points, fourier_grid=grid,
-                           fourier_values=values, k1=k1, unit_mass_check=mass)
+    return MollifierKernel(k1=k1, unit_mass_check=mass)
 
 
-@lru_cache(maxsize=8)
-def build_step(grid_points: int = 256) -> StepKernel:
+@lru_cache(maxsize=1)
+def build_step() -> StepKernel:
     """Construct the smooth step kernel and its commutator constant."""
-    if grid_points < 64:
-        raise ValueError("grid_points must be >= 64")
-    grid = np.linspace(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, grid_points)
-    values = _step_eval(grid)
     c1 = _abs_transform_integral(scan_step=0.25, gl_order=24, transform_order=256)
     c2 = _abs_transform_integral(scan_step=0.125, gl_order=48, transform_order=384)
     if abs(c1 - c2) > 1e-6 * max(1.0, abs(c2)):
         raise QuadratureError(f"c_const: refinement moved by {abs(c1 - c2):.3e}")
-    grid.flags.writeable = False
-    values.flags.writeable = False
-    return StepKernel(grid_points=grid_points, ramp_grid=grid,
-                      ramp_values=values, c_const=c2)
+    return StepKernel(c_const=c2)
 
 
 def band_smooth(a, b, kernel: MollifierKernel | None = None) -> HermitianMatrix:
@@ -325,9 +305,4 @@ def kernel_dump(mollifier: MollifierKernel | None = None,
         mollifier = build_mollifier()
     if step is None:
         step = build_step()
-    return {
-        "grid": mollifier.fourier_grid.tolist(),
-        "values": mollifier.fourier_values.tolist(),
-        "k1": mollifier.k1,
-        "c_const": step.c_const,
-    }
+    return {**mollifier.dump(), "c_const": step.c_const}

@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import fresnel
@@ -433,8 +432,7 @@ def two_state_instance(n: int, c: float, rng, *,
 
 
 def kms_experiment(trials: int, c: float, seed: int, *,
-                   dims=DEFAULT_KMS_DIMS, perturb_scale: float = 0.05,
-                   workers: int | None = None) -> list:
+                   dims=DEFAULT_KMS_DIMS, perturb_scale: float = 0.05) -> list:
     """Seeded rows (seed, n, c, norm_b_diff, lhs, rhs, margin); margin is
     rhs - lhs, so a negative margin marks an inequality violation."""
     if trials < 1:
@@ -452,11 +450,7 @@ def kms_experiment(trials: int, c: float, seed: int, *,
         return (trial, n, c, res.norm_b_diff, res.lhs, res.rhs,
                 res.rhs - res.lhs)
 
-    trial_ids = range(trials)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, trial_ids))
-    return [run(t) for t in trial_ids]
+    return [run(t) for t in range(trials)]
 
 
 def kms_rows_to_csv(rows) -> str:

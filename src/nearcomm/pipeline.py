@@ -19,7 +19,6 @@ import dataclasses
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -206,13 +205,13 @@ def _auto_eps(nu_target: float, table) -> tuple[float, bool]:
 
 
 def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
-                  eps: float | None = None, workers: int | None = None,
-                  a_norm: float = 3.0, timings: bool = False) -> list:
+                  eps: float | None = None, a_norm: float = 3.0,
+                  timings: bool = False) -> list:
     """Run theorem_c_correct over a seeded ensemble grid; one row per trial.
 
-    Rows are ordered by (dim index, nu index, trial) regardless of worker
-    count.  Failures become rows with a flag and NaN distances.  runtime_ms
-    is 0.0 unless timings is requested, keeping output byte-deterministic.
+    Rows are ordered by (dim index, nu index, trial).  Failures become rows
+    with a flag and NaN distances.  runtime_ms is 0.0 unless timings is
+    requested, keeping output byte-deterministic.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -247,9 +246,6 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
                 row, runtime_ms=(time.perf_counter() - start) * 1e3)
         return row
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
     return [run(job) for job in jobs]
 
 

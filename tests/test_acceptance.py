@@ -425,33 +425,29 @@ def _run_cli(args):
 
 
 def test_9_cli_determinism(tmp_path):
-    # Every command, run twice with identical config/seed but different
-    # worker counts where the command is parallel, produces byte-identical
-    # stdout and output files.
+    # Every command, run twice with identical config/seed, produces
+    # byte-identical stdout and output files.
     pair = tmp_path / "pair.json"
     inst = pair_instance(6, 1e-3, instance_rng(SEED, 0, 0, 0))
     pair.write_text(json.dumps({"a": matrix_to_json(inst.a),
                                 "b": matrix_to_json(inst.b)}))
     out = tmp_path / "out.dat"
     commands = {
-        "correct": (["correct", "--input", str(pair), "--output", str(out),
-                     "--eps", "0.05"], []),
-        "sweep": (["sweep", "--output", str(out), "--dims", "6,8",
-                   "--nu-targets", "1e-2,1e-3", "--trials", "2"],
-                  ["--workers"]),
-        "kms": (["kms", "--output", str(out), "--trials", "5", "--c", "-1.0"],
-                ["--workers"]),
-        "car-path": (["car-path", "--input", str(GAUSSIAN_FIXTURE),
-                      "--output", str(out)], []),
-        "calibrate": (["calibrate", "--output", str(out), "--dims", "4",
-                       "--trials", "1"], ["--workers"]),
+        "correct": ["correct", "--input", str(pair), "--output", str(out),
+                    "--eps", "0.05"],
+        "sweep": ["sweep", "--output", str(out), "--dims", "6,8",
+                  "--nu-targets", "1e-2,1e-3", "--trials", "2"],
+        "kms": ["kms", "--output", str(out), "--trials", "5", "--c", "-1.0"],
+        "car-path": ["car-path", "--input", str(GAUSSIAN_FIXTURE),
+                     "--output", str(out)],
+        "calibrate": ["calibrate", "--output", str(out), "--dims", "4",
+                      "--trials", "1"],
     }
     mismatches = []
-    for name, (args, worker_flag) in commands.items():
+    for name, args in commands.items():
         snaps = []
-        for workers in ("1", "3"):
-            run_args = args + (worker_flag + [workers] if worker_flag else [])
-            stdout = _run_cli(run_args)
+        for _ in range(2):
+            stdout = _run_cli(args)
             snaps.append((stdout, out.read_bytes()))
         if snaps[0] != snaps[1]:
             mismatches.append(name)

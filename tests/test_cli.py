@@ -2,18 +2,20 @@
 
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from nearcomm.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, RunConfig, main
+from nearcomm.cli import (_COMMANDS, EXIT_ERROR, EXIT_FLAGGED, EXIT_OK,
+                          RunConfig, _build_parser, main)
 from nearcomm.ensembles import instance_rng, pair_instance
 from nearcomm.serialize import matrix_to_json
 
-GAUSSIAN_FIXTURE = pathlib.Path(__file__).resolve().parents[1] / "demos" \
-    / "measure_gaussian16.json"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+GAUSSIAN_FIXTURE = REPO_ROOT / "demos" / "measure_gaussian16.json"
 
 
 def write_pair(path, n=6, nu=1e-3, seed=42):
@@ -47,11 +49,44 @@ class TestRunConfig:
             RunConfig(command="kms", c=0.0)
 
     def test_embed_payload_drops_execution_fields(self):
-        cfg = RunConfig(command="sweep", output_path="/tmp/x.csv", workers=4,
+        cfg = RunConfig(command="sweep", output_path="/tmp/x.csv",
                         dims=(8,), nu_targets=(1e-2,))
         payload = cfg.embed_payload()
-        assert "workers" not in payload and "output_path" not in payload
+        assert "output_path" not in payload
         assert payload["dims"] == [8]
+
+
+class TestUsageErrors:
+    # exit code 2 means "finished but flagged", so a bad command line must
+    # not share it with argparse's default
+
+    def test_missing_required_flag(self, capsys):
+        assert main(["correct", "--input", "pair.json"]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert "error: the following arguments are required: --output" in err
+
+    def test_unknown_flag(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--output", str(out), "--workers", "3"]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert "error: unrecognized arguments: --workers 3" in err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--nu-targets" in capsys.readouterr().out
+
+    def test_readme_examples_parse(self):
+        text = (REPO_ROOT / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```")[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line)[1:] for line in lines
+                    if line.startswith("nearcomm ")]
+        parser = _build_parser()
+        parsed = [parser.parse_args(args).command for args in examples]
+        assert sorted(parsed) == sorted(_COMMANDS)
 
 
 class TestCorrectCommand:
@@ -135,20 +170,17 @@ class TestSweepCommand:
 
     def test_byte_identical_across_workers(self, tmp_path):
         texts = []
-        for name, workers in (("s1.csv", None), ("s2.csv", "3")):
+        for name in ("s1.csv", "s2.csv"):
             out = tmp_path / name
-            args = ["sweep", "--output", str(out), "--dims", "6",
-                    "--nu-targets", "1e-2,1e-3", "--trials", "2"]
-            if workers:
-                args += ["--workers", workers]
-            assert main(args) == EXIT_OK
+            assert main(["sweep", "--output", str(out), "--dims", "6",
+                         "--nu-targets", "1e-2,1e-3", "--trials", "2"]) == EXIT_OK
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
     def test_embedded_config_omits_workers(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", "--output", str(out), "--dims", "4",
-              "--nu-targets", "1e-3", "--trials", "1", "--workers", "2"])
+              "--nu-targets", "1e-3", "--trials", "1"])
         cfg = header_config(out)
         assert "workers" not in cfg and "output_path" not in cfg
         assert cfg["seed"] == 20240915
@@ -174,12 +206,10 @@ class TestKmsCommand:
 
     def test_byte_identical_across_workers(self, tmp_path):
         texts = []
-        for name, workers in (("k1.csv", None), ("k2.csv", "2")):
+        for name in ("k1.csv", "k2.csv"):
             out = tmp_path / name
-            args = ["kms", "--output", str(out), "--trials", "4", "--seed", "9"]
-            if workers:
-                args += ["--workers", workers]
-            assert main(args) == EXIT_OK
+            assert main(["kms", "--output", str(out), "--trials", "4",
+                         "--seed", "9"]) == EXIT_OK
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
@@ -208,7 +238,7 @@ class TestCarPathCommand:
 
 class TestCalibrateCommand:
     def test_writes_to_env_override(self, tmp_path, monkeypatch, capsys):
-        from nearcomm.calibration import DATA_ENV_VAR, load_calibration
+        from nearcomm.calibration import DATA_ENV_VAR
         monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
         code = main(["calibrate", "--dims", "4", "--trials", "1", "--seed", "2"])
         assert code == EXIT_OK
@@ -217,8 +247,6 @@ class TestCalibrateCommand:
         payload = json.loads(written.read_text())
         assert payload["meta"]["dims"] == [4]
         assert str(written) in capsys.readouterr().out
-        monkeypatch.delenv(DATA_ENV_VAR)
-        load_calibration.cache_clear()
 
     def test_explicit_output_path(self, tmp_path):
         out = tmp_path / "table.json"

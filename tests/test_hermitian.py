@@ -76,6 +76,15 @@ class TestOpNorm:
         m = np.array([[0.0, 3.0], [0.0, 0.0]])
         assert op_norm(m) == pytest.approx(3.0, abs=1e-12)
 
+    def test_small_non_hermitian_input(self):
+        # entries far below 1: the Hermitian test must be relative to them,
+        # or the eigvalsh branch reads one triangle of a non-Hermitian array
+        cases = (([[1e-11j]], 1e-11),
+                 ([[3e-11 + 4e-11j]], 5e-11),
+                 ([[0.0, 1e-11], [0.0, 0.0]], 1e-11))
+        for m, expected in cases:
+            assert op_norm(np.array(m)) == pytest.approx(expected, rel=1e-12)
+
     def test_rectangular_input(self):
         rng = np.random.default_rng(13)
         for shape in ((2, 3), (3, 2), (5, 1), (1, 4)):

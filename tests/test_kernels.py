@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nearcomm._quad import simpson_uniform
 from nearcomm.kernels import (BAND_HALF_WIDTH, RAMP_HALF_WIDTH,
                               _abs_transform_integral, band_smooth,
                               build_mollifier, build_step, kernel_dump,
@@ -36,13 +37,11 @@ class TestMollifierConstants:
         assert kern.k1 == pytest.approx(k1_oracle, abs=1e-6)
 
     def test_grid_refinement_stable(self):
-        coarse = build_mollifier(128)
-        fine = build_mollifier(256)
-        assert coarse.k1 == pytest.approx(fine.k1, abs=1e-7)
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            build_mollifier(16)
+        # the same Simpson rule on a time grid of half the density
+        kern = build_mollifier()
+        t = np.linspace(0.0, 1200.0, 51201)
+        coarse = 2.0 * simpson_uniform(kern.time_profile(t) * t, t[1])
+        assert coarse == pytest.approx(kern.k1, abs=1e-7)
 
 
 class TestMollifierShape:

