@@ -83,7 +83,8 @@ def _edge_statistic(n: int, nu: float, rng) -> float:
     inst = pair_instance(n, nu, rng)
     smoothed = band_smooth(inst.a, inst.b)
     try:
-        part = partition(inst.a, smoothed.m, eps=np.inf, enforce=False)
+        # an infinite budget measures every edge and rejects none
+        part = partition(inst.a, smoothed.m, eps=np.inf)
     except NearcommError:
         return np.inf
     return 2.0 * part.edge_comm

@@ -215,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_correct.add_argument("--input", required=True)
     p_correct.add_argument("--output", required=True)
     p_correct.add_argument("--eps", type=float, default=None)
-    p_correct.add_argument("--seed", type=int, default=20240915)
 
     p_sweep = sub.add_parser("sweep", help="seeded ensemble sweep to CSV")
     p_sweep.add_argument("--output", required=True)
@@ -239,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_car = sub.add_parser("car-path", help="three-point measure path trace")
     p_car.add_argument("--input", required=True)
     p_car.add_argument("--output", required=True)
-    p_car.add_argument("--seed", type=int, default=20240915)
 
     p_cal = sub.add_parser("calibrate", help="regenerate the admissible-nu table")
     p_cal.add_argument("--output", default=None)

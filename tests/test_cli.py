@@ -72,6 +72,18 @@ class TestUsageErrors:
         assert "error: unrecognized arguments: --workers 3" in err
         assert not out.exists()
 
+    def test_seed_rejected_where_nothing_is_drawn(self, tmp_path, capsys):
+        # correct and car-path draw no random numbers, so they take no --seed
+        inp, out = tmp_path / "pair.json", tmp_path / "res.json"
+        write_pair(inp)
+        assert main(["correct", "--input", str(inp), "--output", str(out),
+                     "--seed", "5"]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert "error: unrecognized arguments: --seed 5" in err
+        assert not out.exists()
+        assert main(["car-path", "--input", str(GAUSSIAN_FIXTURE),
+                     "--output", str(out), "--seed", "5"]) == EXIT_ERROR
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--help"])

@@ -1,15 +1,17 @@
 """Window projections and the subordinate partition of unity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nearcomm.ensembles import instance_rng, pair_instance
-from nearcomm.errors import SandwichViolation
-from nearcomm.hermitian import commutator, op_norm
+from nearcomm import projections
+from nearcomm.ensembles import haar_unitary, instance_rng, pair_instance
+from nearcomm.errors import MonotonicityViolation, SandwichViolation
+from nearcomm.hermitian import commutator, op_norm, spectral_decomp
 from nearcomm.kernels import band_smooth
 from nearcomm.pipeline import tridiagonal_check
-from nearcomm.projections import (partition, window_commutation_diagnostic,
-                                  window_projection)
+from nearcomm.projections import partition, window_projection
 
 CERT_TOL = 1e-9
 
@@ -38,7 +40,8 @@ class TestWindowProjection:
         a = np.diag([0.5, 1.5, 2.5]).astype(complex)
         b = np.diag([0.3, -0.2, 0.9]).astype(complex)
         res = window_projection(a, b, t=1.0, eps=1e-6)
-        np.testing.assert_allclose(res.p.m, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(res.cols @ res.cols.conj().T, np.diag([0.0, 1.0, 1.0]),
+                                   atol=1e-12)
         assert res.comm_a < 1e-12 and res.comm_b < 1e-12
         assert res.sandwich_lo < 1e-12 and res.sandwich_hi < 1e-12
 
@@ -48,7 +51,8 @@ class TestWindowProjection:
         a = np.diag([0.0, 2.0]).astype(complex)
         b = np.array([[0.1, 0.05], [0.05, -0.2]], dtype=complex)
         res = window_projection(a, b, t=1.0, eps=10.0)
-        np.testing.assert_allclose(res.p.m, np.diag([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(res.cols @ res.cols.conj().T, np.diag([0.0, 1.0]),
+                                   atol=1e-12)
         assert res.inner_report is None
 
     def test_certificates_on_random_pairs(self):
@@ -57,7 +61,8 @@ class TestWindowProjection:
             a, b1 = smoothed_pair(8, 1e-3, rng)
             t = float(np.median(np.linalg.eigvalsh(a).real))
             res = window_projection(a, b1, t=t, eps=0.05)
-            assert op_norm(res.p.m @ res.p.m - res.p.m) < 1e-10
+            p = res.cols @ res.cols.conj().T
+            assert op_norm(p @ p - p) < 1e-10
             assert res.sandwich_lo <= CERT_TOL
             assert res.sandwich_hi <= CERT_TOL
             assert res.comm_a < 0.05 and res.comm_b < 0.05
@@ -72,11 +77,13 @@ class TestWindowProjection:
             window_projection(a, b, t=t, eps=1e-10)
 
     def test_enforce_off_reports_instead(self):
+        # an infinite budget rejects nothing, so the large commutator is
+        # reported rather than raised
         rng = np.random.default_rng(71)
         a = random_hermitian(6, rng)
         b = random_hermitian(6, rng)
         t = float(np.median(np.linalg.eigvalsh(a).real))
-        res = window_projection(a, b, t=t, eps=1e-10, enforce=False)
+        res = window_projection(a, b, t=t, eps=np.inf)
         assert res.comm_b > 1e-10
 
 
@@ -124,12 +131,6 @@ class TestPartition:
             assert op_norm(commutator(a, pk)) < 1e-9
             assert op_norm(commutator(b, pk)) < 1e-9
 
-    def test_window_commutation_diagnostic_small(self):
-        rng = np.random.default_rng(97)
-        a, b1 = smoothed_pair(6, 1e-4, rng)
-        part = partition(a, b1, eps=0.05)
-        assert window_commutation_diagnostic(a, part) < 0.05
-
 
 class TestBlockStorage:
     """Only nonempty blocks are stored, however wide the spectrum of a."""
@@ -153,3 +154,86 @@ class TestBlockStorage:
                            for x in (inst.a, b))
             assert tridiagonal_check(part, inst.a, b) == pytest.approx(expected, abs=1e-12)
         assert tridiagonal_check(part, inst.a, inst.b) > 1e-9
+
+
+def recording_window_core(monkeypatch, edit=None):
+    """Route partition's edge builds through a wrapper of the real
+    _window_core; returns the list of (t, result) it built, in order.
+    edit(decomp, t, result) may replace a result before partition sees it."""
+    real = projections._window_core
+    built = []
+
+    def wrapper(am, bm, decomp, t, eps):
+        res = real(am, bm, decomp, t, eps)
+        if edit is not None:
+            res = edit(decomp, t, res)
+        built.append((t, res))
+        return res
+
+    monkeypatch.setattr(projections, "_window_core", wrapper)
+    return built
+
+
+def certificate_pairs():
+    rng = np.random.default_rng(103)
+    a, b1 = smoothed_pair(8, 1e-3, rng)
+    u = haar_unitary(8, rng)
+    inst = pair_instance(16, 1e-3, instance_rng(5, 0, 0, 100), a_norm=100.0)
+    return {"diagonal": (a, b1),
+            "haar": (u @ a @ u.conj().T, u @ b1 @ u.conj().T),
+            "wide": (inst.a, band_smooth(inst.a, inst.b).m)}
+
+
+class TestColumnCertificates:
+    """The certificates computed on n x rank arrays equal their n x n
+    definitions with p = cols cols^*."""
+
+    @pytest.mark.parametrize("name", ["diagonal", "haar", "wide"])
+    def test_match_nxn_definitions(self, name, monkeypatch):
+        a, b = certificate_pairs()[name]
+        built = recording_window_core(monkeypatch)
+        part = partition(a, b, eps=0.1)
+        decomp = spectral_decomp(a)
+        lam, v = decomp.eigenvalues, decomp.basis
+        scale = float(np.max(np.abs(lam)))
+        eye = np.eye(a.shape[0])
+        edges = []
+        for t, res in built:
+            lo, _, hi = projections._split_masks(lam, t, scale)
+            p = res.cols @ res.cols.conj().T
+            e_lo = v[:, lo] @ v[:, lo].conj().T
+            e_hi = v[:, hi] @ v[:, hi].conj().T
+            assert res.sandwich_lo == pytest.approx(op_norm(e_hi @ (eye - p)), abs=1e-12)
+            assert res.sandwich_hi == pytest.approx(op_norm(p @ e_lo), abs=1e-12)
+            assert res.comm_a == pytest.approx(op_norm(commutator(a, p)), abs=1e-12)
+            assert res.comm_b == pytest.approx(op_norm(commutator(b, p)), abs=1e-12)
+            edges.append(p)
+        chain = max(op_norm(hi @ (eye - lo)) for lo, hi in zip(edges, edges[1:]))
+        assert part.chain_residual == pytest.approx(chain, abs=1e-12)
+
+
+class TestEdgeBuilds:
+    def test_one_build_per_cut_point(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        a, b1 = smoothed_pair(8, 1e-3, rng)
+        built = recording_window_core(monkeypatch)
+        partition(a, b1, eps=0.05)
+        ks = projections._edge_range(np.linalg.eigvalsh(a))
+        assert len(built) == len(ks) + 1
+        assert [t for t, _ in built] == [float(k) for k in range(ks.start, ks.stop + 1)]
+
+    def test_non_nested_edge_raises_with_residual(self, monkeypatch):
+        # the last edge sits above the spectrum, so e_k there is 0; giving
+        # it the columns of E_a(-oo, t-1/4] instead breaks e_{k+1} <= e_k
+        rng = np.random.default_rng(73)
+        a, b1 = smoothed_pair(8, 1e-3, rng)
+        last = float(projections._edge_range(np.linalg.eigvalsh(a)).stop)
+
+        def swap(decomp, t, res):
+            if t != last:
+                return res
+            return dataclasses.replace(res, cols=decomp.basis[:, decomp.eigenvalues < t - 0.25])
+
+        recording_window_core(monkeypatch, edit=swap)
+        with pytest.raises(MonotonicityViolation, match=r"residual \d\.\d{3}e[+-]\d+"):
+            partition(a, b1, eps=0.05)
