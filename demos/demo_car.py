@@ -11,9 +11,9 @@ import numpy as np
 import scipy.linalg
 
 from nearcomm import (a_star, annihilator, commutator, fock_rep,
-                      hermitian_part, inner_perturbation_from_rank, op_norm,
-                      quasi_free_flow, quasi_free_generator,
-                      rank_perturbation_norms, wick_unitary)
+                      hermitian_part, op_norm, quasi_free_flow,
+                      quasi_free_generator, rank_perturbation_norms,
+                      second_quantize, wick_unitary)
 from nearcomm.car import number_operator
 
 rng = np.random.default_rng(20240915)
@@ -50,7 +50,7 @@ t_matrix = np.diag([0.7, -0.4, 0.0, 0.0]).astype(np.complex128)
 b_norm, tr_abs = rank_perturbation_norms(t_matrix)
 print(f"\nrank-2 perturbation with eigenvalues (0.7, -0.4): "
       f"||b|| = {b_norm:.2f}, Tr|T| = {tr_abs:.2f}")
-pert = inner_perturbation_from_rank(t_matrix)
+pert = second_quantize(rep, t_matrix)
 cov = op_norm(commutator(1j * pert.toarray(), x.toarray())
               - 1j * a_star(rep, t_matrix @ xi).toarray())
 print(f"inner-perturbation covariance [ib, a*(xi)] = i a*(T xi): {cov:.2e}")

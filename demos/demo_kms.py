@@ -8,6 +8,8 @@ straight path between them restores the premise on every leg and the
 inequality telescopes.
 """
 
+import math
+
 import numpy as np
 
 from nearcomm import (gibbs, hermitian_part, isometry_function_constant,
@@ -38,7 +40,7 @@ worst = max(kms_verify(state,
                        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
                        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             for _ in range(5))
-print(f"gibbs state: n={n}, c={c}, Z = {state.z_partition:.6f}")
+print(f"gibbs state: n={n}, c={c}, log Z = {state.log_z:.6f}")
 print(f"  KMS boundary residual over 5 random (x, y): {worst:.2e}")
 
 # 2. perturbed functional = closed form through gibbs(h + b, c)
@@ -46,7 +48,7 @@ b = random_hermitian(n, 0.3)
 pf = perturbed_functional(state, b)
 closed = gibbs(h + b, c)
 print(f"\nperturbed functional: weight = {pf.weight:.6f}, "
-      f"Z(h+b)/Z(h) = {closed.z_partition / state.z_partition:.6f}")
+      f"Z(h+b)/Z(h) = {math.exp(closed.log_z - state.log_z):.6f}")
 print(f"  normalized density vs gibbs(h+b): "
       f"{op_norm(pf.normalized_density() - closed.rho):.2e}")
 

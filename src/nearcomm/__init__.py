@@ -20,7 +20,6 @@ from .car import (
     a_star,
     annihilator,
     fock_rep,
-    inner_perturbation_from_rank,
     quasi_free_flow,
     quasi_free_generator,
     rank_perturbation_norms,
@@ -70,13 +69,11 @@ from .kernels import (
     lipschitz_commutator_check,
 )
 from .kms import (
-    DoubledFlow,
     KmsState,
     PerturbedFunctional,
     TheoremBResult,
     boundary_residual,
     close_projection_isometry,
-    doubled_flow,
     gibbs,
     isometry_function_constant,
     kms_experiment,

@@ -4,8 +4,9 @@ Creation and annihilation operators are realized as explicit sparse
 matrices on the 2^n-dimensional occupation-number space (Jordan-Wigner
 form: raising matrix at the mode position, parity signs from all lower
 mode indices).  On top of the representation sit quasi-free flows with
-their second-quantized generators, finite-rank inner perturbations,
-Wick-form operator assembly, and residual-vector extraction.
+their second-quantized generators dGamma(H) (for finite-rank H these are
+the inner perturbations), Wick-form operator assembly, and residual-vector
+extraction.
 
 Conventions, fixed once:
   - mode 1 occupies the most significant bit of the basis index, so the
@@ -23,7 +24,8 @@ import functools
 import numpy as np
 import scipy.sparse as sparse
 
-from .hermitian import as_array, hermitian_part, op_norm
+from .hermitian import (HermitianMatrix, SpectralDecomposition, as_array,
+                        hermitian_part, op_norm)
 
 MAX_MODES = 12
 
@@ -88,17 +90,23 @@ def annihilator(rep: FockRep, xi) -> sparse.csr_matrix:
 
 
 def second_quantize(rep: FockRep, h_one) -> sparse.csr_matrix:
-    """dGamma(H) = sum_ij H_ij a*(e_i) a(e_j)."""
+    """dGamma(H) = sum_ij H_ij a*(e_i) a(e_j) for Hermitian H, assembled as
+    sum_k lambda_k a*(zeta_k) a(zeta_k) over the eigensystem of H.
+
+    Satisfies [i dGamma(H), a*(xi)] = i a*(H xi); with H = T of finite rank
+    this is the inner perturbation that implements T on the one-particle
+    space.
+    """
     hm = as_array(h_one)
     n = rep.modes
     if hm.shape != (n, n):
         raise ValueError(f"one-particle matrix has shape {hm.shape}, expected ({n}, {n})")
+    lam, vecs = np.linalg.eigh(HermitianMatrix(hm).m)
     out = sparse.csr_matrix((rep.dim, rep.dim), dtype=np.complex128)
-    annihilators = [c.conj().T.tocsr() for c in rep.creators]
-    for i in range(n):
-        for j in range(n):
-            if hm[i, j] != 0:
-                out = out + hm[i, j] * (rep.creators[i] @ annihilators[j])
+    for val, col in zip(lam, vecs.T):
+        if val != 0:
+            created = a_star(rep, col)
+            out = out + val * (created @ created.conj().T)
     return out
 
 
@@ -115,12 +123,8 @@ class QuasiFreeFlow:
     second_quantized: sparse.csr_matrix
 
     def evolve(self, t: float, x) -> np.ndarray:
-        lam, v = np.linalg.eigh(self.second_quantized.toarray())
-        phase = np.exp(1j * t * lam)
-        e = (v * phase) @ v.conj().T
-        e_inv = (v * phase.conj()) @ v.conj().T
-        xm = x.toarray() if sparse.issparse(x) else np.asarray(x, dtype=np.complex128)
-        return e @ xm @ e_inv
+        dec = SpectralDecomposition(*np.linalg.eigh(self.second_quantized.toarray()))
+        return dec.evolve(t, x.toarray() if sparse.issparse(x) else x)
 
 
 def quasi_free_flow(rep: FockRep, h_one) -> QuasiFreeFlow:
@@ -142,25 +146,8 @@ def quasi_free_generator(flow: QuasiFreeFlow, x):
     return 1j * (d @ x - x @ d)
 
 
-def inner_perturbation_from_rank(t_matrix) -> sparse.csr_matrix:
-    """b = sum_i lambda_i a*(zeta_i) a(zeta_i) over the eigensystem of T.
-
-    Satisfies [ib, a*(xi)] = i a*(T xi): the perturbation implements T on
-    the one-particle space.
-    """
-    tm = hermitian_part(as_array(t_matrix)).m
-    rep = fock_rep(tm.shape[0])
-    lam, vecs = np.linalg.eigh(tm)
-    out = sparse.csr_matrix((rep.dim, rep.dim), dtype=np.complex128)
-    for val, col in zip(lam, vecs.T):
-        if val != 0:
-            created = a_star(rep, col)
-            out = out + val * (created @ created.conj().T)
-    return out
-
-
 def rank_perturbation_norms(t_matrix) -> tuple[float, float]:
-    """(‖b‖, Tr|T|) for b = inner_perturbation_from_rank(T).
+    """(‖b‖, Tr|T|) for b = second_quantize(fock_rep(n), T).
 
     b is diagonal in the zeta-occupation basis with spectrum the subset sums
     of the eigenvalues, so ‖b‖ = max(sum of positive, -sum of negative);

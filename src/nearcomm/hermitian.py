@@ -122,6 +122,21 @@ class SpectralDecomposition:
         v = self.basis
         return (v * self.eigenvalues) @ v.conj().T
 
+    def evolve(self, z: complex, x) -> np.ndarray:
+        """Ad e^{izh}(x) = e^{izh} x e^{-izh} for complex z, h the decomposed
+        matrix: V ((V* x V) o e^{iz(lambda_i - lambda_j)}) V*.
+
+        Entire in z and independent of the choice of eigenbasis; the factors
+        e^{+-izh} are never formed as matrices, so nothing cancels between
+        them.  The phases are an outer product of scalar exponentials over
+        the spectrum centred at its midpoint (Ad ignores a scalar shift of
+        h), which keeps each factor within e^{|Im z| spread / 2}.
+        """
+        lam, v = self.eigenvalues, self.basis
+        mu = lam - 0.5 * (lam[0] + lam[-1])
+        phase = np.outer(np.exp(1j * z * mu), np.exp(-1j * z * mu))
+        return v @ ((v.conj().T @ as_array(x) @ v) * phase) @ v.conj().T
+
 
 def op_norm(x) -> float:
     """Operator (spectral) norm; max |eigenvalue| for Hermitian input.

@@ -1,9 +1,10 @@
 """Finite-dimensional Gibbs/KMS laboratory.
 
-Everything here is exact linear algebra: the modular flow of a Gibbs
-density is conjugation by matrix exponentials, entire in the complex time
-parameter, so KMS boundary identities and perturbed functionals can be
-computed and verified directly instead of via strip-analytic interpolation.
+Everything here is exact linear algebra: the modular flow Ad e^{izh} of a
+Gibbs density is evaluated in one eigenbasis of its generator, entire in the
+complex time parameter, so KMS boundary identities and perturbed functionals
+can be computed and verified directly instead of via strip-analytic
+interpolation.
 
 The centerpiece is a two-state comparison: two Hamiltonian perturbations
 b1, b2 with respective invariant projections e1, e2 are coupled through a
@@ -23,16 +24,20 @@ import io
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.special import fresnel
 
 from ._quad import _leggauss, gl_nodes
+from .ensembles import random_hermitian
 from .errors import NearcommError, SpectralGapMissing
-from .hermitian import HermitianMatrix, as_array, commutator, hermitian_part, op_norm
+from .hermitian import (HermitianMatrix, SpectralDecomposition, as_array,
+                        commutator, hermitian_part, op_norm)
 from .serialize import fmt_float
 
 PROJECTION_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
 INVARIANCE_ATOL = 1e-8
+CONSISTENCY_RTOL = 1e-8        # two-state endpoint check, times max(1, M)
 
 # taper profile: 0 below 1/2, cubic ramp on [1/2, 3/4], t^(-1/2) on
 # [3/4, 9/8], cubic ramp back to 0 on [9/8, 11/8]
@@ -46,12 +51,12 @@ def _logsumexp(values: np.ndarray) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class KmsState:
-    """Gibbs state exp(-c h)/Z for the flow generated by h."""
+    """Gibbs state exp(-c h)/Z for the flow generated by h; log_z = log Z."""
 
     h: HermitianMatrix
     c: float
     rho: np.ndarray
-    z_partition: float
+    log_z: float
 
     def expect(self, x) -> complex:
         return complex(np.trace(self.rho @ as_array(x)))
@@ -67,35 +72,24 @@ def gibbs(h, c: float) -> KmsState:
     shift = float(np.max(exponents))
     weights = np.exp(exponents - shift)
     rho = hermitian_part((v * (weights / weights.sum())) @ v.conj().T).m
-    z = math.exp(_logsumexp(exponents))
-    return KmsState(h=hm, c=float(c), rho=rho, z_partition=z)
-
-
-def _flow_factor(h: np.ndarray, z: complex) -> np.ndarray:
-    """exp(izh) for complex z, via eigendecomposition (exact, entire)."""
-    lam, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * z * lam)) @ v.conj().T
+    return KmsState(h=hm, c=float(c), rho=rho, log_z=_logsumexp(exponents))
 
 
 def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
     """max_t |F(t+ic) - Tr(rho alpha_t(y) x)| with F(z) = Tr(rho x alpha_z(y)).
 
     Zero (to rounding) exactly when rho is the Gibbs density for (h, c);
-    arbitrary densities make this a negative control.
+    arbitrary densities make this a negative control.  Because rho is
+    arbitrary it cannot be folded into the exponent: alpha_{t+ic}(y) has
+    entries up to e^{|c| spread(h)} |y|, so the rounding error of the
+    residual grows like 1e-16 e^{|c| spread(h)}, for the Gibbs density too.
     """
-    hm = as_array(h)
+    dec = SpectralDecomposition(*np.linalg.eigh(hermitian_part(as_array(h)).m))
     xm, ym = as_array(x), as_array(y)
-    lam, v = np.linalg.eigh(hermitian_part(hm).m)
-
-    def alpha(z, w):
-        e = (v * np.exp(1j * z * lam)) @ v.conj().T
-        e_inv = (v * np.exp(-1j * z * lam)) @ v.conj().T
-        return e @ w @ e_inv
-
     worst = 0.0
     for t in t_samples:
-        lhs = np.trace(rho @ xm @ alpha(t + 1j * c, ym))
-        rhs = np.trace(rho @ alpha(float(t), ym) @ xm)
+        lhs = np.trace(rho @ xm @ dec.evolve(t + 1j * c, ym))
+        rhs = np.trace(rho @ dec.evolve(float(t), ym) @ xm)
         worst = max(worst, abs(complex(lhs - rhs)))
     return worst
 
@@ -127,11 +121,14 @@ class PerturbedFunctional:
 def perturbed_functional(state: KmsState, b) -> PerturbedFunctional:
     bm = hermitian_part(as_array(b))
     c = state.c
-    lam_h = np.linalg.eigvalsh(state.h.m)
     mu, w = np.linalg.eigh(state.h.m + bm.m)
-    log_z_base = _logsumexp(-c * lam_h)
-    density = hermitian_part((w * np.exp(-c * mu - log_z_base)) @ w.conj().T).m
-    weight = math.exp(_logsumexp(-c * mu) - log_z_base)
+    log_weight = _logsumexp(-c * mu) - state.log_z
+    try:
+        weight = math.exp(log_weight)
+    except OverflowError:
+        raise NearcommError(f"functional weight exp({log_weight:.6g}) is beyond "
+                            f"the float range at c = {c:g}") from None
+    density = hermitian_part((w * np.exp(-c * mu - state.log_z)) @ w.conj().T).m
     return PerturbedFunctional(base=state, perturb=bm, density=density, weight=weight)
 
 
@@ -154,16 +151,16 @@ def symmetry_action(state: KmsState, w) -> SymmetryActionResult:
     The correction multiplies w rho w* by the analytically continued cocycle
     alpha_{ic}(w) w*, which restores exp(-ch)/Z exactly; the reported
     residual is the trace-norm distance to the original state and certifies
-    that inner symmetries act trivially.
+    that inner symmetries act trivially.  The cocycle e^{-ch} w e^{ch} w* has
+    entries up to e^{|c| spread(h)}, so the rounding error of the residual
+    grows like 1e-16 e^{|c| spread(h)}.
     """
     wm = as_array(w)
     n = wm.shape[0]
     if op_norm(wm.conj().T @ wm - np.eye(n)) > UNITARY_ATOL:
         raise ValueError("w is not unitary within 1e-10")
-    c, hm = state.c, state.h.m
-    e_minus = _flow_factor(hm, 1j * c)      # exp(-c h)
-    e_plus = _flow_factor(hm, -1j * c)      # exp(c h)
-    cocycle = e_minus @ wm @ e_plus @ wm.conj().T
+    dec = SpectralDecomposition(*np.linalg.eigh(state.h.m))
+    cocycle = dec.evolve(1j * state.c, wm) @ wm.conj().T
     raw = cocycle @ wm @ state.rho @ wm.conj().T
     density = hermitian_part(raw).m
     density = density / float(np.trace(density).real)
@@ -311,39 +308,6 @@ def close_projection_isometry(e1, e2) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class DoubledFlow:
-    """Block-diagonal flow on 2n x 2n matrices with generators h+b1 and h+b2."""
-
-    h: HermitianMatrix
-    b1: HermitianMatrix
-    b2: HermitianMatrix
-
-    def generator_matrix(self) -> np.ndarray:
-        k1 = self.h.m + self.b1.m
-        k2 = self.h.m + self.b2.m
-        n = k1.shape[0]
-        k = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        k[:n, :n] = k1
-        k[n:, n:] = k2
-        return k
-
-    def delta(self, x: np.ndarray) -> np.ndarray:
-        return 1j * commutator(self.generator_matrix(), x)
-
-    def evolve(self, z: complex, x: np.ndarray) -> np.ndarray:
-        k = self.generator_matrix()
-        e = _flow_factor(k, z)
-        e_inv = _flow_factor(k, -z)
-        return e @ x @ e_inv
-
-
-def doubled_flow(h, b1, b2) -> DoubledFlow:
-    return DoubledFlow(h=hermitian_part(as_array(h)),
-                       b1=hermitian_part(as_array(b1)),
-                       b2=hermitian_part(as_array(b2)))
-
-
-@dataclasses.dataclass(frozen=True)
 class TheoremBResult:
     """Measured two-sided data of the two-state comparison inequality."""
 
@@ -361,42 +325,54 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float, *,
     """Bound |omega_2(e2) - omega_1(e1)| by |c| C M ||b1 - b2||.
 
     omega_i is the perturbed functional of b_i; e_i must commute with h+b_i
-    (the flow-invariance hypothesis).  Returns the measured left and right
-    sides, the derivation norm ||delta_beta(v)||, and the consistency of the
-    entire-continuation endpoints F(0) = omega_1(e1), F(ic) = omega_2(e2).
+    (the flow-invariance hypothesis).  The flow beta_z = Ad e^{izK} of
+    K = (h+b1) (+) (h+b2) and the density e^{-cK}/Z_h of omega_1 (+) omega_2
+    are both diagonal in one eigenbasis (lambda, V) of K, so with W = V* v V
+
+        F(z) = phi(v beta_z(v*))
+             = sum_ij |W_ij|^2 exp(-c lambda_i - log Z_h + iz(lambda_j - lambda_i)),
+
+    so with p = exp(-c lambda - log Z_h) both endpoints are sums of positive
+    terms: F(0) = sum_ij |W_ij|^2 p_i and F(ic) = sum_ij |W_ij|^2 p_j.
+    Returns the measured left and right sides, the derivation norm
+    ||i[K, v]||, and the consistency of the endpoints F(0) = omega_1(e1),
+    F(ic) = omega_2(e2) with the functionals' own densities; a consistency
+    above 1e-8 max(1, M) is a numerical breakdown, not a violation, and
+    raises NearcommError.
     """
     if c == 0:
         raise ValueError("c must be nonzero")
-    flow = doubled_flow(h, b1, b2)
+    hm, b1m, b2m = (hermitian_part(as_array(m)).m for m in (h, b1, b2))
     e1m, e2m = as_array(e1), as_array(e2)
-    scale = max(1.0, op_norm(flow.h.m + flow.b1.m), op_norm(flow.h.m + flow.b2.m))
-    for name, bm, em in (("e1", flow.b1.m, e1m), ("e2", flow.b2.m, e2m)):
-        drift = op_norm(commutator(flow.h.m + bm, em))
+    k1, k2 = hm + b1m, hm + b2m
+    scale = max(1.0, op_norm(k1), op_norm(k2))
+    for name, km, em in (("e1", k1, e1m), ("e2", k2, e2m)):
+        drift = op_norm(commutator(km, em))
         if drift > INVARIANCE_ATOL * scale:
             raise ValueError(f"{name} is not flow-invariant: ||[h+b, e]|| = {drift:.3e}")
 
     v = close_projection_isometry(e1m, e2m)
-    base = gibbs(flow.h.m, c)
-    omega1 = perturbed_functional(base, flow.b1.m)
-    omega2 = perturbed_functional(base, flow.b2.m)
-    n = e1m.shape[0]
-    rho_phi = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    rho_phi[:n, :n] = omega1.density
-    rho_phi[n:, n:] = omega2.density
-
-    def f_of(z):
-        return complex(np.trace(rho_phi @ v @ flow.evolve(z, v.conj().T)))
-
-    f0 = f_of(0.0)
-    fic = f_of(1j * c)
+    base = gibbs(hm, c)
+    omega1 = perturbed_functional(base, b1m)
+    omega2 = perturbed_functional(base, b2m)
+    k = scipy.linalg.block_diag(k1, k2)
+    lam, vk = np.linalg.eigh(k)
+    w_sq = np.abs(vk.conj().T @ v @ vk) ** 2
+    p = np.exp(-c * lam - base.log_z)
+    f0 = float(p @ w_sq.sum(axis=1))
+    fic = float(p @ w_sq.sum(axis=0))
     lhs = abs(fic - f0)
     c_upper = constant if constant is not None else isometry_function_constant()
     m_norm = max(omega1.weight, omega2.weight)
-    norm_b_diff = op_norm(flow.b1.m - flow.b2.m)
+    norm_b_diff = op_norm(b1m - b2m)
     rhs = abs(c) * c_upper * m_norm * norm_b_diff
-    delta_v_norm = op_norm(flow.delta(v))
-    consistency = max(abs(f0 - complex(np.trace(omega1.density @ e1m))),
-                      abs(fic - complex(np.trace(omega2.density @ e2m))))
+    delta_v_norm = op_norm(1j * commutator(k, v))
+    consistency = max(abs(f0 - omega1.value(e1m)), abs(fic - omega2.value(e2m)))
+    bound = CONSISTENCY_RTOL * max(1.0, m_norm)
+    if consistency > bound:
+        raise NearcommError(
+            f"two-state endpoints F(0), F(ic) at c = {c:g} disagree with "
+            f"omega_1(e1), omega_2(e2) by {consistency:.3e} > {bound:.3e}")
     return TheoremBResult(lhs=lhs, rhs=rhs, delta_v_norm=delta_v_norm,
                           c_upper=c_upper, m_norm=m_norm,
                           norm_b_diff=norm_b_diff,
@@ -405,11 +381,6 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float, *,
 
 DEFAULT_KMS_DIMS = (2, 3, 4, 5, 6, 7, 8)
 KMS_HEADER = ("seed", "n", "c", "norm_b_diff", "lhs", "rhs", "margin")
-
-
-def _random_hermitian(n: int, scale: float, rng) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * 0.5 * (g + g.conj().T)
 
 
 def _bottom_projection(m: np.ndarray, k: int) -> np.ndarray:
@@ -422,9 +393,9 @@ def two_state_instance(n: int, c: float, rng, *,
     """One random comparison instance: perturbations b1 and b2 = b1 + small
     difference, with e_i the bottom-half spectral projection of h + b_i (so
     flow invariance holds exactly)."""
-    h = _random_hermitian(n, 1.0, rng)
-    b1 = _random_hermitian(n, 0.2, rng)
-    b2 = b1 + _random_hermitian(n, perturb_scale, rng)
+    h = random_hermitian(n, rng)
+    b1 = 0.2 * random_hermitian(n, rng)
+    b2 = b1 + perturb_scale * random_hermitian(n, rng)
     k = max(1, n // 2)
     e1 = _bottom_projection(h + b1, k)
     e2 = _bottom_projection(h + b2, k)

@@ -227,9 +227,7 @@ def three_point_path(state: DiscreteMeasureState,
 
     The path starts with a phase-flattening segment, then interpolates the
     mass vector linearly between consecutive stage plans (square-root
-    amplitudes), so every grid state has exactly the original moments.  A
-    stage plan that is infeasible triggers one retry with a doubled stage
-    count before MomentInfeasible surfaces.
+    amplitudes), so every grid state has exactly the original moments.
     """
     if stages < 1:
         raise ValueError("stages must be >= 1")
@@ -255,10 +253,7 @@ def three_point_path(state: DiscreteMeasureState,
     s1, s2, s3 = select_three_points(flat)
     target_idx = np.array([int(np.flatnonzero(state.atoms == s)[0])
                            for s in (s1, s2, s3)])
-    try:
-        plans = _stage_mass_plan(masses, state.atoms, target_idx, c, v, stages)
-    except MomentInfeasible:
-        plans = _stage_mass_plan(masses, state.atoms, target_idx, c, v, 2 * stages)
+    plans = _stage_mass_plan(masses, state.atoms, target_idx, c, v, stages)
 
     states = [state] + flat_states
     stage_ids = [0] * len(states)

@@ -5,10 +5,9 @@ import pytest
 import scipy.linalg
 
 from nearcomm.car import (MAX_MODES, a_star, annihilator, fock_rep,
-                          inner_perturbation_from_rank, number_operator,
-                          quasi_free_flow, quasi_free_generator,
-                          rank_perturbation_norms, residual_vector,
-                          second_quantize, wick_unitary)
+                          number_operator, quasi_free_flow,
+                          quasi_free_generator, rank_perturbation_norms,
+                          residual_vector, second_quantize, wick_unitary)
 from nearcomm.hermitian import op_norm
 
 
@@ -117,6 +116,20 @@ class TestSecondQuantization:
         gen = quasi_free_generator(flow, x)
         assert op_norm(fd - gen) < 1e-6
 
+    def test_matches_pairwise_definition(self):
+        # reference: the defining sum dGamma(H) = sum_ij H_ij a*(e_i) a(e_j)
+        rng = np.random.default_rng(739)
+        for n in (1, 3, 6):
+            rep = fock_rep(n)
+            h = random_hermitian(n, rng)
+            ref = sum(h[i, j] * (rep.creators[i] @ rep.creators[j].conj().T)
+                      for i in range(n) for j in range(n))
+            assert op_norm((second_quantize(rep, h) - ref).toarray()) < 1e-12
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="self-adjoint"):
+            second_quantize(fock_rep(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
     def test_covariance_identity(self):
         # alpha_t(a*(xi)) = a*(exp(itH) xi)
         rng = np.random.default_rng(719)
@@ -145,8 +158,8 @@ class TestInnerPerturbation:
         rng = np.random.default_rng(727)
         for n in (2, 4):
             t_mat = random_hermitian(n, rng)
-            b = inner_perturbation_from_rank(t_mat)
             rep = fock_rep(n)
+            b = second_quantize(rep, t_mat)
             for _ in range(3):
                 xi = random_vector(n, rng)
                 created = a_star(rep, xi)
@@ -155,13 +168,13 @@ class TestInnerPerturbation:
                 assert op_norm((lhs - rhs).toarray()) < 1e-10
 
     def test_zero_rank(self):
-        b = inner_perturbation_from_rank(np.zeros((2, 2)))
+        b = second_quantize(fock_rep(2), np.zeros((2, 2)))
         assert op_norm(b.toarray()) == 0.0
 
     def test_rank_one_literal(self):
         # T = |e1><e1|: b is the mode-1 number operator with norm 1
         t_mat = np.diag([1.0, 0.0]).astype(complex)
-        b = inner_perturbation_from_rank(t_mat)
+        b = second_quantize(fock_rep(2), t_mat)
         norm_b, tr_abs = rank_perturbation_norms(t_mat)
         assert norm_b == pytest.approx(1.0) and tr_abs == pytest.approx(1.0)
         assert op_norm(b.toarray()) == pytest.approx(1.0, abs=1e-12)
@@ -171,7 +184,7 @@ class TestInnerPerturbation:
         for n in (2, 3, 4):
             t_mat = random_hermitian(n, rng)
             norm_b, tr_abs = rank_perturbation_norms(t_mat)
-            b = inner_perturbation_from_rank(t_mat)
+            b = second_quantize(fock_rep(n), t_mat)
             assert norm_b == pytest.approx(op_norm(b.toarray()), abs=1e-10)
             assert norm_b <= tr_abs + 1e-12
             lam = np.linalg.eigvalsh(t_mat)

@@ -216,6 +216,23 @@ class TestKmsCommand:
         rows = out.read_text().splitlines()[3:]
         assert all(float(r.split(",")[4]) < 1e-10 for r in rows)
 
+    def test_large_c_is_not_flagged(self, tmp_path, capsys):
+        # |c| spread(K) exceeds 30 here: F(z) must not cancel e^{-cK}
+        # against e^{cK}, or rounding reads as a violation
+        out = tmp_path / "kms.csv"
+        assert main(["kms", "--output", str(out), "--c", "5",
+                     "--trials", "14"]) == EXIT_OK
+        assert "VIOLATED" not in capsys.readouterr().out
+
+    def test_partition_beyond_float_range(self, tmp_path, capsys):
+        # Z = sum e^{-c lambda} overflows at c = 400; log Z does not
+        out = tmp_path / "kms.csv"
+        assert main(["kms", "--output", str(out), "--c", "400",
+                     "--trials", "14"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "VIOLATED" not in captured.out
+        assert "Traceback" not in captured.err
+
     def test_byte_identical_across_workers(self, tmp_path):
         texts = []
         for name in ("k1.csv", "k2.csv"):

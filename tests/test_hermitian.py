@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 
 from nearcomm.errors import FunctionDomainError
-from nearcomm.hermitian import (HermitianMatrix, SpectralWindow, as_array,
-                                commutator, func_calc, hermitian_part, op_norm,
+from nearcomm.hermitian import (HermitianMatrix, SpectralDecomposition,
+                                SpectralWindow, as_array, commutator,
+                                func_calc, hermitian_part, op_norm,
                                 spectral_decomp, spectral_projection)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -127,6 +128,20 @@ class TestSpectralDecomp:
         second = spectral_decomp(np.array(h, copy=True))
         np.testing.assert_array_equal(first.basis, second.basis)
         np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+
+    def test_evolve_matches_expm(self):
+        # Ad e^{izh}(x) = e^{izh} x e^{-izh} for real z and |Im z| <= 1;
+        # entries reach e^{|Im z| spread(h)}, so the match is relative
+        rng = np.random.default_rng(7)
+        for n in (2, 5, 8):
+            h = random_hermitian(n, rng)
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            dec = SpectralDecomposition(*np.linalg.eigh(h))
+            for z in (0.0, 1.3, -2.0, 0.4 + 1j, -0.7 - 0.5j, 1j, -1j):
+                oracle = (scipy.linalg.expm(1j * z * h) @ x
+                          @ scipy.linalg.expm(-1j * z * h))
+                error = op_norm(dec.evolve(z, x) - oracle)
+                assert error < 1e-12 * op_norm(oracle)
 
 
 class TestFuncCalc:

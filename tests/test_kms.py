@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nearcomm.errors import SpectralGapMissing
-from nearcomm.hermitian import commutator, op_norm
+from nearcomm import kms
+from nearcomm.errors import NearcommError, SpectralGapMissing
+from nearcomm.hermitian import SpectralDecomposition, commutator, op_norm
 from nearcomm.kms import (DEFAULT_KMS_DIMS, KMS_HEADER, _taper_transform,
                           boundary_residual, close_projection_isometry,
-                          doubled_flow, gibbs, isometry_function_constant,
+                          gibbs, isometry_function_constant,
                           kms_experiment, kms_rows_to_csv, kms_verify,
                           perturbed_functional, symmetry_action, taper,
                           theorem_b_inequality, trace_norm, two_state_instance)
@@ -52,7 +53,14 @@ class TestGibbs:
         state = gibbs(h, c=2.0)
         np.testing.assert_allclose(np.diag(state.rho).real, [1.0, 0.0, 0.0],
                                    atol=1e-200)
-        assert math.isfinite(state.z_partition)
+        assert math.isfinite(state.log_z)
+
+    def test_log_partition_beyond_float_range(self):
+        # Z = e^800 + 1 overflows a float; log Z does not
+        state = gibbs(np.diag([-800.0, 0.0]), 1.0)
+        assert state.log_z == pytest.approx(800.0, rel=1e-15)
+        np.testing.assert_allclose(np.diag(state.rho).real, [1.0, 0.0],
+                                   atol=1e-300)
 
     def test_rejects_zero_c(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -103,7 +111,7 @@ class TestPerturbedFunctional:
             fn = perturbed_functional(gibbs(h, c), b)
             target = gibbs(h + b, c)
             assert op_norm(fn.normalized_density() - target.rho) < 1e-12
-            z_ratio = target.z_partition / gibbs(h, c).z_partition
+            z_ratio = math.exp(target.log_z - gibbs(h, c).log_z)
             assert fn.weight == pytest.approx(z_ratio, rel=1e-12)
             assert complex(fn.value(np.eye(4))).real == pytest.approx(
                 fn.weight, rel=1e-12)
@@ -130,6 +138,12 @@ class TestPerturbedFunctional:
             x = random_hermitian(n, 1.0, rng)
             oracle = np.vdot(omega_b, left(x) @ omega_b)
             assert abs(fn.value(x) - oracle) < 1e-11
+
+    def test_weight_beyond_float_range_is_named(self):
+        # weight = (e^800 + 1) / 2 cannot be a float; the error carries its log
+        state = gibbs(np.zeros((2, 2)), 1.0)
+        with pytest.raises(NearcommError, match=r"exp\(799\.3"):
+            perturbed_functional(state, np.diag([-800.0, 0.0]))
 
     def test_zero_perturbation_is_identity(self):
         state = gibbs(SZ, 1.0)
@@ -287,7 +301,8 @@ class TestTheoremB:
         h = random_hermitian(n, 1.0, rng)
         b1 = random_hermitian(n, 0.2, rng)
         b2 = b1 + random_hermitian(n, 0.05, rng)
-        flow = doubled_flow(h, b1, b2)
+        flow = SpectralDecomposition(*np.linalg.eigh(
+            scipy.linalg.block_diag(h + b1, h + b2)))
         e1 = np.linalg.eigh(h + b1)[1][:, :1]
         e2 = np.linalg.eigh(h + b2)[1][:, :1]
         v = close_projection_isometry(e1 @ e1.conj().T, e2 @ e2.conj().T)
@@ -303,6 +318,38 @@ class TestTheoremB:
                        max(f(ts[0] + 1j * s) for s in ss),
                        max(f(ts[-1] + 1j * s) for s in ss))
         assert interior <= boundary + 1e-12
+
+    @pytest.mark.parametrize("c", (5.0, -5.0, 10.0, -10.0, 20.0, -20.0))
+    def test_large_c_no_false_violations(self, c):
+        # |c| spread(K) reaches ~200: F(z) must be a sum of positive terms,
+        # not e^{-cK} and e^{cK} multiplied after forming each apart
+        seed = 20240915
+        rows = kms_experiment(50, c, seed)
+        assert min(r[6] for r in rows) >= 0.0
+        for trial in range(50):
+            n = DEFAULT_KMS_DIMS[trial % len(DEFAULT_KMS_DIMS)]
+            res = two_state_instance(n, c, np.random.default_rng([seed, trial]))
+            assert res.boundary_consistency <= 1e-10 * max(1.0, res.m_norm)
+
+    def test_one_doubled_eigendecomposition(self, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            sizes.append(m.shape[0])
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        two_state_instance(4, 1.0, np.random.default_rng(167))
+        assert sizes.count(8) == 1
+
+    def test_inconsistent_endpoints_raise(self, monkeypatch):
+        # a breakdown of the continuation is an error, never a "violation"
+        exact = kms.close_projection_isometry
+        monkeypatch.setattr(kms, "close_projection_isometry",
+                            lambda e1, e2: (1.0 + 1e-6) * exact(e1, e2))
+        with pytest.raises(NearcommError, match=r"c = 1\.5.*> 1\.0+e-08"):
+            two_state_instance(4, 1.5, np.random.default_rng(173))
 
     def test_rejects_non_invariant_projection(self):
         rng = np.random.default_rng(157)

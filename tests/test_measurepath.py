@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from nearcomm import measurepath
 from nearcomm.errors import DegenerateMeasure, MomentInfeasible
 from nearcomm.measurepath import (DiscreteMeasureState, discrete_measure_state,
                                   load_measure, measure_from_json,
@@ -172,6 +173,20 @@ class TestThreePointPath:
     def test_rejects_bad_stage_count(self):
         with pytest.raises(ValueError, match="stages"):
             three_point_path(uniform_state([0.0, 0.5, 1.0]), stages=0)
+
+    def test_infeasible_plan_is_not_retried(self, monkeypatch):
+        # the last stage zeroes every non-target atom whatever the stage
+        # count, so a failed plan fails the same way with more stages
+        calls = []
+
+        def infeasible(*args):
+            calls.append(args[-1])
+            raise MomentInfeasible("forced")
+
+        monkeypatch.setattr(measurepath, "_stage_mass_plan", infeasible)
+        with pytest.raises(MomentInfeasible, match="forced"):
+            three_point_path(uniform_state([0.0, 0.25, 0.5, 1.0]))
+        assert calls == [measurepath.DEFAULT_STAGES]
 
     def test_trace_rows_shape(self):
         st = uniform_state([0.0, 0.25, 0.5, 1.0])
