@@ -155,7 +155,7 @@ def op_norm(x) -> float:
             return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
         except np.linalg.LinAlgError:
             pass
-    return float(np.linalg.norm(arr, 2))
+    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 def commutator(a, b) -> np.ndarray:

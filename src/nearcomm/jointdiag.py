@@ -124,13 +124,13 @@ def _apply_round(stack, u, idx_i, idx_j, c, s):
     u[:, idx_j] = uj * c - ui * sc
 
 
-def joint_diagonalize(a, b, tol: float = DEFAULT_TOL,
-                      max_sweeps: int = DEFAULT_MAX_SWEEPS):
+def joint_diagonalize(a, b):
     """Find a unitary that nearly diagonalizes both matrices at once.
 
     Returns (U, SolverReport).  Stops when the relative off-diagonal energy
-    decrease over a sweep falls below tol (or the energy hits the floating
-    point floor); non-convergence within max_sweeps is reported, not raised.
+    decrease over a sweep falls below DEFAULT_TOL (or the energy hits the
+    floating point floor); non-convergence within DEFAULT_MAX_SWEEPS is
+    reported, not raised.
     """
     am, bm = as_array(a), as_array(b)
     if am.shape != bm.shape:
@@ -147,14 +147,14 @@ def joint_diagonalize(a, b, tol: float = DEFAULT_TOL,
     sweeps = 0
     rounds = _schedule(n) if n > 1 else ()
 
-    while not converged and sweeps < max_sweeps:
+    while not converged and sweeps < DEFAULT_MAX_SWEEPS:
         for idx_i, idx_j in rounds:
             c, s = _round_rotations(stack, idx_i, idx_j)
             _apply_round(stack, u, idx_i, idx_j, c, s)
         sweeps += 1
         prev, energy = energy, _off_energy(stack)
         trace.append(energy)
-        if energy <= floor or (prev - energy) <= tol * max(prev, floor):
+        if energy <= floor or (prev - energy) <= DEFAULT_TOL * max(prev, floor):
             converged = True
 
     report = SolverReport(sweeps=sweeps, offdiag_energy=energy,
@@ -162,15 +162,14 @@ def joint_diagonalize(a, b, tol: float = DEFAULT_TOL,
     return u, report
 
 
-def commuting_approximation(a, b, tol: float = DEFAULT_TOL,
-                            max_sweeps: int = DEFAULT_MAX_SWEEPS) -> CommutingPair:
+def commuting_approximation(a, b) -> CommutingPair:
     """Exactly commuting pair near (a, b), by joint diagonalization.
 
     The returned pair shares one eigenbasis, so it commutes structurally;
     dist_a and dist_b are the operator-norm distances to the inputs.
     """
     am, bm = as_array(a), as_array(b)
-    u, report = joint_diagonalize(am, bm, tol=tol, max_sweeps=max_sweeps)
+    u, report = joint_diagonalize(am, bm)
     diag_a = np.real(np.diagonal(u.conj().T @ am @ u)).copy()
     diag_b = np.real(np.diagonal(u.conj().T @ bm @ u)).copy()
     dist_a = op_norm(am - (u * diag_a) @ u.conj().T)

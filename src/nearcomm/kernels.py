@@ -57,14 +57,14 @@ def _bump_quarter(x: np.ndarray) -> np.ndarray:
     return _bump(4.0 * np.asarray(x, dtype=float))
 
 
-@lru_cache(maxsize=8)
-def _autocorr_norm(k: int = 256) -> float:
+@lru_cache(maxsize=1)
+def _autocorr_norm() -> float:
     """A(0) = integral of the squared quarter-bump."""
-    x, w = gl_nodes(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, k)
+    x, w = gl_nodes(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, 256)
     return float(w @ (_bump_quarter(x) ** 2))
 
 
-def _autocorr(omega: np.ndarray, k: int = 200) -> np.ndarray:
+def _autocorr(omega: np.ndarray) -> np.ndarray:
     """A(omega) = integral g(y) g(y + omega) dy for the quarter-bump g.
 
     Supported in (-1/2, 1/2); evaluated by Gauss-Legendre on the overlap
@@ -78,7 +78,7 @@ def _autocorr(omega: np.ndarray, k: int = 200) -> np.ndarray:
     omv = om[live]
     lo = -RAMP_HALF_WIDTH
     hi = RAMP_HALF_WIDTH - omv                      # overlap upper edge
-    base, wts = _leggauss(k)
+    base, wts = _leggauss(200)
     half = 0.5 * (hi - lo)
     nodes = lo + half[:, None] * (base[None, :] + 1.0)
     vals = _bump_quarter(nodes) * _bump_quarter(nodes + omv[:, None])
@@ -86,10 +86,10 @@ def _autocorr(omega: np.ndarray, k: int = 200) -> np.ndarray:
     return out
 
 
-def _psi(t: np.ndarray, k: int = 96) -> np.ndarray:
+def _psi(t: np.ndarray) -> np.ndarray:
     """psi(t) = (1/pi) * integral_0^{1/4} g(x) cos(x t) dx, chunked in t."""
     t = np.asarray(t, dtype=float)
-    x, w = gl_nodes(0.0, RAMP_HALF_WIDTH, k)
+    x, w = gl_nodes(0.0, RAMP_HALF_WIDTH, 96)
     gw = _bump_quarter(x) * w
     out = np.empty_like(t)
     flat = t.ravel()
@@ -160,13 +160,13 @@ class StepKernel:
         }
 
 
-@lru_cache(maxsize=8)
-def _slope_norm(k: int = 256) -> float:
-    x, w = gl_nodes(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, k)
+@lru_cache(maxsize=1)
+def _slope_norm() -> float:
+    x, w = gl_nodes(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, 256)
     return float(w @ _bump_quarter(x))
 
 
-def _step_eval(x: np.ndarray, k: int = 64) -> np.ndarray:
+def _step_eval(x: np.ndarray) -> np.ndarray:
     """Cumulative integral of the normalized quarter-bump, clamped to {0, 1}."""
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     v = np.atleast_1d(np.asarray(x, dtype=float))
@@ -174,7 +174,7 @@ def _step_eval(x: np.ndarray, k: int = 64) -> np.ndarray:
     mid = (v > -RAMP_HALF_WIDTH) & (v < RAMP_HALF_WIDTH)
     if np.any(mid):
         tv = v[mid]
-        base, wts = _leggauss(k)
+        base, wts = _leggauss(64)
         half = 0.5 * (tv + RAMP_HALF_WIDTH)
         nodes = -RAMP_HALF_WIDTH + half[:, None] * (base[None, :] + 1.0)
         # the cumulative quadrature can overshoot [0, 1] by rounding noise
@@ -268,41 +268,33 @@ def build_step() -> StepKernel:
     return StepKernel(c_const=c2)
 
 
-def band_smooth(a, b, kernel: MollifierKernel | None = None) -> HermitianMatrix:
+def band_smooth(a, b) -> HermitianMatrix:
     """Average b over the spectral flow of a, band-limiting it to |dl| < 1/2.
 
     In the eigenbasis of a the result is entrywise b_ij * F(l_i - l_j);
     entries with |l_i - l_j| >= 1/2 are exactly zero.  Guarantees
     ||b - b1|| <= k1 * ||[a, b]|| and ||[a, b1]|| <= ||[a, b]||.
     """
-    if kernel is None:
-        kernel = build_mollifier()
     dec = spectral_decomp(a)
     v = dec.basis
     bt = v.conj().T @ as_array(b) @ v
     delta = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
-    mult = kernel.multiplier(delta)
+    mult = build_mollifier().multiplier(delta)
     return hermitian_part(v @ (bt * mult) @ v.conj().T)
 
 
-def lipschitz_commutator_check(a, b, kernel: StepKernel | None = None):
+def lipschitz_commutator_check(a, b):
     """Measure ||[b, step(a)]|| against c_const * ||[a, b]||.
 
     Returns (lhs, rhs); lhs <= rhs up to quadrature slack.
     """
-    if kernel is None:
-        kernel = build_step()
+    kernel = build_step()
     fa = func_calc(a, kernel)
     lhs = op_norm(commutator(as_array(b), fa.m))
     rhs = kernel.c_const * op_norm(commutator(a, b))
     return lhs, rhs
 
 
-def kernel_dump(mollifier: MollifierKernel | None = None,
-                step: StepKernel | None = None) -> dict:
+def kernel_dump() -> dict:
     """Combined kernel fixture: Fourier samples plus both constants."""
-    if mollifier is None:
-        mollifier = build_mollifier()
-    if step is None:
-        step = build_step()
-    return {**mollifier.dump(), "c_const": step.c_const}
+    return {**build_mollifier().dump(), "c_const": build_step().c_const}

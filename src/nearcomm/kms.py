@@ -94,8 +94,8 @@ def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
     return worst
 
 
-def kms_verify(state: KmsState, x, y, t_samples=(-1.0, 0.0, 1.0)) -> float:
-    return boundary_residual(state.rho, state.h.m, state.c, x, y, t_samples)
+def kms_verify(state: KmsState, x, y) -> float:
+    return boundary_residual(state.rho, state.h.m, state.c, x, y, (-1.0, 0.0, 1.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,8 +320,7 @@ class TheoremBResult:
     boundary_consistency: float
 
 
-def theorem_b_inequality(h, b1, b2, e1, e2, c: float, *,
-                         constant: float | None = None) -> TheoremBResult:
+def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     """Bound |omega_2(e2) - omega_1(e1)| by |c| C M ||b1 - b2||.
 
     omega_i is the perturbed functional of b_i; e_i must commute with h+b_i
@@ -362,7 +361,7 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float, *,
     f0 = float(p @ w_sq.sum(axis=1))
     fic = float(p @ w_sq.sum(axis=0))
     lhs = abs(fic - f0)
-    c_upper = constant if constant is not None else isometry_function_constant()
+    c_upper = isometry_function_constant()
     m_norm = max(omega1.weight, omega2.weight)
     norm_b_diff = op_norm(b1m - b2m)
     rhs = abs(c) * c_upper * m_norm * norm_b_diff

@@ -221,16 +221,13 @@ def _stage_mass_plan(masses: np.ndarray, atoms: np.ndarray, target_idx,
     return plans
 
 
-def three_point_path(state: DiscreteMeasureState,
-                     stages: int = DEFAULT_STAGES) -> MeasurePath:
+def three_point_path(state: DiscreteMeasureState) -> MeasurePath:
     """Deform the state onto three atoms in mean/variance-preserving stages.
 
     The path starts with a phase-flattening segment, then interpolates the
     mass vector linearly between consecutive stage plans (square-root
     amplitudes), so every grid state has exactly the original moments.
     """
-    if stages < 1:
-        raise ValueError("stages must be >= 1")
     support = state.support()
     if support.size <= 1 or state.variance() == 0.0:
         raise DegenerateMeasure("amplitude is concentrated at a single atom")
@@ -253,7 +250,7 @@ def three_point_path(state: DiscreteMeasureState,
     s1, s2, s3 = select_three_points(flat)
     target_idx = np.array([int(np.flatnonzero(state.atoms == s)[0])
                            for s in (s1, s2, s3)])
-    plans = _stage_mass_plan(masses, state.atoms, target_idx, c, v, stages)
+    plans = _stage_mass_plan(masses, state.atoms, target_idx, c, v, DEFAULT_STAGES)
 
     states = [state] + flat_states
     stage_ids = [0] * len(states)

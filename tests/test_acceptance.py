@@ -82,7 +82,7 @@ def test_1_smoothing_bounds():
     exact_zero = True
     for a, b in _smoothing_ensemble():
         comm = op_norm(commutator(a, b))
-        b1 = band_smooth(a, b, kernel).m
+        b1 = band_smooth(a, b).m
         dist_margin = max(dist_margin, op_norm(b - b1) - kernel.k1 * comm)
         comm_margin = max(comm_margin, op_norm(commutator(a, b1)) - comm)
         lam, v = np.linalg.eigh(a)

@@ -131,7 +131,7 @@ class TestBandSmooth:
                 b = random_hermitian(n, rng)
                 b /= op_norm(b)
                 nu = op_norm(commutator(a, b))
-                b1 = band_smooth(a, b, kern).m
+                b1 = band_smooth(a, b).m
                 assert op_norm(b - b1) <= kern.k1 * nu + 1e-10
                 assert op_norm(commutator(a, b1)) <= nu + 1e-10
 

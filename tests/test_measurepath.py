@@ -170,10 +170,6 @@ class TestThreePointPath:
         with pytest.raises(DegenerateMeasure):
             three_point_path(st)
 
-    def test_rejects_bad_stage_count(self):
-        with pytest.raises(ValueError, match="stages"):
-            three_point_path(uniform_state([0.0, 0.5, 1.0]), stages=0)
-
     def test_infeasible_plan_is_not_retried(self, monkeypatch):
         # the last stage zeroes every non-target atom whatever the stage
         # count, so a failed plan fails the same way with more stages

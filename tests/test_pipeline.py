@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from nearcomm import pipeline, projections
 from nearcomm.calibration import load_calibration
-from nearcomm.ensembles import instance_rng, pair_instance
+from nearcomm.ensembles import haar_unitary, instance_rng, pair_instance
 from nearcomm.hermitian import commutator, op_norm
 from nearcomm.pipeline import (SWEEP_HEADER, modulus_sweep, sweep_medians,
                                sweep_rows_to_csv, theorem_c_correct,
@@ -107,6 +108,77 @@ class TestTheoremCCorrect:
         assert tridiagonal_check(part, a, smoothed) < 1e-12
         # control: the unsmoothed b keeps the far entry
         assert tridiagonal_check(part, a, b) > 0.4
+
+
+def _rotated(a, b, u):
+    def conj(x):
+        y = u @ x @ u.conj().T
+        return 0.5 * (y + y.conj().T)
+    return conj(a), conj(b)
+
+
+def _rotated_instance(n, a_norm, seed):
+    rng = instance_rng(seed, n, 0, int(a_norm))
+    inst = pair_instance(n, 1e-3, rng, a_norm=a_norm)
+    return inst, _rotated(inst.a, inst.b, haar_unitary(n, rng))
+
+
+class TestEigenbasisCore:
+    """The correction runs in the eigenbasis of a, whatever basis the input
+    arrives in."""
+
+    def test_stages_receive_diagonal_a(self, monkeypatch):
+        seen = []
+
+        def capture(name):
+            original = getattr(pipeline, name)
+
+            def wrapper(a, *args):
+                seen.append((name, np.array(a)))
+                return original(a, *args)
+            return wrapper
+
+        for name in ("band_smooth", "partition"):
+            monkeypatch.setattr(pipeline, name, capture(name))
+        _, (a, b) = _rotated_instance(12, 3.0, 21)
+        theorem_c_correct(a, b, eps=0.1)
+        lam = np.linalg.eigvalsh(a)
+        assert [name for name, _ in seen] == ["band_smooth", "partition"]
+        for _, captured in seen:
+            assert np.all(captured[~np.eye(12, dtype=bool)] == 0.0)
+            np.testing.assert_allclose(np.diag(captured).real, lam, rtol=0, atol=1e-12)
+
+    def test_rotated_edge_sweeps_match_diagonal(self, monkeypatch):
+        sweeps = []
+        original = projections.commuting_approximation
+
+        def record(*args):
+            pair = original(*args)
+            sweeps.append(pair.report.sweeps)
+            return pair
+
+        monkeypatch.setattr(projections, "commuting_approximation", record)
+        inst, (a, b) = _rotated_instance(32, 3.0, 22)
+        mean = {}
+        for label, pair in (("diagonal", (inst.a, inst.b)), ("rotated", (a, b))):
+            sweeps.clear()
+            theorem_c_correct(*pair, eps=0.1)
+            mean[label] = float(np.mean(sweeps))
+        assert mean["rotated"] <= mean["diagonal"] + 1.0, mean
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("a_norm", [3.0, 100.0])
+    def test_unitary_covariance(self, n, a_norm):
+        inst, (a, b) = _rotated_instance(n, a_norm, 23)
+        plain = theorem_c_correct(inst.a, inst.b, eps=0.1)
+        rotated = theorem_c_correct(a, b, eps=0.1)
+        tol = 1e-12 * max(1.0, a_norm)
+        for field in ("compress_defect_a", "compress_defect_b"):
+            assert getattr(rotated, field) == pytest.approx(getattr(plain, field), abs=tol)
+        assert rotated.pair.dist_a == pytest.approx(plain.pair.dist_a, abs=tol)
+        assert rotated.pair.dist_b == pytest.approx(plain.pair.dist_b, abs=tol)
+        assert rotated.block_count == plain.block_count
+        np.testing.assert_allclose(rotated.block_comms, plain.block_comms, rtol=0, atol=tol)
 
 
 class TestModulusSweep:
