@@ -116,11 +116,7 @@ def cmd_correct(config: RunConfig) -> int:
     a = hermitian_from_json(payload["a"], "a")
     b = hermitian_from_json(payload["b"], "b")
     eps = config.eps if config.eps is not None else 0.05
-    try:
-        table = calibration.load_calibration()
-    except FileNotFoundError:
-        table = None
-    result = pipeline.theorem_c_correct(a, b, eps, table=table)
+    result = pipeline.theorem_c_correct(a, b, eps)
     dump_json(config.output_path, {
         "config": config.embed_payload(),
         "constants": _constants_payload(),
@@ -145,7 +141,7 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_kms(config: RunConfig) -> int:
-    """Two-state inequality ensemble; flags any lhs above rhs plus tolerance."""
+    """Two-state inequality ensemble; flags a margin below -KMS_TOL max(1, M)."""
     dims = config.dims if config.dims else kms.DEFAULT_KMS_DIMS
     scale = config.nu if config.nu is not None else 0.05
     rows = kms.kms_experiment(config.trials, config.c, config.seed, dims=dims,
@@ -153,7 +149,7 @@ def cmd_kms(config: RunConfig) -> int:
     text = _metadata_lines(config) + kms.kms_rows_to_csv(rows)
     _write_text(config.output_path, text)
     worst = min(row[6] for row in rows)
-    violated = worst < -KMS_TOL
+    violated = any(row[6] < -KMS_TOL * max(1.0, row[7]) for row in rows)
     print(f"kms rows={len(rows)} worst_margin={fmt_float(worst)}"
           + (" VIOLATED" if violated else ""))
     return EXIT_FLAGGED if violated else EXIT_OK

@@ -86,19 +86,22 @@ def _autocorr(omega: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi(t: np.ndarray) -> np.ndarray:
-    """psi(t) = (1/pi) * integral_0^{1/4} g(x) cos(x t) dx, chunked in t."""
+def _cosine_transform(t: np.ndarray, order: int, divisor: float) -> np.ndarray:
+    """(1/pi) integral_0^{1/4} g(x) cos(xt) dx / divisor, g the quarter-bump."""
     t = np.asarray(t, dtype=float)
-    x, w = gl_nodes(0.0, RAMP_HALF_WIDTH, 96)
-    gw = _bump_quarter(x) * w
-    out = np.empty_like(t)
+    x, w = gl_nodes(0.0, RAMP_HALF_WIDTH, order)
+    gw = _bump_quarter(x) * w / divisor
     flat = t.ravel()
-    res = out.ravel()
+    out = np.empty_like(flat)
     step = 65536
     for i in range(0, len(flat), step):
-        block = flat[i:i + step]
-        res[i:i + step] = np.cos(np.outer(block, x)) @ gw
-    return out / np.pi
+        out[i:i + step] = np.cos(np.outer(flat[i:i + step], x)) @ gw
+    return (out / np.pi).reshape(t.shape)
+
+
+def _psi(t: np.ndarray) -> np.ndarray:
+    """psi(t) = (1/pi) * integral_0^{1/4} g(x) cos(x t) dx."""
+    return _cosine_transform(t, 96, 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,16 +193,7 @@ def _slope_transform(t: np.ndarray, k: int = 256) -> np.ndarray:
     The order k must resolve ~t/8 oscillation nodes; the default covers the
     integration range used for c_const with a 2x margin.
     """
-    t = np.asarray(t, dtype=float)
-    x, w = gl_nodes(0.0, RAMP_HALF_WIDTH, k)
-    pw = _bump_quarter(x) * w / _slope_norm()
-    flat = t.ravel()
-    out = np.empty_like(flat)
-    step = 65536
-    for i in range(0, len(flat), step):
-        block = flat[i:i + step]
-        out[i:i + step] = np.cos(np.outer(block, x)) @ pw
-    return (out / np.pi).reshape(t.shape)
+    return _cosine_transform(t, k, _slope_norm())
 
 
 def _abs_transform_integral(scan_step: float, gl_order: int,

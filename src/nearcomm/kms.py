@@ -403,8 +403,8 @@ def two_state_instance(n: int, c: float, rng, *,
 
 def kms_experiment(trials: int, c: float, seed: int, *,
                    dims=DEFAULT_KMS_DIMS, perturb_scale: float = 0.05) -> list:
-    """Seeded rows (seed, n, c, norm_b_diff, lhs, rhs, margin); margin is
-    rhs - lhs, so a negative margin marks an inequality violation."""
+    """Seeded rows (seed, n, c, norm_b_diff, lhs, rhs, margin, m_norm); margin
+    rhs - lhs < 0 marks a violation, and m_norm is the M that scales rhs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
@@ -418,7 +418,7 @@ def kms_experiment(trials: int, c: float, seed: int, *,
                 f"instance trial={trial} (seed=[{seed}, {trial}], n={n}): {exc}"
             ) from exc
         return (trial, n, c, res.norm_b_diff, res.lhs, res.rhs,
-                res.rhs - res.lhs)
+                res.rhs - res.lhs, res.m_norm)
 
     return [run(t) for t in range(trials)]
 
@@ -427,7 +427,7 @@ def kms_rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(KMS_HEADER)
-    for seed, n, c, diff, lhs, rhs, margin in rows:
+    for seed, n, c, diff, lhs, rhs, margin, _ in rows:
         writer.writerow([seed, n, fmt_float(c), fmt_float(diff),
                          fmt_float(lhs), fmt_float(rhs), fmt_float(margin)])
     return buf.getvalue()

@@ -35,6 +35,7 @@ from .serialize import fmt_float, matrix_to_json
 BLOCK_NORM_SLACK = 1e-6
 BLOCK_SHIFT = 0.5          # block spectrum sits in (k - 1/4, k + 5/4)
 BLOCK_SCALE = 4.0 / 3.0    # maps the +-3/4 window onto the unit interval
+GRAM_TOL = 1e-8            # largest |Gram eigenvalue - 1| the polar step accepts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,9 +103,14 @@ def tridiagonal_check(part: ProjectionPartition, a, b_smoothed) -> float:
 
 
 def _orthonormalize(w: np.ndarray) -> np.ndarray:
-    """Polar correction w (w*w)^(-1/2); w is already unitary to ~1e-9."""
+    """Polar correction w (w*w)^(-1/2); w is already unitary to ~1e-9, and a
+    Gram eigenvalue farther than GRAM_TOL from 1 raises BlockNormViolation."""
     gram = hermitian_part(w.conj().T @ w).m
     vals, vecs = np.linalg.eigh(gram)
+    if np.max(np.abs(vals - 1.0)) > GRAM_TOL:
+        raise BlockNormViolation(
+            f"block bases are not orthonormal: Gram eigenvalues span "
+            f"[{vals[0]:.3e}, {vals[-1]:.3e}], not 1 +- {GRAM_TOL:.0e}")
     inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
     return w @ inv_root
 

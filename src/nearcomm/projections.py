@@ -5,9 +5,9 @@ between spectral projections of a,
 
     E_a[t+1/4, oo)  <=  p  <=  E_a(t-1/4, oo),
 
-that almost commutes with both a and b.  Chaining these at integer cut
-points t = k and differencing yields a partition of unity {p_k} subordinate
-to unit-length spectral windows of a.
+that almost commutes with both a and b.  Chaining these at the integer cut
+points t = k that the spectrum reaches and differencing yields a partition
+of unity {p_k} subordinate to unit-length spectral windows of a.
 
 Construction per cut point: smooth step c = step(a - t) commutes with a and
 almost commutes with b; joint diagonalization replaces (b, c) by an exactly
@@ -183,27 +183,31 @@ def window_projection(a, b, t: float, eps: float) -> WindowProjectionResult:
     return _window_core(am, bm, spectral_decomp(am), t, eps)
 
 
-def _edge_range(eigvals: np.ndarray) -> range:
-    kmin = math.floor(float(np.min(eigvals))) - 1
-    kmax = math.ceil(float(np.max(eigvals))) + 1
-    return range(kmin, kmax + 1)
+def _cut_points(eigvals: np.ndarray) -> list:
+    """K = {floor(lambda -/+ 1/4)}, the k with an eigenvalue in [k-1/4, k+5/4)."""
+    return sorted({math.floor(x) for x in np.concatenate(
+        [eigvals - RAMP_HALF_WIDTH, eigvals + RAMP_HALF_WIDTH])})
 
 
 def partition(a, b, eps: float) -> ProjectionPartition:
     """Partition of unity {p_k} subordinate to the unit spectral windows of a.
 
-    Each edge projection e_k is built once, at cut point t = k with
-    commutator budget eps/2, so every p_k = e_k - e_{k+1} meets budget eps.
-    The chain e_{k+1} <= e_k holds by construction and is measured; a
-    residual above CERTIFICATE_TOL raises MonotonicityViolation.
+    Edges are built once each, with budget eps/2 (so every p_k = e_k - e_{k+1}
+    meets eps), only at the cut points an eigenvalue reaches: e_{min K} = 1
+    and e_{k+1} for k in K, at most 2n+1 builds.  A cut point j is left out
+    of K only if no eigenvalue lies in [j-1/4, j+5/4), so every window in a
+    run of skipped cut points is empty and its edge E_a[j+1/4, oo) has the
+    columns of the last edge built, which is reused.  The chain e_{k+1} <= e_k
+    is measured between consecutive built edges; a residual above
+    CERTIFICATE_TOL raises MonotonicityViolation.
     """
     am, bm = as_array(a), as_array(b)
     decomp = spectral_decomp(am)
     lam, v = decomp.eigenvalues, decomp.basis
     scale = float(np.max(np.abs(lam)))
-    ks = _edge_range(lam)
+    ks = _cut_points(lam)
     blocks, chain, edge_comm = [], 0.0, 0.0
-    hi_edge = _window_core(am, bm, decomp, float(ks.start), eps / 2)
+    hi_edge = _window_core(am, bm, decomp, float(ks[0]), eps / 2)
     for k in ks:
         lo_edge, hi_edge = hi_edge, _window_core(am, bm, decomp, float(k + 1), eps / 2)
         edge_comm = max(edge_comm, lo_edge.comm_a, lo_edge.comm_b)

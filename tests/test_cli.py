@@ -233,6 +233,16 @@ class TestKmsCommand:
         assert "VIOLATED" not in captured.out
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("margin, m_norm, code", [(-1e-3, 1e40, EXIT_OK),
+                                                      (-1e-6, 0.5, EXIT_FLAGGED)])
+    def test_tolerance_relative_to_m(self, tmp_path, monkeypatch, margin, m_norm, code):
+        # rounding of an rhs near M = 1e40 is not a violation; a margin of
+        # -1e-6 at M below 1 is
+        from nearcomm import kms
+        rows = [(0, 2, 1.0, 0.05, 2.0 - margin, 2.0, margin, m_norm)]
+        monkeypatch.setattr(kms, "kms_experiment", lambda *args, **kwargs: rows)
+        assert main(["kms", "--output", str(tmp_path / "kms.csv")]) == code
+
     def test_byte_identical_across_workers(self, tmp_path):
         texts = []
         for name in ("k1.csv", "k2.csv"):

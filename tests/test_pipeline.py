@@ -1,5 +1,6 @@
 """End-to-end correction pipeline and the sweep harness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from nearcomm import pipeline, projections
 from nearcomm.calibration import load_calibration
 from nearcomm.ensembles import haar_unitary, instance_rng, pair_instance
+from nearcomm.errors import BlockNormViolation
 from nearcomm.hermitian import commutator, op_norm
 from nearcomm.pipeline import (SWEEP_HEADER, modulus_sweep, sweep_medians,
                                sweep_rows_to_csv, theorem_c_correct,
@@ -96,6 +98,24 @@ class TestTheoremCCorrect:
         b[0, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             theorem_c_correct(inst.a, b, eps=0.05)
+
+    def test_duplicated_basis_column_is_named(self, monkeypatch):
+        # two equal block basis columns make the Gram matrix singular; the
+        # polar step names the Gram spectrum instead of failing in an SVD
+        real = pipeline.commuting_approximation
+
+        def duplicating(a, b):
+            pair = real(a, b)
+            basis = pair.basis.copy()
+            if basis.shape[1] > 1:
+                basis[:, 1] = basis[:, 0]
+            return dataclasses.replace(pair, basis=basis)
+
+        monkeypatch.setattr(pipeline, "commuting_approximation", duplicating)
+        inst = pair_instance(8, 1e-3, instance_rng(8, 0, 0, 0))
+        with pytest.raises(BlockNormViolation,
+                           match=r"Gram eigenvalues span \[\S+, 2\.000e\+00\]"):
+            theorem_c_correct(inst.a, inst.b, eps=0.05)
 
     def test_tridiagonal_check_measures_far_blocks(self):
         # diagonal a with well-separated spectrum: far blocks of b vanish

@@ -1,6 +1,7 @@
 """Window projections and the subordinate partition of unity."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -135,12 +136,15 @@ class TestPartition:
 class TestBlockStorage:
     """Only nonempty blocks are stored, however wide the spectrum of a."""
 
-    @pytest.mark.parametrize("a_norm", [100.0, 1000.0])
-    def test_wide_spectrum_diagonal_pair(self, a_norm):
+    @pytest.mark.parametrize("a_norm", [100.0, 1000.0, 1e4])
+    def test_wide_spectrum_diagonal_pair(self, a_norm, monkeypatch):
         n = 16
         inst = pair_instance(n, 1e-3, instance_rng(5, 0, 0, int(a_norm)), a_norm=a_norm)
         smoothed = band_smooth(inst.a, inst.b).m
+        built = recording_window_core(monkeypatch)
         part = partition(inst.a, smoothed, eps=0.1)
+        # time scales with n too: one build per reachable cut point, plus one
+        assert len(built) <= 2 * n + 1
         assert len(part.blocks) <= n
         assert sum(blk.q.shape[1] for blk in part.blocks) == n
         ks = [blk.k for blk in part.blocks]
@@ -212,22 +216,44 @@ class TestColumnCertificates:
         assert part.chain_residual == pytest.approx(chain, abs=1e-12)
 
 
+def tail_sum_invariants(lam, part):
+    """Worst chain and sandwich residuals of the edges e_k = sum_{j>=k} p_j
+    for a = diag(lam), at every integer cut point k from floor(min lam) - 1
+    to ceil(max lam) + 2, skipped or not."""
+    eye = np.eye(lam.size)
+    edges = []
+    for k in range(math.floor(lam.min()) - 1, math.ceil(lam.max()) + 3):
+        e_k = sum((blk.q @ blk.q.conj().T for blk in part.blocks if blk.k >= k),
+                  np.zeros((lam.size, lam.size), dtype=complex))
+        edges.append((k, e_k))
+    chain = max(op_norm(e_hi @ (eye - e_lo))
+                for (_, e_lo), (_, e_hi) in zip(edges, edges[1:]))
+    sandwich = max(max(op_norm(np.diag(lam >= k + 0.25) @ (eye - e_k)),
+                       op_norm(e_k @ np.diag(lam <= k - 0.25)))
+                   for k, e_k in edges)
+    return chain, sandwich
+
+
 class TestEdgeBuilds:
     def test_one_build_per_cut_point(self, monkeypatch):
+        # each built edge is at a new cut point, in increasing order, and
+        # the spectrum bounds their number, not the width of the spectrum
         rng = np.random.default_rng(73)
         a, b1 = smoothed_pair(8, 1e-3, rng)
         built = recording_window_core(monkeypatch)
         partition(a, b1, eps=0.05)
-        ks = projections._edge_range(np.linalg.eigvalsh(a))
-        assert len(built) == len(ks) + 1
-        assert [t for t, _ in built] == [float(k) for k in range(ks.start, ks.stop + 1)]
+        ts = [t for t, _ in built]
+        assert all(lo < hi for lo, hi in zip(ts, ts[1:]))
+        assert len(ts) <= 2 * 8 + 1
+        # the first edge is 1, the last 0
+        assert built[0][1].cols.shape[1] == 8 and built[-1][1].cols.shape[1] == 0
 
     def test_non_nested_edge_raises_with_residual(self, monkeypatch):
         # the last edge sits above the spectrum, so e_k there is 0; giving
         # it the columns of E_a(-oo, t-1/4] instead breaks e_{k+1} <= e_k
         rng = np.random.default_rng(73)
         a, b1 = smoothed_pair(8, 1e-3, rng)
-        last = float(projections._edge_range(np.linalg.eigvalsh(a)).stop)
+        last = float(projections._cut_points(np.linalg.eigvalsh(a))[-1] + 1)
 
         def swap(decomp, t, res):
             if t != last:
@@ -237,3 +263,20 @@ class TestEdgeBuilds:
         recording_window_core(monkeypatch, edit=swap)
         with pytest.raises(MonotonicityViolation, match=r"residual \d\.\d{3}e[+-]\d+"):
             partition(a, b1, eps=0.05)
+
+    def test_eigenvalues_on_window_ends_in_far_clusters(self, monkeypatch):
+        # eigenvalues exactly on k -/+ 1/4, clusters up to 1e4 apart: the
+        # skipped cut points in between still get the right edges
+        lam = np.array([0.75, 1.25, 2.25, 7.75, 50.3, 1e4 - 0.25, 1e4 + 0.25])
+        rng = np.random.default_rng(109)
+        a = np.diag(lam).astype(complex)
+        d = random_hermitian(lam.size, rng)
+        b = np.diag(rng.uniform(-0.5, 0.5, lam.size)) + 1e-3 * d / op_norm(commutator(a, d))
+        smoothed = band_smooth(a, b).m
+        built = recording_window_core(monkeypatch)
+        part = partition(a, smoothed, eps=0.1)
+        assert len(built) <= 2 * lam.size + 1
+        assert sum(blk.q.shape[1] for blk in part.blocks) == lam.size
+        assert part.sum_residual() <= CERT_TOL
+        assert part.orthogonality_residual() <= CERT_TOL
+        assert max(tail_sum_invariants(lam, part)) <= CERT_TOL
