@@ -3,11 +3,15 @@
 Cyclic Jacobi sweeps with the closed-form optimal plane rotation per index
 pair: for each (i, j) the rotation maximizes the summed squared diagonal
 separation of both matrices, equivalently minimizes their joint (i, j)
-off-diagonal energy.  Pairs are visited in a fixed round-robin schedule;
-within one round the pairs are disjoint, so their rotations commute and the
-whole round is applied as a single batched update.  The sweep order is
-deterministic and the joint off-diagonal energy is nonincreasing from sweep
-to sweep.
+off-diagonal energy.  For two matrices the angle needs no eigensolver: the
+3x3 matrix it maximizes over has rank <= 2, so its top eigenvector follows
+from one 2x2 arctangent (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl.
+17, 1996), with exact ties broken toward the smaller rotation.  Pairs are
+visited in a fixed round-robin schedule; within one round the pairs are
+disjoint, so their rotations commute and the round is applied as one
+batched 2x2 mix over its active pairs only: pairs already aligned are frozen
+at the identity and never touched.  The sweep order is deterministic and the
+joint off-diagonal energy is nonincreasing from sweep to sweep.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ class SolverReport:
     """Convergence record for one joint diagonalization run."""
 
     sweeps: int
+    rotations: int          # plane rotations applied: active pairs over all rounds
     offdiag_energy: float
     converged: bool
     trace: tuple
 
     def __repr__(self):
-        return (f"SolverReport(sweeps={self.sweeps}, "
+        return (f"SolverReport(sweeps={self.sweeps}, rotations={self.rotations}, "
                 f"offdiag_energy={self.offdiag_energy:.3e}, "
                 f"converged={self.converged})")
 
@@ -87,41 +92,73 @@ def _round_rotations(stack: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray):
     """Closed-form optimal rotations for one round of disjoint pairs.
 
     Each Hermitian 2x2 principal block maps to the real 3-vector
-    (d, 2 Re q, -2 Im q); conjugation by a plane rotation acts on it by a
+    w = (d, 2 Re q, -2 Im q); conjugation by a plane rotation acts on it by a
     rotation of that vector, and the diagonal separation is its first
-    component.  The best plane rotation aligns the top eigenvector of the
-    accumulated outer-product matrix with the first axis; ties break toward
-    the smaller rotation angle.
+    component.  The best plane rotation aligns the top eigenvector v of
+    G = W W^T, W = [w_a w_b], with the first axis.  G has rank <= 2, so
+    v = W k for the top eigenvector k = (cos t, sin t) of the 2x2 W^T W,
+    t = atan2(2 g_ab, g_aa - g_bb) / 2.  On an exact tie (g_aa = g_bb,
+    g_ab = 0) v is the unit vector of span(w_a, w_b) with the largest first,
+    then second, component: ties break toward the smaller rotation angle.
+    v's first nonzero component is made positive, and pairs with
+    |s| < 1e-15 are frozen at c=1, s=0.
     """
-    d = np.real(stack[:, idx_i, idx_i] - stack[:, idx_j, idx_j])
+    diag = stack.diagonal(axis1=1, axis2=2)
+    d = (diag[:, idx_i] - diag[:, idx_j]).real
     q = stack[:, idx_i, idx_j]
-    w = np.stack([d, 2.0 * q.real, -2.0 * q.imag], axis=-1)
-    g = np.einsum("mpi,mpj->pij", w, w)
-    vecs = np.linalg.eigh(g)[1][:, :, 2]
-    v0, v1, v2 = vecs[:, 0], vecs[:, 1], vecs[:, 2]
-    flip = (v0 < 0) | ((v0 == 0) & ((v1 < 0) | ((v1 == 0) & (v2 < 0))))
-    vecs[flip] *= -1.0
-    x = vecs[:, 0]
-    c = np.sqrt(0.5 * (1.0 + x))
-    s = (vecs[:, 1] + 1j * vecs[:, 2]) / np.sqrt(2.0 * (1.0 + x))
-    # freeze already-aligned pairs so their entries stay bit-identical
+    g = d * d + 4.0 * (q * q.conj()).real
+    g_ab = d[0] * d[1] + 4.0 * (q[0] * q[1].conj()).real
+    t = 0.5 * np.arctan2(2.0 * g_ab, g[0] - g[1])
+    k0, k1 = np.cos(t), np.sin(t)
+    tie = (g[0] == g[1]) & (g_ab == 0.0)
+    if tie.any():
+        # project e_0 onto span(w_a, w_b), or e_1 where e_0 is orthogonal to it
+        first = (d[0] != 0.0) | (d[1] != 0.0)
+        k0 = np.where(tie, np.where(first, d[0], 2.0 * q[0].real), k0)
+        k1 = np.where(tie, np.where(first, d[1], 2.0 * q[1].real), k1)
+    # v = W k = (vx, 2 Re z, -2 Im z) / r
+    vx = k0 * d[0] + k1 * d[1]
+    z = k0 * q[0] + k1 * q[1]
+    r = np.sqrt(vx * vx + 4.0 * (z * z.conj()).real)
+    r = np.where(r > 0.0, r, 1.0)
+    sign = np.sign(np.where(vx != 0.0, vx, np.where(z.real != 0.0, z.real, -z.imag)))
+    # with x = sign vx / r the first component of v: c = sqrt((1 + x) / 2)
+    # and s = (v_1 + i v_2) / sqrt(2 (1 + x)), written without cancellation
+    h = r + np.abs(vx)
+    c = np.sqrt(h / (2.0 * r))
+    s = (2.0 * sign) * z.conj() / np.sqrt(2.0 * r * h)
+    # freeze already-aligned pairs so `_apply_round` leaves them untouched
     idle = np.abs(s) < 1e-15
     c = np.where(idle, 1.0, c)
     s = np.where(idle, 0.0, s)
     return c, s
 
 
-def _apply_round(stack, u, idx_i, idx_j, c, s):
-    sc = np.conj(s)
-    ci, cj = stack[:, :, idx_i], stack[:, :, idx_j]
-    stack[:, :, idx_i] = ci * c + cj * s
-    stack[:, :, idx_j] = cj * c - ci * sc
-    ri, rj = stack[:, idx_i, :], stack[:, idx_j, :]
-    stack[:, idx_i, :] = ri * c[:, None] + rj * sc[:, None]
-    stack[:, idx_j, :] = rj * c[:, None] - ri * s[:, None]
-    ui, uj = u[:, idx_i], u[:, idx_j]
-    u[:, idx_i] = ui * c + uj * s
-    u[:, idx_j] = uj * c - ui * sc
+def _apply_round(stack, u, idx_i, idx_j, c, s) -> int:
+    """Rotate the active pairs (s != 0) of one round in place; return how many.
+
+    A frozen pair would only compute x*1 + y*0, so it is skipped.  With the
+    active i's and j's gathered side by side, the swap permutation reverses
+    the halves, and each side (columns and rows of the stack, columns of u)
+    takes one gather, one 2x2 mix and one scatter: columns mix as
+    x [c, c] + x_swapped [s, -conj(s)], rows with the conjugate [conj(s), -s].
+    """
+    active = s != 0
+    k = int(np.count_nonzero(active))
+    if k == 0:
+        return 0
+    idx = np.concatenate([idx_i[active], idx_j[active]])
+    c, s = c[active], s[active]
+    col_mix = np.concatenate([s, -s.conj()]).reshape(2, k)
+    row_mix = col_mix.conj()[:, :, None]
+    n = u.shape[0]
+    x = stack.take(idx, axis=2).reshape(2, n, 2, k)
+    stack[:, :, idx] = (x * c + x[:, :, ::-1] * col_mix).reshape(2, n, 2 * k)
+    x = stack.take(idx, axis=1).reshape(2, 2, k, n)
+    stack[:, idx, :] = (x * c[:, None] + x[:, ::-1] * row_mix).reshape(2, 2 * k, n)
+    x = u.take(idx, axis=1).reshape(n, 2, k)
+    u[:, idx] = (x * c + x[:, ::-1] * col_mix).reshape(n, 2 * k)
+    return k
 
 
 def joint_diagonalize(a, b):
@@ -144,20 +181,20 @@ def joint_diagonalize(a, b):
     energy = _off_energy(stack)
     trace = [energy]
     converged = energy <= floor or n == 1
-    sweeps = 0
+    sweeps = rotations = 0
     rounds = _schedule(n) if n > 1 else ()
 
     while not converged and sweeps < DEFAULT_MAX_SWEEPS:
         for idx_i, idx_j in rounds:
             c, s = _round_rotations(stack, idx_i, idx_j)
-            _apply_round(stack, u, idx_i, idx_j, c, s)
+            rotations += _apply_round(stack, u, idx_i, idx_j, c, s)
         sweeps += 1
         prev, energy = energy, _off_energy(stack)
         trace.append(energy)
         if energy <= floor or (prev - energy) <= DEFAULT_TOL * max(prev, floor):
             converged = True
 
-    report = SolverReport(sweeps=sweeps, offdiag_energy=energy,
+    report = SolverReport(sweeps=sweeps, rotations=rotations, offdiag_energy=energy,
                           converged=converged, trace=tuple(trace))
     return u, report
 

@@ -224,12 +224,15 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
                   eps: float | None = None, timings: bool = False) -> list:
     """Run theorem_c_correct over a seeded ensemble grid; one row per trial.
 
-    Rows are ordered by (dim index, nu index, trial).  Failures become rows
-    with a flag and NaN distances.  runtime_ms is 0.0 unless timings is
-    requested, keeping output byte-deterministic.
+    Rows are ordered by (dim index, nu index, trial).  A trial that raises a
+    NearcommError, ValueError or LinAlgError becomes a row flagged
+    error:<Type> with NaN distances; the other trials still run.  runtime_ms
+    is 0.0 unless timings is requested, keeping output byte-deterministic.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if eps is not None and not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     try:
         table = load_calibration()
     except FileNotFoundError:
@@ -252,7 +255,7 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
             row = SweepRow(n=n, nu_target=nu, nu_measured=inst.nu_measured,
                            dist_a=result.pair.dist_a, dist_b=result.pair.dist_b,
                            seed=seed, runtime_ms=0.0, flag=flag)
-        except NearcommError as exc:
+        except (NearcommError, ValueError, np.linalg.LinAlgError) as exc:
             row = SweepRow(n=n, nu_target=nu, nu_measured=math.nan,
                            dist_a=math.nan, dist_b=math.nan, seed=seed,
                            runtime_ms=0.0, flag=f"error:{type(exc).__name__}")

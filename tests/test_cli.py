@@ -189,6 +189,16 @@ class TestSweepCommand:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
+    def test_failed_trial_keeps_other_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--output", str(out), "--dims", "1,8",
+                     "--nu-targets", "1e-2", "--trials", "1"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        assert (rows[0][0], rows[0][-1]) == ("1", "error:ValueError")
+        assert rows[1][0] == "8" and rows[1][-1] in ("", "out-of-regime")
+        assert float(rows[1][4]) >= 0.0
+
     def test_embedded_config_omits_workers(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", "--output", str(out), "--dims", "4",

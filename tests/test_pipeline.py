@@ -201,6 +201,19 @@ class TestEigenbasisCore:
         np.testing.assert_allclose(rotated.block_comms, plain.block_comms, rtol=0, atol=tol)
 
 
+class TestSolverWork:
+    def test_payload_carries_no_solver_report(self):
+        # rotation and sweep counts are for inspection only: the payload
+        # keeps exactly its fields, so its bytes do not depend on them
+        inst = pair_instance(12, 1e-3, instance_rng(31, 0, 0, 0))
+        result = theorem_c_correct(inst.a, inst.b, eps=0.1)
+        assert result.pair.report is None
+        assert sorted(result.to_payload()) == [
+            "b_rescale", "basis", "block_comms", "block_count", "compress_defect_a",
+            "compress_defect_b", "diag_a", "diag_b", "dist_a", "dist_b", "eps_used",
+            "nu", "out_of_regime", "tridiag_residual"]
+
+
 class TestModulusSweep:
     def test_row_grid_and_zero_nu(self):
         rows = modulus_sweep(dims=(4,), nu_targets=(0.0,), trials=1, seed=11)
@@ -238,3 +251,27 @@ class TestModulusSweep:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
             modulus_sweep(dims=(4,), nu_targets=(1e-3,), trials=0, seed=15)
+
+    def test_rejects_nonpositive_eps(self):
+        with pytest.raises(ValueError, match="eps"):
+            modulus_sweep(dims=(4,), nu_targets=(1e-3,), trials=1, seed=15, eps=0.0)
+
+    def test_bad_trial_is_a_flagged_row(self):
+        # pair_instance raises ValueError at n=1: that row is flagged and the
+        # n=8 rows still run
+        rows = modulus_sweep(dims=(1, 8), nu_targets=(1e-2,), trials=2, seed=16)
+        assert [r.n for r in rows] == [1, 1, 8, 8]
+        for r in rows[:2]:
+            assert r.flag == "error:ValueError"
+            assert math.isnan(r.dist_a) and math.isnan(r.dist_b)
+        assert all(math.isfinite(r.dist_a) and math.isfinite(r.dist_b) for r in rows[2:])
+        assert set(sweep_medians(rows)) == {(8, 1e-2)}
+
+    def test_linalg_error_is_a_flagged_row(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(pipeline, "theorem_c_correct", fail)
+        rows = modulus_sweep(dims=(4,), nu_targets=(1e-3,), trials=1, seed=17)
+        assert rows[0].flag == "error:LinAlgError"
+        assert math.isnan(rows[0].dist_b)
