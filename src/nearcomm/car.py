@@ -1,12 +1,12 @@
 """Desk-scale CAR algebra on fermionic Fock space.
 
-Creation and annihilation operators are realized as explicit sparse
-matrices on the 2^n-dimensional occupation-number space (Jordan-Wigner
-form: raising matrix at the mode position, parity signs from all lower
-mode indices).  On top of the representation sit quasi-free flows with
-their second-quantized generators dGamma(H) (for finite-rank H these are
-the inner perturbations), Wick-form operator assembly, and residual-vector
-extraction.
+The representation is one sparse Jordan-Wigner map J = [a*(e_1) ...
+a*(e_n)] on the 2^n-dimensional occupation-number space (raising matrix at
+the mode position, parity signs from all lower mode indices).  Every CAR
+operator is a product with J: a*(xi) = J (xi (x) 1), a(xi) = a*(xi)*, and
+the second quantization dGamma(H) = J (H (x) 1) J* (for finite-rank H
+these are the inner perturbations).  On top sit quasi-free flows,
+Wick-form operator assembly, and residual-vector extraction.
 
 Conventions, fixed once:
   - mode 1 occupies the most significant bit of the basis index, so the
@@ -24,8 +24,7 @@ import functools
 import numpy as np
 import scipy.sparse as sparse
 
-from .hermitian import (HermitianMatrix, SpectralDecomposition, as_array,
-                        hermitian_part, op_norm)
+from .hermitian import HermitianMatrix, SpectralDecomposition, as_array, op_norm
 
 MAX_MODES = 12
 
@@ -37,29 +36,37 @@ def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
     return count
 
 
-def _creator_matrix(n: int, k: int) -> sparse.csr_matrix:
-    """a*(e_{k+1}) on 2^n dimensions; mode bit position is n-1-k."""
+def _jordan_wigner(n: int) -> sparse.csr_matrix:
+    """J = [a*(e_1) ... a*(e_n)], dim x n*dim; mode k+1 is bit n-1-k."""
     dim = 1 << n
-    pos = n - 1 - k
-    states = np.arange(dim)
-    src = states[(states >> pos) & 1 == 0]
-    dst = src | (1 << pos)
-    parity = _popcount(src >> (pos + 1), n) & 1
+    pos = n - 1 - np.arange(n)
+    k, src = np.nonzero((np.arange(dim) >> pos[:, None]) & 1 == 0)
+    dst = src | (1 << pos[k])
+    parity = _popcount(src >> (pos[k] + 1), n) & 1
     signs = np.where(parity == 1, -1.0, 1.0).astype(np.complex128)
-    return sparse.csr_matrix((signs, (dst, src)), shape=(dim, dim))
+    return sparse.csr_matrix((signs, (dst, k * dim + src)), shape=(dim, n * dim))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FockRep:
-    """Explicit CAR representation: creators a*(e_1)..a*(e_n) as sparse
-    matrices on the lexicographic occupation basis."""
+    """Explicit CAR representation on the lexicographic occupation basis,
+    stored as its Jordan-Wigner map jw = J = [a*(e_1) ... a*(e_n)]."""
 
-    modes: int
-    creators: tuple
+    jw: sparse.csr_matrix
 
     @property
     def dim(self) -> int:
-        return 1 << self.modes
+        return self.jw.shape[0]
+
+    @property
+    def modes(self) -> int:
+        return self.jw.shape[1] // self.jw.shape[0]
+
+    @property
+    def creators(self) -> tuple:
+        """a*(e_1)..a*(e_n): the column blocks of J."""
+        d = self.dim
+        return tuple(self.jw[:, k * d:(k + 1) * d] for k in range(self.modes))
 
     def identity(self) -> sparse.csr_matrix:
         return sparse.identity(self.dim, dtype=np.complex128, format="csr")
@@ -69,19 +76,16 @@ class FockRep:
 def fock_rep(n: int) -> FockRep:
     if not 1 <= n <= MAX_MODES:
         raise ValueError(f"mode count must be in [1, {MAX_MODES}], got {n}")
-    return FockRep(modes=n, creators=tuple(_creator_matrix(n, k) for k in range(n)))
+    return FockRep(jw=_jordan_wigner(n))
 
 
 def a_star(rep: FockRep, xi) -> sparse.csr_matrix:
-    """Creation operator a*(xi) = sum_k xi_k a*(e_k), linear in xi."""
+    """Creation operator a*(xi) = sum_k xi_k a*(e_k) = J (xi (x) 1), linear
+    in xi; each entry is a single +-xi_k."""
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.shape != (rep.modes,):
         raise ValueError(f"vector has shape {xi.shape}, expected ({rep.modes},)")
-    out = sparse.csr_matrix((rep.dim, rep.dim), dtype=np.complex128)
-    for coeff, c in zip(xi, rep.creators):
-        if coeff != 0:
-            out = out + coeff * c
-    return out
+    return rep.jw @ sparse.kron(xi[:, None], rep.identity(), format="csr")
 
 
 def annihilator(rep: FockRep, xi) -> sparse.csr_matrix:
@@ -90,24 +94,19 @@ def annihilator(rep: FockRep, xi) -> sparse.csr_matrix:
 
 
 def second_quantize(rep: FockRep, h_one) -> sparse.csr_matrix:
-    """dGamma(H) = sum_ij H_ij a*(e_i) a(e_j) for Hermitian H, assembled as
-    sum_k lambda_k a*(zeta_k) a(zeta_k) over the eigensystem of H.
+    """dGamma(H) = sum_ij H_ij a*(e_i) a(e_j) = J (H (x) 1) J* for Hermitian H.
 
-    Satisfies [i dGamma(H), a*(xi)] = i a*(H xi); with H = T of finite rank
-    this is the inner perturbation that implements T on the one-particle
-    space.
+    Each off-diagonal entry is exactly +-H_ij and each diagonal entry a sum
+    of H_kk over the occupied modes.  Satisfies [i dGamma(H), a*(xi)] =
+    i a*(H xi); with H = T of finite rank this is the inner perturbation
+    that implements T on the one-particle space.
     """
     hm = as_array(h_one)
     n = rep.modes
     if hm.shape != (n, n):
         raise ValueError(f"one-particle matrix has shape {hm.shape}, expected ({n}, {n})")
-    lam, vecs = np.linalg.eigh(HermitianMatrix(hm).m)
-    out = sparse.csr_matrix((rep.dim, rep.dim), dtype=np.complex128)
-    for val, col in zip(lam, vecs.T):
-        if val != 0:
-            created = a_star(rep, col)
-            out = out + val * (created @ created.conj().T)
-    return out
+    lift = sparse.kron(HermitianMatrix(hm).m, rep.identity(), format="csr")
+    return rep.jw @ lift @ rep.jw.conj().T
 
 
 def number_operator(rep: FockRep) -> sparse.csr_matrix:
@@ -128,7 +127,7 @@ class QuasiFreeFlow:
 
 
 def quasi_free_flow(rep: FockRep, h_one) -> QuasiFreeFlow:
-    hm = hermitian_part(as_array(h_one)).m
+    hm = HermitianMatrix(as_array(h_one)).m
     return QuasiFreeFlow(rep=rep, one_particle_h=hm,
                          second_quantized=second_quantize(rep, hm))
 
@@ -153,7 +152,7 @@ def rank_perturbation_norms(t_matrix) -> tuple[float, float]:
     of the eigenvalues, so ‖b‖ = max(sum of positive, -sum of negative);
     equality with Tr|T| holds exactly when the eigenvalues share a sign.
     """
-    lam = np.linalg.eigvalsh(hermitian_part(as_array(t_matrix)).m)
+    lam = np.linalg.eigvalsh(HermitianMatrix(as_array(t_matrix)).m)
     positive = float(np.sum(lam[lam > 0]))
     negative = float(-np.sum(lam[lam < 0]))
     return max(positive, negative), positive + negative
@@ -172,10 +171,11 @@ def wick_unitary(rep: FockRep, coeffs, family=None) -> tuple[sparse.csr_matrix, 
     """Assemble x = sum coeffs[mu, nu] a*(f_mu1)..a*(f_mup) a(f_nu1)..a(f_nuq).
 
     mu and nu are strictly increasing mode-index tuples; family (columns =
-    orthonormal one-particle vectors) defaults to the standard basis.  The
-    coefficients determine x independently of the family choice, so
-    rebuilding against a rotated family reproduces the same unitarity
-    defect.  Returns (x, ‖x*x - 1‖); the defect is a report, not an error.
+    orthonormal one-particle vectors) defaults to the standard basis.  A
+    unitary family V = [f_1 ... f_n] gives Gamma(V) x_e Gamma(V)*, with x_e
+    the standard-basis element: x depends on the family, its unitarity
+    defect does not.  Returns (x, ‖x*x - 1‖); the defect is a report, not an
+    error.
     """
     n = rep.modes
     if family is None:
@@ -213,7 +213,7 @@ class ResidualVector:
 def residual_vector(h, xi) -> ResidualVector:
     """Split H xi into its xi-component c = (H xi | xi) and the orthogonal
     remainder; eta_unit is the zero vector when the remainder is below 1e-12."""
-    hm = hermitian_part(as_array(h)).m
+    hm = HermitianMatrix(as_array(h)).m
     xv = np.asarray(xi, dtype=np.complex128)
     norm = float(np.linalg.norm(xv))
     if abs(norm - 1.0) > 1e-10:

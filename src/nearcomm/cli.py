@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 from . import calibration, kms, measurepath, pipeline
@@ -50,16 +51,19 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command '{self.command}'")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.nu is not None and self.nu < 0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
+        if self.nu is not None and not 0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if any(int(d) < 1 for d in self.dims):
             raise ValueError(f"dims must be positive integers, got {self.dims}")
-        if any(t < 0 for t in self.nu_targets):
-            raise ValueError(f"nu targets must be nonnegative, got {self.nu_targets}")
+        if not all(0 <= t < math.inf for t in self.nu_targets):
+            raise ValueError(
+                f"nu_targets must be finite and nonnegative, got {self.nu_targets}")
         if self.command == "kms" and self.c == 0:
             raise ValueError("c must be nonzero for the kms command")
 

@@ -291,15 +291,18 @@ def measure_to_json(state: DiscreteMeasureState) -> dict:
 
 
 def measure_from_json(obj: dict) -> DiscreteMeasureState:
-    """Parse {atoms, weights, xi_re, xi_im}; inputs within 1e-9 of
-    normalized are renormalized exactly, anything further off is rejected."""
+    """Parse {atoms, weights, xi_re, xi_im}; every entry must be finite.
+    Inputs within 1e-9 of normalized are renormalized exactly, anything
+    further off is rejected."""
+    fields = {}
     for field in ("atoms", "weights", "xi_re", "xi_im"):
         if field not in obj:
             raise ValueError(f"measure JSON is missing field '{field}'")
-    atoms = np.asarray(obj["atoms"], dtype=np.float64)
-    weights = np.asarray(obj["weights"], dtype=np.float64)
-    amp = np.asarray(obj["xi_re"], dtype=np.float64) + 1j * np.asarray(
-        obj["xi_im"], dtype=np.float64)
+        fields[field] = np.asarray(obj[field], dtype=np.float64)
+        if not np.all(np.isfinite(fields[field])):
+            raise ValueError(f"measure JSON field '{field}' has non-finite entries")
+    atoms, weights = fields["atoms"], fields["weights"]
+    amp = fields["xi_re"] + 1j * fields["xi_im"]
     w_sum = float(np.sum(weights))
     if abs(w_sum - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {w_sum}, expected 1 within 1e-9")

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 
 from nearcomm.car import (MAX_MODES, a_star, annihilator, fock_rep,
                           number_operator, quasi_free_flow,
                           quasi_free_generator, rank_perturbation_norms,
                           residual_vector, second_quantize, wick_unitary)
 from nearcomm.hermitian import op_norm
+
+NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 def random_hermitian(n, rng):
@@ -23,6 +26,44 @@ def random_vector(n, rng, unit=False):
 
 def anticomm(x, y):
     return (x @ y + y @ x).toarray()
+
+
+def reference_creator(n, k):
+    """a*(e_{k+1}) built on its own from the definition: raising at bit
+    n-1-k, sign (-1)^(occupied lower modes).  The oracle for the map."""
+    dim = 1 << n
+    pos = n - 1 - k
+    states = np.arange(dim)
+    src = states[(states >> pos) & 1 == 0]
+    dst = src | (1 << pos)
+    parity = np.array([bin(int(s) >> (pos + 1)).count("1") & 1 for s in src])
+    signs = np.where(parity == 1, -1.0, 1.0).astype(np.complex128)
+    return sparse.csr_matrix((signs, (dst, src)), shape=(dim, dim))
+
+
+def reference_a_star(n, xi):
+    out = sparse.csr_matrix((1 << n, 1 << n), dtype=np.complex128)
+    for k, coeff in enumerate(xi):
+        if coeff != 0:
+            out = out + coeff * reference_creator(n, k)
+    return out
+
+
+def canonical(m):
+    m = sparse.csr_matrix(m, copy=True)
+    m.sort_indices()
+    return m
+
+
+def assert_same_bits(x, y):
+    x, y = canonical(x), canonical(y)
+    np.testing.assert_array_equal(x.indptr, y.indptr)
+    np.testing.assert_array_equal(x.indices, y.indices)
+    assert x.data.dtype == y.data.dtype and x.data.tobytes() == y.data.tobytes()
+
+
+def off_diagonal(m):
+    return m - sparse.diags(m.diagonal())
 
 
 class TestFockRep:
@@ -83,6 +124,52 @@ class TestFockRep:
         np.testing.assert_allclose(both_01, -both_10, atol=1e-15)
 
 
+class TestJordanWignerMap:
+    @pytest.mark.parametrize("n", range(1, MAX_MODES + 1))
+    def test_map_matches_per_mode_creators(self, n):
+        rep = fock_rep(n)
+        ref = [reference_creator(n, k) for k in range(n)]
+        assert rep.jw.shape == (rep.dim, n * rep.dim) and rep.modes == n
+        assert_same_bits(rep.jw, sparse.hstack(ref, format="csr"))
+        for got, want in zip(rep.creators, ref):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_creation_and_annihilation_exact(self, n):
+        rng = np.random.default_rng(800 + n)
+        rep = fock_rep(n)
+        sparse_xi = random_vector(n, rng)
+        sparse_xi[::2] = 0.0
+        for xi in (random_vector(n, rng), sparse_xi):
+            ref = reference_a_star(n, xi)
+            assert (a_star(rep, xi) != ref).nnz == 0
+            assert (annihilator(rep, xi) != ref.conj().T.tocsr()).nnz == 0
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_second_quantize_matches_pairwise_entrywise(self, n):
+        # off-diagonal entries of dGamma(H) are single +-H_ij, the diagonal
+        # sums H_kk over the occupied modes
+        rng = np.random.default_rng(820 + n)
+        rep = fock_rep(n)
+        h = random_hermitian(n, rng)
+        creators = [reference_creator(n, k) for k in range(n)]
+        ref = sparse.csr_matrix((rep.dim, rep.dim), dtype=np.complex128)
+        for i in range(n):
+            for j in range(n):
+                ref = ref + h[i, j] * (creators[i] @ creators[j].conj().T)
+        got = second_quantize(rep, h)
+        assert (off_diagonal(got) != off_diagonal(ref)).nnz == 0
+        tol = 1e-14 * n * np.max(np.abs(h))
+        assert np.max(np.abs(got.diagonal() - ref.diagonal())) <= tol
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_number_operator_counts_occupation(self, n):
+        num = number_operator(fock_rep(n))
+        counts = np.array([bin(s).count("1") for s in range(1 << n)])
+        np.testing.assert_array_equal(num.diagonal(), counts)
+        assert off_diagonal(num).count_nonzero() == 0
+
+
 class TestSecondQuantization:
     def test_number_operator_spectrum(self):
         rep = fock_rep(3)
@@ -128,7 +215,12 @@ class TestSecondQuantization:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="self-adjoint"):
-            second_quantize(fock_rep(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+            second_quantize(fock_rep(2), NON_HERMITIAN)
+
+    def test_flow_rejects_non_hermitian(self):
+        # no silent symmetrization into the flow of [[0, .5], [.5, 0]]
+        with pytest.raises(ValueError, match="self-adjoint"):
+            quasi_free_flow(fock_rep(2), NON_HERMITIAN)
 
     def test_covariance_identity(self):
         # alpha_t(a*(xi)) = a*(exp(itH) xi)
@@ -189,6 +281,10 @@ class TestInnerPerturbation:
             assert norm_b <= tr_abs + 1e-12
             lam = np.linalg.eigvalsh(t_mat)
             assert tr_abs == pytest.approx(float(np.sum(np.abs(lam))), abs=1e-12)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="self-adjoint"):
+            rank_perturbation_norms(NON_HERMITIAN)
 
     def test_mixed_signs_below_trace_norm(self):
         t_mat = np.diag([1.0, -1.0]).astype(complex)
@@ -286,3 +382,7 @@ class TestResidualVector:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             residual_vector(np.eye(2), np.array([2.0, 0.0]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="self-adjoint"):
+            residual_vector(NON_HERMITIAN, np.array([1.0, 0.0]))

@@ -48,6 +48,22 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="nonzero"):
             RunConfig(command="kms", c=0.0)
 
+    @pytest.mark.parametrize("argv, field", [
+        (["kms", "--c", "nan"], "c"),
+        (["kms", "--c", "inf"], "c"),
+        (["kms", "--nu", "nan"], "nu"),
+        (["sweep", "--dims", "4", "--nu-targets", "nan"], "nu_targets"),
+        (["sweep", "--dims", "4", "--nu-targets", "1e-3,inf"], "nu_targets"),
+        (["sweep", "--dims", "4", "--eps", "inf"], "eps"),
+    ], ids=["kms-c-nan", "kms-c-inf", "kms-nu-nan", "sweep-nu-nan", "sweep-nu-inf",
+            "sweep-eps-inf"])
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out.csv"
+        code = main([*argv, "--output", str(out), "--trials", "1"])
+        assert code == EXIT_ERROR
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_embed_payload_drops_execution_fields(self):
         cfg = RunConfig(command="sweep", output_path="/tmp/x.csv",
                         dims=(8,), nu_targets=(1e-2,))
@@ -283,6 +299,16 @@ class TestCarPathCommand:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert "degenerate measure" in err and "single-atom" in err
+
+
+    def test_nan_weight_is_named(self, tmp_path, capsys):
+        inp, out = tmp_path / "m.json", tmp_path / "trace.csv"
+        inp.write_text(json.dumps({"atoms": [0.0, 1.0, 2.0],
+                                   "weights": [0.5, float("nan"), 0.5],
+                                   "xi_re": [1.0, 1.0, 1.0], "xi_im": [0.0, 0.0, 0.0]}))
+        code = main(["car-path", "--input", str(inp), "--output", str(out)])
+        assert code == EXIT_ERROR
+        assert "'weights' has non-finite entries" in capsys.readouterr().err
 
 
 class TestCalibrateCommand:

@@ -220,6 +220,16 @@ class TestMeasureJson:
             measure_from_json({"atoms": [0.0], "weights": [1.0],
                                "xi_re": [1.0]})
 
+    @pytest.mark.parametrize("field", ["atoms", "weights", "xi_re", "xi_im"])
+    def test_non_finite_field_named(self, field):
+        # NaN fails every "off by more than tol" comparison, so it must be
+        # caught before the normalization checks
+        obj = {"atoms": [0.0, 1.0, 2.0], "weights": [0.25, 0.5, 0.25],
+               "xi_re": [1.0, 1.0, 1.0], "xi_im": [0.0, 0.0, 0.0]}
+        obj[field][1] = float("nan")
+        with pytest.raises(ValueError, match=f"'{field}' has non-finite entries"):
+            measure_from_json(obj)
+
     def test_fixture_is_normalized(self):
         with open(GAUSSIAN_FIXTURE) as fh:
             raw = json.load(fh)
