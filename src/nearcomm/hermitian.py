@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import EigensolverError, FunctionDomainError
 
-HERMITICITY_ATOL = 1e-12       # absolute entrywise check on construction
+HERMITICITY_RTOL = 1e-12       # entrywise check on construction, times max(1, max|A_ij|)
 ENDPOINT_RTOL = 1e-12          # window endpoint assignment, times max(1, scale)
 CLUSTER_RTOL = 1e-10           # eigenvalue cluster width, times max(1, ||A||)
 
@@ -37,7 +37,8 @@ class HermitianMatrix:
     """Immutable complex square matrix with A = A*.
 
     Construction verifies finiteness and self-adjointness entrywise to
-    1e-12 (absolute) and then stores the exactly symmetrized entries, read-only.
+    1e-12 max(1, max|A_ij|), since the rounding of u a u* grows with the
+    entries, and then stores the exactly symmetrized entries, read-only.
     """
 
     __slots__ = ("m", "n")
@@ -49,8 +50,8 @@ class HermitianMatrix:
         if not _checked:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("matrix has non-finite entries (NaN or inf)")
-            asym = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-            if asym > HERMITICITY_ATOL:
+            asym = np.max(np.abs(arr - arr.conj().T), initial=0.0)
+            if asym > HERMITICITY_RTOL * max(1.0, np.max(np.abs(arr), initial=0.0)):
                 raise ValueError(
                     f"matrix is not self-adjoint: max |A - A*| entry = {asym:.3e}")
         arr = 0.5 * (arr + arr.conj().T)

@@ -121,7 +121,8 @@ def theorem_c_correct(a, b, eps: float, *,
 
     eps is the per-window commutator budget for the partition stage.  The
     measured input commutator is compared against the calibrated admissible
-    value for eps; larger inputs still run but the result is flagged
+    value for eps (table, or else the calibration fixture, which must
+    exist); larger inputs still run but the result is flagged
     out_of_regime.  If ||b|| > 1 the input is rescaled to the unit ball,
     processed, and scaled back, with distances reported in original units.
 
@@ -130,8 +131,8 @@ def theorem_c_correct(a, b, eps: float, *,
     (diag(lambda), V* b V); the returned basis is V times the basis found
     there, and dist_a, dist_b are measured against the input matrices.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     am = HermitianMatrix(as_array(a)).m
     bm_orig = HermitianMatrix(as_array(b)).m
     nu_input = op_norm(commutator(am, bm_orig))
@@ -145,11 +146,8 @@ def theorem_c_correct(a, b, eps: float, *,
     nu_unit = nu_input / b_rescale
 
     if table is None:
-        try:
-            table = load_calibration()
-        except FileNotFoundError:
-            table = None
-    out_of_regime = bool(table is not None and nu_unit > table.admissible_nu(eps))
+        table = load_calibration()
+    out_of_regime = nu_unit > table.admissible_nu(eps)
 
     # in the eigenbasis of a every spectral window is a set of coordinates
     dec = spectral_decomp(am)
@@ -212,8 +210,6 @@ def theorem_c_correct(a, b, eps: float, *,
 
 def _auto_eps(nu_target: float, table) -> tuple[float, bool]:
     """Smallest calibrated budget covering nu_target; flags if none does."""
-    if table is None:
-        return 0.1, False
     eps = table.epsilon_for(nu_target)
     if eps is None:
         return table.eps_grid[-1], True
@@ -233,10 +229,7 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
         raise ValueError("trials must be >= 1")
     if eps is not None and not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    try:
-        table = load_calibration()
-    except FileNotFoundError:
-        table = None
+    table = load_calibration()
 
     jobs = [(i_dim, n, i_nu, nu, trial)
             for i_dim, n in enumerate(dims)

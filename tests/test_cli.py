@@ -147,6 +147,24 @@ class TestCorrectCommand:
         assert code == EXIT_FLAGGED
         assert json.loads(out.read_text())["result"]["out_of_regime"]
 
+    def test_missing_calibration_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # without the table the regime flag cannot be set, so the run must
+        # not read as in regime; the packaged table flags this pair (exit 2)
+        from nearcomm.calibration import DATA_ENV_VAR
+        inp, out = tmp_path / "pair.json", tmp_path / "res.json"
+        write_pair(inp, n=8, nu=0.3)
+        assert main(["correct", "--input", str(inp), "--output", str(out),
+                     "--eps", "0.05"]) == EXIT_FLAGGED
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.setenv(DATA_ENV_VAR, str(empty))
+        out.unlink()
+        code = main(["correct", "--input", str(inp), "--output", str(out),
+                     "--eps", "0.05"])
+        assert code == EXIT_ERROR
+        assert str(empty / "calibration.json") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_field_is_named(self, tmp_path, capsys):
         inp, out = tmp_path / "pair.json", tmp_path / "res.json"
         inp.write_text(json.dumps({"a": matrix_to_json(np.eye(2))}))

@@ -34,6 +34,14 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError, match="self-adjoint"):
             HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_tolerance_scales_with_entries(self):
+        # 1e-12 times max(1, max|A_ij|): rounding at large norms passes,
+        # the same defect at unit scale does not
+        HermitianMatrix([[1e6, 1e6 + 5e-7], [1e6, 0.0]])
+        with pytest.raises(ValueError, match="self-adjoint"):
+            HermitianMatrix([[1.0, 1.0 + 5e-12], [1.0, 0.0]])
+        assert HermitianMatrix(np.zeros((0, 0))).n == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):

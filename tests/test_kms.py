@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nearcomm import kms
+from nearcomm import ensembles, kms
 from nearcomm.errors import NearcommError, SpectralGapMissing
 from nearcomm.hermitian import SpectralDecomposition, commutator, op_norm
 from nearcomm.kms import (DEFAULT_KMS_DIMS, KMS_HEADER, _taper_transform,
@@ -18,6 +18,7 @@ from nearcomm.kms import (DEFAULT_KMS_DIMS, KMS_HEADER, _taper_transform,
 from nearcomm._quad import gl_nodes
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+UPPER = np.array([[0, 1], [0, 0]], dtype=complex)   # not self-adjoint
 C_EXPECTED = 11.44373607696392
 
 
@@ -66,6 +67,15 @@ class TestGibbs:
         with pytest.raises(ValueError, match="nonzero"):
             gibbs(SZ, 0.0)
 
+    @pytest.mark.parametrize("c", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_c(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            gibbs(SZ, c)
+
+    def test_rejects_non_self_adjoint(self):
+        with pytest.raises(ValueError, match="self-adjoint"):
+            gibbs(UPPER, 1.0)
+
 
 class TestBoundaryResidual:
     def test_gibbs_satisfies_kms(self):
@@ -101,6 +111,11 @@ class TestBoundaryResidual:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         assert boundary_residual(rho, SZ, 1.0, x, x, (0.0,)) > 1e-2
 
+    def test_rejects_non_self_adjoint_generator(self):
+        rho = np.eye(2) / 2.0
+        with pytest.raises(ValueError, match="self-adjoint"):
+            boundary_residual(rho, UPPER, 1.0, SZ, SZ, (0.0,))
+
 
 class TestPerturbedFunctional:
     def test_matches_gibbs_closed_form(self):
@@ -115,6 +130,8 @@ class TestPerturbedFunctional:
             assert fn.weight == pytest.approx(z_ratio, rel=1e-12)
             assert complex(fn.value(np.eye(4))).real == pytest.approx(
                 fn.weight, rel=1e-12)
+            spectral = (fn.basis * fn.spectrum) @ fn.basis.conj().T
+            assert op_norm(spectral - fn.density) < 1e-14
 
     def test_matches_gns_purification_oracle(self):
         # purify the base state as a Hilbert-Schmidt vector, perturb its
@@ -144,6 +161,10 @@ class TestPerturbedFunctional:
         state = gibbs(np.zeros((2, 2)), 1.0)
         with pytest.raises(NearcommError, match=r"exp\(799\.3"):
             perturbed_functional(state, np.diag([-800.0, 0.0]))
+
+    def test_rejects_non_self_adjoint_perturbation(self):
+        with pytest.raises(ValueError, match="self-adjoint"):
+            perturbed_functional(gibbs(SZ, 1.0), UPPER)
 
     def test_zero_perturbation_is_identity(self):
         state = gibbs(SZ, 1.0)
@@ -331,7 +352,42 @@ class TestTheoremB:
             res = two_state_instance(n, c, np.random.default_rng([seed, trial]))
             assert res.boundary_consistency <= 1e-10 * max(1.0, res.m_norm)
 
-    def test_one_doubled_eigendecomposition(self, monkeypatch):
+    @pytest.mark.parametrize("c", (1.0, -1.0, 5.0, -5.0))
+    def test_matches_doubled_flow_oracle(self, c):
+        # oracle: the doubled flow in one eigenbasis (lambda, V) of
+        # K = (h+b1) (+) (h+b2), W = V* v V, p = exp(-c lambda - log Z_h).
+        # At c = -5 the endpoints fall far below M, where a dense trace of
+        # the densities against X X* misses the 1e-10 tolerance
+        rng = np.random.default_rng([179, int(10 + c)])
+        for trial in range(20):
+            n = 2 + trial % 7
+            h = ensembles.random_hermitian(n, rng)
+            b1 = 0.2 * ensembles.random_hermitian(n, rng)
+            b2 = b1 + 0.05 * ensembles.random_hermitian(n, rng)
+            e1 = kms._bottom_projection(h + b1, max(1, n // 2))
+            e2 = kms._bottom_projection(h + b2, max(1, n // 2))
+            res = theorem_b_inequality(h, b1, b2, e1, e2, c)
+
+            base = gibbs(h, c)
+            k = scipy.linalg.block_diag(h + b1, h + b2)
+            lam, vk = np.linalg.eigh(k)
+            v = close_projection_isometry(e1, e2)
+            w_sq = np.abs(vk.conj().T @ v @ vk) ** 2
+            p = np.exp(-c * lam - base.log_z)
+            lhs = abs(float(p @ w_sq.sum(axis=0)) - float(p @ w_sq.sum(axis=1)))
+            m_norm = max(perturbed_functional(base, b1).weight,
+                         perturbed_functional(base, b2).weight)
+            rhs = abs(c) * isometry_function_constant() * m_norm * op_norm(b1 - b2)
+
+            assert res.lhs == pytest.approx(lhs, rel=1e-10, abs=0.0)
+            assert res.delta_v_norm == pytest.approx(
+                op_norm(1j * commutator(k, v)), rel=1e-12, abs=0.0)
+            assert res.m_norm == m_norm
+            assert res.rhs == rhs
+
+    def test_eigendecompositions_are_n_by_n(self, monkeypatch):
+        # the functionals' own eigenbases carry both endpoints; nothing
+        # decomposes the 2n x 2n doubled generator
         sizes = []
         eigh = np.linalg.eigh
 
@@ -341,7 +397,7 @@ class TestTheoremB:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         two_state_instance(4, 1.0, np.random.default_rng(167))
-        assert sizes.count(8) == 1
+        assert sizes == [4] * 6
 
     def test_inconsistent_endpoints_raise(self, monkeypatch):
         # a breakdown of the continuation is an error, never a "violation"
@@ -349,6 +405,14 @@ class TestTheoremB:
         monkeypatch.setattr(kms, "close_projection_isometry",
                             lambda e1, e2: (1.0 + 1e-6) * exact(e1, e2))
         with pytest.raises(NearcommError, match=r"c = 1\.5.*> 1\.0+e-08"):
+            two_state_instance(4, 1.5, np.random.default_rng(173))
+
+    def test_nan_corner_raises(self, monkeypatch):
+        # NaN endpoints fail the consistency gate instead of slipping past it
+        exact = kms.close_projection_isometry
+        monkeypatch.setattr(kms, "close_projection_isometry",
+                            lambda e1, e2: np.full_like(exact(e1, e2), np.nan))
+        with pytest.raises(NearcommError, match="disagree"):
             two_state_instance(4, 1.5, np.random.default_rng(173))
 
     def test_rejects_non_invariant_projection(self):
@@ -363,6 +427,17 @@ class TestTheoremB:
         rng = np.random.default_rng(163)
         with pytest.raises(ValueError, match="nonzero"):
             two_state_instance(3, 0.0, rng)
+
+    @pytest.mark.parametrize("c", (math.nan, math.inf))
+    def test_rejects_non_finite_c(self, c):
+        rng = np.random.default_rng(163)
+        with pytest.raises(ValueError, match="c must be finite"):
+            two_state_instance(3, c, rng)
+
+    def test_rejects_non_self_adjoint_input(self):
+        e = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="self-adjoint"):
+            theorem_b_inequality(SZ, UPPER, UPPER, e, e, 1.0)
 
 
 class TestKmsExperiment:

@@ -91,6 +91,13 @@ class TestTheoremCCorrect:
         with pytest.raises(ValueError, match="eps"):
             theorem_c_correct(inst.a, inst.b, eps=0.0)
 
+    def test_rejects_nan_eps(self):
+        # NaN must not reach the partition, where it read as a sandwich
+        # violation of inputs with zero commutator
+        inst = pair_instance(4, 0.0, instance_rng(8, 0, 0, 0))
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            theorem_c_correct(inst.a, inst.b, eps=math.nan)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_input(self, bad):
         inst = pair_instance(4, 1e-3, instance_rng(8, 0, 0, 0))
@@ -198,6 +205,27 @@ class TestEigenbasisCore:
         assert rotated.pair.dist_a == pytest.approx(plain.pair.dist_a, abs=tol)
         assert rotated.pair.dist_b == pytest.approx(plain.pair.dist_b, abs=tol)
         assert rotated.block_count == plain.block_count
+        np.testing.assert_allclose(rotated.block_comms, plain.block_comms, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("a_norm", [1e5, 1e6])
+    def test_large_norm_rotation_is_self_adjoint(self, a_norm):
+        # the rounding of u a u* grows with ||a||, beyond an absolute 1e-12
+        # at these norms; the input is not symmetrized before the check
+        n = 16
+        rng = instance_rng(23, n, 0, int(a_norm))
+        inst = pair_instance(n, 1e-3, rng, a_norm=a_norm)
+        u = haar_unitary(n, rng)
+        a, b = (u @ x @ u.conj().T for x in (inst.a, inst.b))
+        assert np.max(np.abs(a - a.conj().T)) > 1e-12
+        plain = theorem_c_correct(inst.a, inst.b, eps=0.1)
+        rotated = theorem_c_correct(a, b, eps=0.1)
+        tol = 1e-12 * a_norm
+        for field in ("compress_defect_a", "compress_defect_b"):
+            assert getattr(rotated, field) == pytest.approx(getattr(plain, field), abs=tol)
+        assert rotated.pair.dist_a == pytest.approx(plain.pair.dist_a, abs=tol)
+        assert rotated.pair.dist_b == pytest.approx(plain.pair.dist_b, abs=tol)
+        assert rotated.block_count == plain.block_count
+        assert not rotated.out_of_regime
         np.testing.assert_allclose(rotated.block_comms, plain.block_comms, rtol=0, atol=tol)
 
 
