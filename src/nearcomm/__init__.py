@@ -44,14 +44,12 @@ from .errors import (
 from .hermitian import (
     HermitianMatrix,
     SpectralDecomposition,
-    SpectralWindow,
     as_array,
     commutator,
     func_calc,
     hermitian_part,
     op_norm,
     spectral_decomp,
-    spectral_projection,
 )
 from .jointdiag import (
     CommutingPair,

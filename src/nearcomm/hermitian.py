@@ -1,4 +1,4 @@
-"""Hermitian matrix core: decompositions, functional calculus, windows.
+"""Hermitian matrix core: decompositions, functional calculus, norms.
 
 All tolerances are relative to max(1, ||A||) so behaviour is stable across
 operator norm scales.  Eigenbases are made deterministic by re-orthonormalizing
@@ -8,7 +8,6 @@ degenerate clusters with a pivoted QR keyed to the input basis order.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import scipy.linalg
@@ -64,52 +63,6 @@ class HermitianMatrix:
 
     def __repr__(self):
         return f"HermitianMatrix(n={self.n})"
-
-
-@dataclasses.dataclass(frozen=True)
-class SpectralWindow:
-    """Real interval with explicit open/closed endpoint flags.
-
-    Eigenvalues within 1e-12 * max(1, scale) of an endpoint are assigned
-    by the corresponding flag, never by raw comparison noise.
-    """
-
-    lower: float = -math.inf
-    upper: float = math.inf
-    lower_closed: bool = True
-    upper_closed: bool = False
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"empty window: [{self.lower}, {self.upper}]")
-
-    def contains(self, values, scale: float = 1.0) -> np.ndarray:
-        """Vectorized membership for eigenvalues, tolerance-aware at endpoints."""
-        v = np.asarray(values, dtype=float)
-        tol = ENDPOINT_RTOL * max(1.0, abs(scale))
-        inside = np.ones(v.shape, dtype=bool)
-        if math.isfinite(self.lower):
-            at_lo = np.abs(v - self.lower) <= tol
-            inside &= np.where(at_lo, self.lower_closed, v > self.lower)
-        if math.isfinite(self.upper):
-            at_hi = np.abs(v - self.upper) <= tol
-            inside &= np.where(at_hi, self.upper_closed, v < self.upper)
-        return inside
-
-    def intersect(self, other: "SpectralWindow") -> "SpectralWindow":
-        if self.lower > other.lower:
-            lo, lo_c = self.lower, self.lower_closed
-        elif self.lower < other.lower:
-            lo, lo_c = other.lower, other.lower_closed
-        else:
-            lo, lo_c = self.lower, self.lower_closed and other.lower_closed
-        if self.upper < other.upper:
-            hi, hi_c = self.upper, self.upper_closed
-        elif self.upper > other.upper:
-            hi, hi_c = other.upper, other.upper_closed
-        else:
-            hi, hi_c = self.upper, self.upper_closed and other.upper_closed
-        return SpectralWindow(lo, hi, lo_c, hi_c)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,12 +182,3 @@ def func_calc(a, f) -> HermitianMatrix:
         raise FunctionDomainError(f"f undefined at eigenvalue(s) {bad}")
     v = dec.basis
     return hermitian_part((v * fv) @ v.conj().T)
-
-
-def spectral_projection(a, window: SpectralWindow) -> HermitianMatrix:
-    """Orthogonal projection onto the eigenspaces with eigenvalues in window."""
-    dec = spectral_decomp(a)
-    scale = float(np.max(np.abs(dec.eigenvalues))) if len(dec.eigenvalues) else 0.0
-    mask = window.contains(dec.eigenvalues, scale)
-    cols = dec.basis[:, mask]
-    return hermitian_part(cols @ cols.conj().T)

@@ -89,15 +89,19 @@ def tridiagonal_check(part: ProjectionPartition, a, b_smoothed) -> float:
 
     Banding plus the sandwich certificates force these blocks to vanish; the
     measured value certifies it at run time.  ||p_i x p_j|| = ||q_i^* x q_j||,
-    and empty windows contribute nothing.
+    and empty windows contribute nothing.  A pair is measured only if a or
+    b has a nonzero entry between the row supports of q_i and q_j; any
+    other pair's product is exactly zero, so the value is the all-pairs one.
     """
     am, bm = as_array(a), as_array(b_smoothed)
     blocks = part.blocks
+    nonzero = (am != 0) | (bm != 0)
+    supports = [np.flatnonzero(np.any(blk.q != 0, axis=1)) for blk in blocks]
     worst = 0.0
     for ii, bi in enumerate(blocks):
         qi = bi.q.conj().T
-        for bj in blocks[ii + 1:]:
-            if bj.k - bi.k > 1:
+        for bj, supp_j in zip(blocks[ii + 1:], supports[ii + 1:]):
+            if bj.k - bi.k > 1 and np.any(nonzero[np.ix_(supports[ii], supp_j)]):
                 worst = max(worst, op_norm(qi @ am @ bj.q), op_norm(qi @ bm @ bj.q))
     return worst
 

@@ -13,13 +13,17 @@ Construction per cut point: smooth step c = step(a - t) commutes with a and
 almost commutes with b; joint diagonalization replaces (b, c) by an exactly
 commuting pair (b1, c1); the spectral projection q of c1 above 1/2 is then
 compressed to the window subspace ran E_a(t-1/4, t+1/4) and rounded back to
-a projection q0 there; finally p = q0 + E_a[t+1/4, oo).  Each edge is kept
-as the orthonormal column basis cols = [win_in | eigenvectors of a in
-[t+1/4, oo)] of ran p, never as an n x n matrix, and every certificate is a
-norm of an n x rank array.  Because q0 is built inside the explicit window
-column span, the sandwich certificates and the chain monotonicity
-e_{k+1} <= e_k hold at rounding level by construction: each edge is built
-once, and a failed certificate raises instead of retrying.
+a projection q0 there; finally p = q0 + E_a[t+1/4, oo).  The joint
+diagonalization runs only on the eigenvectors of a with |lambda - t| <
+LOCAL_RADIUS = 3/4: outside them c is exactly 0 or 1 and no window column
+lives there, and a band-smoothed b couples the window only to eigenvalues
+within 1/2 of it.  Each edge is kept as the orthonormal column basis
+cols = [win_in | eigenvectors of a in [t+1/4, oo)] of ran p, never as an
+n x n matrix, and every certificate is a norm of an n x rank array of the
+full matrices, so a poor local solve raises.  Because q0 is built inside
+the explicit window column span, the sandwich certificates and the chain
+monotonicity e_{k+1} <= e_k hold at rounding level by construction: each
+edge is built once, and a failed certificate raises instead of retrying.
 
 The partition is stored as one orthonormal column basis q_k per nonempty
 block, p_k = q_k q_k^*.  Each edge splits its window eigenvectors into the
@@ -44,6 +48,7 @@ from .kernels import RAMP_HALF_WIDTH, _step_eval
 
 CERTIFICATE_TOL = 1e-9
 PROJECTION_TOL = 1e-10
+LOCAL_RADIUS = 0.75        # window half-width 1/4 plus the band width 1/2 of smoothed b
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,15 +145,17 @@ def _window_core(am, bm, decomp: SpectralDecomposition, t: float,
         # no spectrum in the window: q0 = 0 regardless of b, so p = E_a[t+1/4,oo)
         win_in = win_out = v_win
     else:
-        ramp = _step_eval(lam - t)
-        cm = hermitian_part((v * ramp) @ v.conj().T).m
-        pair = commuting_approximation(bm, cm)
+        # far from t the step is exactly 0 or 1 and no window column lives there
+        near = np.abs(lam - t) < LOCAL_RADIUS
+        v_near = v[:, near]
+        pair = commuting_approximation(hermitian_part(v_near.conj().T @ bm @ v_near).m,
+                                       np.diag(_step_eval(lam[near] - t)))
         report = pair.report
         if not report.converged:
             raise LinSolverFailure(
                 f"inner joint diagonalization stalled at t={t}: "
                 f"offdiag energy {report.offdiag_energy:.3e} after {report.sweeps} sweeps")
-        q_cols = pair.basis[:, pair.diag_b > 0.5]
+        q_cols = v_near @ pair.basis[:, pair.diag_b > 0.5]
         m_win = v_win.conj().T @ (q_cols @ q_cols.conj().T) @ v_win
         mu, w = np.linalg.eigh(hermitian_part(m_win).m)
         win_in, win_out = v_win @ w[:, mu > 0.5], v_win @ w[:, mu <= 0.5]

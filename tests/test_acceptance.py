@@ -23,8 +23,8 @@ from nearcomm.car import (a_star, annihilator, fock_rep, quasi_free_flow,
                           quasi_free_generator, second_quantize)
 from nearcomm.ensembles import instance_rng, pair_instance
 from nearcomm.errors import NearcommError
-from nearcomm.hermitian import (SpectralWindow, as_array, commutator,
-                                hermitian_part, op_norm, spectral_projection)
+from nearcomm.hermitian import (ENDPOINT_RTOL, as_array, commutator,
+                                hermitian_part, op_norm, spectral_decomp)
 from nearcomm.kernels import (BAND_HALF_WIDTH, band_smooth, build_mollifier,
                               lipschitz_commutator_check)
 from nearcomm.kms import (gibbs, isometry_function_constant, kms_verify,
@@ -112,6 +112,17 @@ def test_2_lipschitz_bound():
             f"{passed}/{total} pairs, worst lhs-rhs {worst:.2e}")
 
 
+def _spectral_projection(am, inside):
+    """Projection onto the eigenvectors of am whose eigenvalue x has
+    inside(x, tol); tol is the endpoint tolerance, so an eigenvalue within
+    it of a closed endpoint counts as inside."""
+    dec = spectral_decomp(am)
+    lam = dec.eigenvalues
+    tol = ENDPOINT_RTOL * max(1.0, float(np.max(np.abs(lam))))
+    cols = dec.basis[:, inside(lam, tol)]
+    return hermitian_part(cols @ cols.conj().T).m
+
+
 def _edge_invariants(a, part):
     """Worst chain and sandwich residuals of the edges e_k = sum_{j>=k} p_j.
 
@@ -131,9 +142,8 @@ def _edge_invariants(a, part):
     sandwich = 0.0
     for k, e_k in edges:
         t = float(k)
-        e_hi = spectral_projection(am, SpectralWindow(t + 0.25, math.inf)).m
-        e_lo = spectral_projection(
-            am, SpectralWindow(-math.inf, t - 0.25, upper_closed=True)).m
+        e_hi = _spectral_projection(am, lambda x, tol: x >= t + 0.25 - tol)
+        e_lo = _spectral_projection(am, lambda x, tol: x <= t - 0.25 + tol)
         sandwich = max(sandwich, op_norm(e_hi @ (eye - e_k)), op_norm(e_k @ e_lo))
     return chain, sandwich
 

@@ -1,4 +1,4 @@
-"""Core Hermitian layer: wrappers, norms, functional calculus, windows."""
+"""Core Hermitian layer: wrappers, norms, functional calculus."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import scipy.linalg
 
 from nearcomm.errors import FunctionDomainError
 from nearcomm.hermitian import (HermitianMatrix, SpectralDecomposition,
-                                SpectralWindow, as_array, commutator,
-                                func_calc, hermitian_part, op_norm,
-                                spectral_decomp, spectral_projection)
+                                as_array, commutator, func_calc,
+                                hermitian_part, op_norm, spectral_decomp)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -179,54 +178,3 @@ class TestFuncCalc:
         h = np.diag([1.0, 4.0]).astype(complex)
         out = func_calc(h, lambda t: float(t) ** 0.5)
         np.testing.assert_allclose(np.diag(out.m).real, [1.0, 2.0], atol=1e-14)
-
-
-class TestSpectralWindow:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            SpectralWindow(2.0, 1.0)
-
-    def test_endpoint_flags(self):
-        w = SpectralWindow(0.0, 1.0, lower_closed=True, upper_closed=False)
-        inside = w.contains([0.0, 0.5, 1.0])
-        np.testing.assert_array_equal(inside, [True, True, False])
-        # values within endpoint tolerance go by the flag, not by noise
-        inside = w.contains([1.0 - 1e-15, 0.0 - 1e-15])
-        np.testing.assert_array_equal(inside, [False, True])
-
-    def test_intersect(self):
-        w1 = SpectralWindow(0.0, 2.0, True, True)
-        w2 = SpectralWindow(1.0, 3.0, False, True)
-        w = w1.intersect(w2)
-        assert (w.lower, w.upper) == (1.0, 2.0)
-        assert (w.lower_closed, w.upper_closed) == (False, True)
-        same = w1.intersect(SpectralWindow(0.0, 2.0, False, True))
-        assert (same.lower_closed, same.upper_closed) == (False, True)
-
-    def test_infinite_sides(self):
-        w = SpectralWindow(upper=0.5)
-        np.testing.assert_array_equal(w.contains([-100.0, 0.49, 0.5]),
-                                      [True, True, False])
-
-
-class TestSpectralProjection:
-    def test_eigencount_oracle(self):
-        h = np.diag([0.5, 1.5, 2.5]).astype(complex)
-        p = spectral_projection(h, SpectralWindow(1.0, 2.0)).m
-        assert np.trace(p).real == pytest.approx(1.0, abs=1e-13)
-        np.testing.assert_allclose(p, np.diag([0.0, 1.0, 0.0]), atol=1e-13)
-
-    def test_projection_properties(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            h = random_hermitian(6, rng)
-            med = float(np.median(np.linalg.eigvalsh(h)))
-            p = spectral_projection(h, SpectralWindow(med, np.inf)).m
-            assert op_norm(p @ p - p) < 1e-13
-            assert op_norm(commutator(h, p)) < 1e-12 * max(1.0, op_norm(h))
-
-    def test_full_window_is_identity(self):
-        rng = np.random.default_rng(17)
-        h = random_hermitian(4, rng)
-        p = spectral_projection(h, SpectralWindow()).m
-        assert op_norm(p - np.eye(4)) < 1e-13

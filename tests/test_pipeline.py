@@ -10,7 +10,7 @@ from nearcomm import pipeline, projections
 from nearcomm.calibration import load_calibration
 from nearcomm.ensembles import haar_unitary, instance_rng, pair_instance
 from nearcomm.errors import BlockNormViolation
-from nearcomm.hermitian import commutator, op_norm
+from nearcomm.hermitian import commutator, op_norm, spectral_decomp
 from nearcomm.pipeline import (SWEEP_HEADER, modulus_sweep, sweep_medians,
                                sweep_rows_to_csv, theorem_c_correct,
                                tridiagonal_check)
@@ -227,6 +227,63 @@ class TestEigenbasisCore:
         assert rotated.block_count == plain.block_count
         assert not rotated.out_of_regime
         np.testing.assert_allclose(rotated.block_comms, plain.block_comms, rtol=0, atol=tol)
+
+
+def all_pairs_tridiagonal(part, a, b):
+    """max ||q_i^* x q_j|| over every block pair with k_j - k_i > 1."""
+    return max((op_norm(bi.q.conj().T @ x @ bj.q)
+                for bi in part.blocks for bj in part.blocks if bj.k - bi.k > 1
+                for x in (a, b)), default=0.0)
+
+
+def eigenbasis_partition(n, a_norm, haar, seed):
+    """(a, smoothed b, partition) as theorem_c_correct builds them."""
+    inst, rotated = _rotated_instance(n, a_norm, seed)
+    a, b = rotated if haar else (inst.a, inst.b)
+    dec = spectral_decomp(a)
+    a_diag = np.diag(dec.eigenvalues).astype(complex)
+    smoothed = band_smooth(a_diag, dec.basis.conj().T @ b @ dec.basis).m
+    return a_diag, smoothed, partition(a_diag, smoothed, 0.1)
+
+
+def counting_op_norm(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return op_norm(x)
+
+    monkeypatch.setattr(pipeline, "op_norm", counted)
+    return calls
+
+
+class TestTridiagonalCheck:
+    """Block pairs whose supports meet no nonzero entry are skipped, and the
+    value equals the all-pairs one."""
+
+    @pytest.mark.parametrize("n, a_norm, haar", [(16, 100.0, False), (64, 30.0, False),
+                                                 (32, 3.0, True)])
+    def test_pipeline_partition_skips_every_pair(self, n, a_norm, haar, monkeypatch):
+        a, b, part = eigenbasis_partition(n, a_norm, haar, 31)
+        assert any(bj.k - bi.k > 1 for bi in part.blocks for bj in part.blocks)
+        expected = all_pairs_tridiagonal(part, a, b)
+        calls = counting_op_norm(monkeypatch)
+        assert tridiagonal_check(part, a, b) == expected == 0.0
+        assert calls == []
+
+    def test_rotated_blocks_measure_every_pair(self, monkeypatch):
+        # blocks rotated by a Haar unitary have full supports: nothing is
+        # skipped and the far products are no longer zero
+        a, b, part = eigenbasis_partition(16, 100.0, False, 31)
+        u = haar_unitary(16, np.random.default_rng(37))
+        part = dataclasses.replace(part, blocks=tuple(
+            dataclasses.replace(blk, q=u @ blk.q) for blk in part.blocks))
+        far = sum(bj.k - bi.k > 1 for bi in part.blocks for bj in part.blocks)
+        expected = all_pairs_tridiagonal(part, a, b)
+        calls = counting_op_norm(monkeypatch)
+        assert tridiagonal_check(part, a, b) == expected
+        assert expected > 1e-3
+        assert len(calls) == 2 * far
 
 
 class TestSolverWork:

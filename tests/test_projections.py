@@ -8,10 +8,12 @@ import pytest
 
 from nearcomm import projections
 from nearcomm.ensembles import haar_unitary, instance_rng, pair_instance
-from nearcomm.errors import MonotonicityViolation, SandwichViolation
-from nearcomm.hermitian import commutator, op_norm, spectral_decomp
-from nearcomm.kernels import band_smooth
-from nearcomm.pipeline import tridiagonal_check
+from nearcomm.errors import (LinSolverFailure, MonotonicityViolation, NearcommError,
+                             SandwichViolation)
+from nearcomm.hermitian import commutator, hermitian_part, op_norm, spectral_decomp
+from nearcomm.jointdiag import commuting_approximation
+from nearcomm.kernels import _step_eval, band_smooth
+from nearcomm.pipeline import theorem_c_correct, tridiagonal_check
 from nearcomm.projections import partition, window_projection
 
 CERT_TOL = 1e-9
@@ -280,3 +282,145 @@ class TestEdgeBuilds:
         assert part.sum_residual() <= CERT_TOL
         assert part.orthogonality_residual() <= CERT_TOL
         assert max(tail_sum_invariants(lam, part)) <= CERT_TOL
+
+
+def full_window_core(am, bm, decomp, t, eps):
+    """The edge built with Jacobi on the full n x n pair (b, step(a - t)):
+    the reference for the local solve on the coordinates near t."""
+    lam, v = decomp.eigenvalues, decomp.basis
+    lo, win, hi = projections._split_masks(lam, t, float(np.max(np.abs(lam))))
+    v_win, v_hi = v[:, win], v[:, hi]
+    report = None
+    if not np.any(win):
+        win_in = win_out = v_win
+    else:
+        cm = hermitian_part((v * _step_eval(lam - t)) @ v.conj().T).m
+        pair = commuting_approximation(bm, cm)
+        report = pair.report
+        if not report.converged:
+            raise LinSolverFailure(f"full edge solve stalled at t={t}")
+        q_cols = pair.basis[:, pair.diag_b > 0.5]
+        mu, w = np.linalg.eigh(hermitian_part(v_win.conj().T @ q_cols @ q_cols.conj().T @ v_win).m)
+        win_in, win_out = v_win @ w[:, mu > 0.5], v_win @ w[:, mu <= 0.5]
+    cols = np.concatenate([win_in, v_hi], axis=1)
+    sandwich_lo = projections._outside_norm(v_hi, cols)
+    sandwich_hi = op_norm(cols.conj().T @ v[:, lo])
+    proj_defect = op_norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
+    if (sandwich_lo > projections.CERTIFICATE_TOL or sandwich_hi > projections.CERTIFICATE_TOL
+            or proj_defect > projections.PROJECTION_TOL):
+        raise SandwichViolation(f"full edge at t={t} failed certificates")
+    comm_a = projections._outside_norm(am @ cols, cols)
+    comm_b = projections._outside_norm(bm @ cols, cols)
+    if not (comm_a < eps and comm_b < eps):
+        raise SandwichViolation(f"full edge at t={t} exceeds budget")
+    return projections.WindowProjectionResult(
+        cols=cols, comm_a=comm_a, comm_b=comm_b, sandwich_lo=sandwich_lo,
+        sandwich_hi=sandwich_hi, win_in=win_in, win_out=win_out, inner_report=report)
+
+
+def spin_pair(s):
+    """(S_x / S, S_y / S) for spin s: ||[a, b]|| = 1/S with ||a|| = ||b|| = 1."""
+    m = np.arange(s, -s - 1, -1.0)
+    raise_op = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    return ((raise_op + raise_op.conj().T) / (2 * s),
+            (raise_op - raise_op.conj().T) / (2j * s))
+
+
+def local_versus_full_cases():
+    cases = {}
+    for haar in (False, True):
+        for n in (32, 64):
+            for a_norm in (3.0, 30.0):
+                for i_nu, nu in enumerate((1e-3, 3e-2)):
+                    rng = instance_rng(11, n, i_nu, int(a_norm) + 100 * haar)
+                    inst = pair_instance(n, nu, rng, a_norm=a_norm)
+                    a, b = inst.a, inst.b
+                    if haar:
+                        u = haar_unitary(n, rng)
+                        a, b = u @ a @ u.conj().T, u @ b @ u.conj().T
+                    name = f"{'haar' if haar else 'diag'}-n{n}-a{a_norm:g}-nu{nu:g}"
+                    cases[name] = (a, b, 0.1)
+    # four eigenvalues of multiplicity 8, in a Haar-rotated basis
+    rng = np.random.default_rng(5)
+    a = np.diag(np.repeat([0.3, 1.1, 1.8, 2.7], 8)).astype(complex)
+    d = random_hermitian(32, rng)
+    b = np.diag(rng.uniform(-1.0, 1.0, 32)) + 1e-3 * d / op_norm(commutator(a, d))
+    b /= max(1.0, op_norm(b))
+    u = haar_unitary(32, rng)
+    cases["clustered"] = (u @ a @ u.conj().T, u @ b @ u.conj().T, 0.1)
+    inst = pair_instance(32, 1e-3, instance_rng(11, 0, 0, 10**4), a_norm=1e4)
+    cases["norm-1e4"] = (inst.a, inst.b, 0.1)
+    for s in (4, 8):
+        for eps in (0.1, 0.5):
+            cases[f"spin{s}-eps{eps:g}"] = (*spin_pair(s), eps)
+    return cases
+
+
+LOCAL_CASES = local_versus_full_cases()
+
+
+def correction_outcome(a, b, eps):
+    try:
+        res = theorem_c_correct(a, b, eps)
+    except NearcommError as exc:
+        return type(exc).__name__, None
+    return "ok", res
+
+
+class TestLocalEdgeSolve:
+    """Each edge runs Jacobi only on the coordinates with |lambda - t| < 3/4;
+    the correction agrees with the one built from full n x n edge solves."""
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_CASES))
+    def test_matches_full_solve(self, name, monkeypatch):
+        a, b, eps = LOCAL_CASES[name]
+        local_kind, local = correction_outcome(a, b, eps)
+        monkeypatch.setattr(projections, "_window_core", full_window_core)
+        full_kind, full = correction_outcome(a, b, eps)
+        assert local_kind == full_kind
+        if full is None:
+            return
+        assert local.out_of_regime == full.out_of_regime
+        assert local.block_count == full.block_count
+        # distances at rounding level (a commuting cluster) compare absolutely
+        for got, want, scale in ((local.pair.dist_a, full.pair.dist_a, op_norm(a)),
+                                 (local.pair.dist_b, full.pair.dist_b, op_norm(b))):
+            assert got == pytest.approx(want, rel=1e-7, abs=1e-12 * max(1.0, scale))
+
+    def test_solve_sees_only_near_coordinates(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        a, b1 = smoothed_pair(16, 1e-3, rng, spread=6.0)
+        lam = np.linalg.eigvalsh(a)
+        t = float(np.median(lam))
+        sizes = []
+        real = projections.commuting_approximation
+
+        def record(x, c):
+            sizes.append(x.shape[0])
+            return real(x, c)
+
+        monkeypatch.setattr(projections, "commuting_approximation", record)
+        window_projection(a, b1, t=t, eps=0.05)
+        assert sizes == [int(np.sum(np.abs(lam - t) < projections.LOCAL_RADIUS))]
+        assert sizes[0] < 16
+
+    def test_corrupted_local_basis_raises(self, monkeypatch):
+        # a wrong local eigenbasis still yields a projection inside the window,
+        # so only the commutators, measured on the full matrices, can catch it;
+        # the window (3/4, 5/4) holds four eigenvalues for it to mix
+        rng = np.random.default_rng(67)
+        a = np.diag(np.linspace(0.0, 2.0, 16)).astype(complex)
+        d = random_hermitian(16, rng)
+        b1 = band_smooth(a, np.diag(rng.uniform(-1.0, 1.0, 16))
+                         + 1e-3 * d / op_norm(commutator(a, d))).m
+        t = 1.0
+        assert window_projection(a, b1, t=t, eps=0.05).comm_a < 1e-3
+        real = projections.commuting_approximation
+
+        def corrupt(x, c):
+            pair = real(x, c)
+            return dataclasses.replace(pair, basis=haar_unitary(x.shape[0], rng))
+
+        monkeypatch.setattr(projections, "commuting_approximation", corrupt)
+        with pytest.raises(SandwichViolation, match="budget"):
+            window_projection(a, b1, t=t, eps=0.05)

@@ -4,21 +4,27 @@ that renames or drops one would silently remove a layer from its report."""
 import importlib.util
 import inspect
 import pathlib
+import sys
+
+import numpy as np
 
 from nearcomm import projections
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their module through sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrap_target_resolves():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     with tracing.Tracer() as tracer:
         pass
     assert tracer.missing == []
@@ -28,3 +34,15 @@ def test_every_wrap_target_resolves():
 def test_window_core_takes_cut_point_fourth():
     # the edge span names its cut point from the 4th positional argument
     assert list(inspect.signature(projections._window_core).parameters)[3] == "t"
+
+
+def test_traced_core_op_records_edge_solves():
+    # the per-layer edge metrics read the sweeps of the wrapped edge solve;
+    # an edge built without calling it would read zero
+    workloads = load_perfbench("workloads")
+    work = workloads.make_workload("core-mix", True, ROOT)
+    inp = work.make_input(np.random.default_rng([7, 0]))
+    with load_perfbench("tracing").Tracer() as tracer:
+        work.run(inp)
+    edges = [s for s in tracer.spans if s[0] == "jointdiag.edge"]
+    assert edges and all("sweeps" in (s[4] or {}) for s in edges)
