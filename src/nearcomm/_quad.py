@@ -1,4 +1,4 @@
-"""Internal quadrature helpers: Gauss-Legendre nodes and composite Simpson."""
+"""Internal quadrature helpers: Gauss-Legendre nodes and weights."""
 
 from __future__ import annotations
 
@@ -21,11 +21,3 @@ def gl_nodes(a: float, b: float, k: int):
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
-
-def simpson_uniform(y: np.ndarray, h: float) -> float:
-    """Composite Simpson on a uniform grid; len(y) must be odd."""
-    n = len(y)
-    if n < 3 or n % 2 == 0:
-        raise ValueError("simpson_uniform needs an odd number of samples >= 3")
-    s = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])
-    return float(s * h / 3.0)

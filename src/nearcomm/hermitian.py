@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigensolverError, FunctionDomainError
 
@@ -154,6 +153,7 @@ def spectral_decomp(a) -> SpectralDecomposition:
             if abs(ph) > 0:
                 vecs[:, sl.start] = col * (ph.conjugate() / abs(ph))
             continue
+        import scipy.linalg   # only degenerate clusters need it
         block = vecs[:, sl]
         proj = block @ block.conj().T
         q, _, _ = scipy.linalg.qr(proj, pivoting=True, mode="economic")

@@ -16,7 +16,10 @@ Both kernels are evaluated where they are needed (eigenvalue differences,
 eigenvalues) by Gauss-Legendre quadrature of the defining integrals, not by
 interpolation of stored samples.  The constants k1 and c_const are computed
 by checked quadrature and reported in diagnostics; nothing downstream
-hard-codes them.
+hard-codes them.  k1 (with the unit-mass check) sums Gauss-Legendre panels
+and is checked against the same panels at twice the order; c_const integrates
+|slope transform| between its zeros, found by bisecting all scan brackets at
+once, and is checked against a finer scan.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ import dataclasses
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
-from ._quad import _leggauss, gl_nodes, simpson_uniform
+from ._quad import _leggauss, gl_nodes
 from .errors import QuadratureError
 from .hermitian import HermitianMatrix, as_array, hermitian_part, op_norm, \
     commutator, func_calc, spectral_decomp
@@ -36,7 +38,8 @@ BAND_HALF_WIDTH = 0.5          # Fourier support of the mollifier: (-1/2, 1/2)
 RAMP_HALF_WIDTH = 0.25         # bump support for both kernels: (-1/4, 1/4)
 _TIME_CUTOFF = 1200.0          # |psi(t)|^2 ~ 1e-19 here; tails are negligible
 _FREQ_CUTOFF = 1000.0          # |slope transform| ~ 2e-9 here, tail ~ 1e-7
-_K1_INTERVALS = 51200          # k1's check grid on [0, _TIME_CUTOFF]; even (Simpson)
+_K1_PANELS = 240               # Gauss-Legendre panels (16 nodes) for k1
+_BISECTIONS = 45               # halvings of a <= 1/4 scan bracket: width < 1e-14
 DUMP_POINTS = 256              # samples per kernel in the dump payloads
 
 
@@ -196,6 +199,23 @@ def _slope_transform(t: np.ndarray, k: int = 256) -> np.ndarray:
     return _cosine_transform(t, k, _slope_norm())
 
 
+def _sign_cuts(scan_step: float, transform_order: int) -> np.ndarray:
+    """Zeros of the slope transform on [0, _FREQ_CUTOFF]: each sign change
+    of the scan is a bracket, and all brackets are halved _BISECTIONS times
+    at once.  A fixed count, not a width test: near the cutoff the float
+    spacing (~1e-13) stops a bracket from shrinking further."""
+    grid = np.arange(0.0, _FREQ_CUTOFF + scan_step, scan_step)
+    vals = _slope_transform(grid, transform_order)
+    idx = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    lo, hi, sign_lo = grid[idx], grid[idx + 1], np.sign(vals[idx])
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        right = np.sign(_slope_transform(mid, transform_order)) == sign_lo
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def _abs_transform_integral(scan_step: float, gl_order: int,
                             transform_order: int = 256) -> float:
     """integral over R of |slope transform|, by sign-segmented quadrature.
@@ -203,15 +223,7 @@ def _abs_transform_integral(scan_step: float, gl_order: int,
     The transform is real and oscillatory; |.| has corners at its zeros, so
     each smooth segment between consecutive zeros is integrated separately.
     """
-    grid = np.arange(0.0, _FREQ_CUTOFF + scan_step, scan_step)
-    vals = _slope_transform(grid, transform_order)
-    cuts = [0.0]
-    sign_change = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    f_scalar = lambda t: float(_slope_transform(np.array([t]), transform_order)[0])
-    for i in sign_change:
-        cuts.append(float(scipy.optimize.brentq(
-            f_scalar, grid[i], grid[i + 1], xtol=1e-13)))
-    cuts.append(_FREQ_CUTOFF)
+    cuts = [0.0, *_sign_cuts(scan_step, transform_order).tolist(), _FREQ_CUTOFF]
     base, wts = _leggauss(gl_order)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -229,27 +241,22 @@ def _abs_transform_integral(scan_step: float, gl_order: int,
 def build_mollifier() -> MollifierKernel:
     """Construct the band-limiting mollifier kernel.
 
-    The defining integrals are checked by grid refinement and raise
+    The defining integrals are checked by order doubling and raise
     QuadratureError on disagreement.
     """
-    # k1 and the mass check share one fine time grid (integrands psi^2 * t
-    # and psi^2); Richardson via the half-density subgrid.
-    t = np.linspace(0.0, _TIME_CUTOFF, 2 * _K1_INTERVALS + 1)
-    h = _TIME_CUTOFF / (2 * _K1_INTERVALS)
-    psi2 = _psi(t) ** 2
+    edges = np.linspace(0.0, _TIME_CUTOFF, _K1_PANELS + 1)[:, None]
     z = _autocorr_norm() / (2.0 * np.pi)
 
-    def checked(y, label):
-        fine = simpson_uniform(y, h)
-        coarse = simpson_uniform(y[::2], 2 * h)
-        if abs(fine - coarse) > 1e-8 * max(1.0, abs(fine)):
-            raise QuadratureError(f"{label}: refinement moved by "
-                                  f"{abs(fine - coarse):.3e}")
-        return fine
+    def panel_sums(order):      # (k1, unit mass): integrals of psi^2 * t, psi^2
+        t, w = gl_nodes(edges[:-1], edges[1:], order)
+        psi2w = _psi(t) ** 2 * w
+        return 2.0 * np.array([np.sum(psi2w * t), np.sum(psi2w)]) / z
 
-    k1 = 2.0 * checked(psi2 * t, "k1") / z
-    mass = 2.0 * checked(psi2, "unit mass") / z
-    return MollifierKernel(k1=k1, unit_mass_check=mass)
+    coarse, fine = panel_sums(16), panel_sums(32)
+    for label, c, f in zip(("k1", "unit mass"), coarse, fine):
+        if abs(f - c) > 1e-8 * max(1.0, abs(f)):
+            raise QuadratureError(f"{label}: refinement moved by {abs(f - c):.3e}")
+    return MollifierKernel(k1=float(fine[0]), unit_mass_check=float(fine[1]))
 
 
 @lru_cache(maxsize=1)

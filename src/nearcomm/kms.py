@@ -24,7 +24,6 @@ import io
 import math
 
 import numpy as np
-from scipy.special import fresnel
 
 from ._quad import _leggauss, gl_nodes
 from .ensembles import random_hermitian
@@ -227,6 +226,7 @@ def _poly_segment_transform(coeffs: np.ndarray, a: float, b: float,
 
 def _sqrt_segment_transform(a: float, b: float, t: np.ndarray) -> np.ndarray:
     """Exact integral of x^(-1/2) exp(-itx) on [a,b] (t > 0), via Fresnel."""
+    from scipy.special import fresnel
     scale = np.sqrt(2.0 * t / np.pi)
     s_hi, c_hi = fresnel(math.sqrt(b) * scale)
     s_lo, c_lo = fresnel(math.sqrt(a) * scale)

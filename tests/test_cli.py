@@ -359,3 +359,14 @@ class TestModuleEntryPoint:
         assert proc.returncode == EXIT_OK
         assert "medians" in proc.stdout
         assert out.exists()
+
+    def test_import_loads_no_unused_scipy(self):
+        # scipy.sparse is used throughout car; the other scipy submodules
+        # are imported only inside the functions that call them
+        code = ("import sys, nearcomm.cli; "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.special', "
+                "'scipy.linalg') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

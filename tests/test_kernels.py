@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from nearcomm._quad import simpson_uniform
-from nearcomm.kernels import (BAND_HALF_WIDTH, RAMP_HALF_WIDTH,
-                              _abs_transform_integral, band_smooth,
-                              build_mollifier, build_step, kernel_dump,
+from nearcomm import kernels
+from nearcomm.errors import QuadratureError
+from nearcomm.kernels import (BAND_HALF_WIDTH, RAMP_HALF_WIDTH, _FREQ_CUTOFF,
+                              _abs_transform_integral, _sign_cuts,
+                              _slope_transform, band_smooth, build_mollifier,
+                              build_step, kernel_dump,
                               lipschitz_commutator_check)
 from nearcomm.hermitian import commutator, op_norm, spectral_decomp
 
@@ -14,6 +17,12 @@ from nearcomm.hermitian import commutator, op_norm, spectral_decomp
 # them from the defining integrals by independent quadratures
 K1_EXPECTED = 5.389243043554071
 C_CONST_EXPECTED = 4.072004582206982
+
+
+def simpson(y, h):
+    """Composite Simpson on a uniform grid with an odd number of samples."""
+    return float((y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2])
+                  + 2.0 * np.sum(y[2:-2:2])) * h / 3.0)
 
 
 def random_hermitian(n, rng):
@@ -37,11 +46,30 @@ class TestMollifierConstants:
         assert kern.k1 == pytest.approx(k1_oracle, abs=1e-6)
 
     def test_grid_refinement_stable(self):
-        # the same Simpson rule on a time grid of half the density
+        # a different rule (composite Simpson on a uniform grid) agrees with
+        # the Gauss-Legendre panels that build_mollifier sums
         kern = build_mollifier()
         t = np.linspace(0.0, 1200.0, 51201)
-        coarse = 2.0 * simpson_uniform(kern.time_profile(t) * t, t[1])
+        coarse = 2.0 * simpson(kern.time_profile(t) * t, t[1])
         assert coarse == pytest.approx(kern.k1, abs=1e-7)
+
+    def test_constants_are_python_floats(self):
+        kern = build_mollifier()
+        assert type(kern.k1) is float and type(kern.unit_mass_check) is float
+        assert type(build_step().c_const) is float
+
+    def test_refinement_gate_is_live(self, monkeypatch):
+        # 8 panels leave 16 nodes per 150 time units: orders 16 and 32 then
+        # disagree far beyond the 1e-8 gate
+        build_mollifier.cache_clear()
+        monkeypatch.setattr(kernels, "_K1_PANELS", 8)
+        try:
+            with pytest.raises(QuadratureError, match="k1"):
+                build_mollifier()
+        finally:
+            monkeypatch.undo()
+            build_mollifier.cache_clear()
+            build_mollifier()
 
 
 class TestMollifierShape:
@@ -80,6 +108,18 @@ class TestStepKernel:
                                          transform_order=512)
         assert build_step().c_const == pytest.approx(oracle, abs=1e-7)
 
+    def test_refinement_gate_is_live(self, monkeypatch):
+        # unrefined cuts (bracket midpoints) move c1 and c2 apart past 1e-6
+        build_step.cache_clear()
+        monkeypatch.setattr(kernels, "_BISECTIONS", 0)
+        try:
+            with pytest.raises(QuadratureError, match="c_const"):
+                build_step()
+        finally:
+            monkeypatch.undo()
+            build_step.cache_clear()
+            build_step()
+
     def test_ramp_endpoints_and_monotone(self):
         step = build_step()
         assert step(-RAMP_HALF_WIDTH) == 0.0
@@ -98,6 +138,7 @@ class TestStepKernel:
     def test_dump_payload(self):
         d = build_step().dump()
         assert set(d) == {"grid", "values", "c_const"}
+
         assert d["values"][0] == 0.0 and d["values"][-1] == 1.0
 
     def test_kernel_dump_combined(self):
@@ -164,3 +205,48 @@ class TestLipschitzCheck:
         b = np.diag([2.0, 3.0]).astype(complex)
         lhs, rhs = lipschitz_commutator_check(a, b)
         assert lhs < 1e-12 and rhs < 1e-12
+
+
+# An absolute error the computed slope transform stays below (its rounding
+# noise near the zeros is about 1e-16).  A zero where the transform has slope
+# s is therefore fixed only to NOISE / |s|: about 2e-15 at t = 20, but 2e-6
+# near the cutoff, where the transform and its slope are ~1e-9.
+NOISE = 1e-15
+
+
+@pytest.mark.parametrize("scan_step, order", [(0.25, 256), (0.125, 384)],
+                         ids=["c1", "c2"])
+class TestSignCuts:
+    def brackets(self, scan_step, order):
+        grid = np.arange(0.0, _FREQ_CUTOFF + scan_step, scan_step)
+        vals = _slope_transform(grid, order)
+        idx = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        return grid[idx], grid[idx + 1], np.sign(vals[idx])
+
+    @staticmethod
+    def slope(t, order, h=1e-3):
+        return (_slope_transform(t + h, order) - _slope_transform(t - h, order)) / (2 * h)
+
+    def test_cuts_match_brentq(self, scan_step, order):
+        lo, hi, _ = self.brackets(scan_step, order)
+        cuts = _sign_cuts(scan_step, order)
+        assert len(cuts) == len(lo) > 50
+        f = lambda t: float(_slope_transform(np.array([t]), order)[0])
+        ref = np.array([scipy.optimize.brentq(f, a, b, xtol=1e-13)
+                        for a, b in zip(lo, hi)])
+        tol = 1e-12 + NOISE / np.abs(self.slope(ref, order))
+        assert np.all(np.abs(cuts - ref) <= tol)
+        # the ten zeros below t = 150 are well conditioned: 1e-12 flat
+        well = ref < 150.0
+        assert np.count_nonzero(well) >= 10
+        assert np.all(np.abs(cuts - ref)[well] <= 1e-12)
+
+    def test_transform_changes_sign_across_each_cut(self, scan_step, order):
+        lo, hi, sign_lo = self.brackets(scan_step, order)
+        cuts = _sign_cuts(scan_step, order)
+        assert np.all((lo < cuts) & (cuts < hi))
+        delta = 1e-12 + 10.0 * NOISE / np.abs(self.slope(cuts, order))
+        left = np.sign(_slope_transform(cuts - delta, order))
+        right = np.sign(_slope_transform(cuts + delta, order))
+        np.testing.assert_array_equal(left, sign_lo)
+        np.testing.assert_array_equal(right, -sign_lo)
