@@ -138,7 +138,6 @@ class TestStepKernel:
     def test_dump_payload(self):
         d = build_step().dump()
         assert set(d) == {"grid", "values", "c_const"}
-
         assert d["values"][0] == 0.0 and d["values"][-1] == 1.0
 
     def test_kernel_dump_combined(self):
@@ -209,8 +208,8 @@ class TestLipschitzCheck:
 
 # An absolute error the computed slope transform stays below (its rounding
 # noise near the zeros is about 1e-16).  A zero where the transform has slope
-# s is therefore fixed only to NOISE / |s|: about 2e-15 at t = 20, but 2e-6
-# near the cutoff, where the transform and its slope are ~1e-9.
+# s is therefore fixed only to NOISE / |s|: about 2e-13 at t = 20, but 2e-6
+# near the cutoff, where the slope is ~5e-10.
 NOISE = 1e-15
 
 
