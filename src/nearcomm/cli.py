@@ -10,9 +10,7 @@ errors, usage errors included.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -20,7 +18,7 @@ import sys
 from . import calibration, kms, measurepath, pipeline
 from .errors import DegenerateMeasure, NearcommError
 from .kernels import build_mollifier, build_step
-from .serialize import dump_json, fmt_float, hermitian_from_json, load_json
+from .serialize import csv_text, dump_json, fmt_float, hermitian_from_json, load_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,15 +96,12 @@ def _constants_payload() -> dict:
     return {"k1": build_mollifier().k1, "c_const": build_step().c_const}
 
 
-def _metadata_lines(config: RunConfig) -> str:
+def _write_csv(config: RunConfig, text: str) -> None:
+    """Write CSV text to the output path behind '# config' and '# constants' lines."""
     cfg = json.dumps(config.embed_payload(), sort_keys=True)
     consts = json.dumps(_constants_payload(), sort_keys=True)
-    return f"# config: {cfg}\n# constants: {consts}\n"
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# config: {cfg}\n# constants: {consts}\n{text}")
 
 
 def cmd_correct(config: RunConfig) -> int:
@@ -134,8 +129,7 @@ def cmd_sweep(config: RunConfig) -> int:
     rows = pipeline.modulus_sweep(config.dims, config.nu_targets, config.trials,
                                   config.seed, eps=config.eps,
                                   timings=config.timings)
-    text = _metadata_lines(config) + pipeline.sweep_rows_to_csv(rows)
-    _write_text(config.output_path, text)
+    _write_csv(config, pipeline.sweep_rows_to_csv(rows))
     medians = pipeline.sweep_medians(rows)
     summary = " ".join(
         f"n={n},nu={fmt_float(nu)}:{fmt_float(med)}"
@@ -150,8 +144,7 @@ def cmd_kms(config: RunConfig) -> int:
     scale = config.nu if config.nu is not None else 0.05
     rows = kms.kms_experiment(config.trials, config.c, config.seed, dims=dims,
                               perturb_scale=scale)
-    text = _metadata_lines(config) + kms.kms_rows_to_csv(rows)
-    _write_text(config.output_path, text)
+    _write_csv(config, kms.kms_rows_to_csv(rows))
     worst = min(row[6] for row in rows)
     violated = any(row[6] < -KMS_TOL * max(1.0, row[7]) for row in rows)
     print(f"kms rows={len(rows)} worst_margin={fmt_float(worst)}"
@@ -163,14 +156,9 @@ def cmd_car_path(config: RunConfig) -> int:
     """Three-point measure path; trace CSV plus drift check."""
     state = measurepath.load_measure(config.input_path)
     path = measurepath.three_point_path(state)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(measurepath.trace_header(state.atoms.size))
-    for row in measurepath.trace_rows(path):
-        stage, t, mean, var, support, *masses = row
-        writer.writerow([stage, fmt_float(t), fmt_float(mean), fmt_float(var),
-                         support, *map(fmt_float, masses)])
-    _write_text(config.output_path, _metadata_lines(config) + buf.getvalue())
+    rows = ([stage, *map(fmt_float, (t, mean, var)), support, *map(fmt_float, masses)]
+            for stage, t, mean, var, support, *masses in measurepath.trace_rows(path))
+    _write_csv(config, csv_text(measurepath.trace_header(state.atoms.size), rows))
     d_mean, d_var, d_norm = path.drift()
     drift = max(d_mean, d_var, d_norm)
     print(f"path states={len(path.states)} targets={path.target_atoms} "

@@ -1,8 +1,8 @@
 """Hermitian matrix core: decompositions, functional calculus, norms.
 
-All tolerances are relative to max(1, ||A||) so behaviour is stable across
-operator norm scales.  Eigenbases are made deterministic by re-orthonormalizing
-degenerate clusters with a pivoted QR keyed to the input basis order.
+Tolerances are relative: HERMITICITY_RTOL to max(1, max|A_ij|), op_norm's
+Hermitian test to max|A_ij| with no floor, CLUSTER_RTOL to max(1, ||A||).
+Degenerate clusters get a deterministic pivoted-QR basis keyed to the input.
 """
 
 from __future__ import annotations

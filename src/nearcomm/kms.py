@@ -17,10 +17,8 @@ used to build v and M is the larger functional norm.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
-import io
 import math
 
 import numpy as np
@@ -30,7 +28,7 @@ from .ensembles import random_hermitian
 from .errors import NearcommError, SpectralGapMissing
 from .hermitian import (HermitianMatrix, SpectralDecomposition, as_array,
                         commutator, hermitian_part, op_norm)
-from .serialize import fmt_float
+from .serialize import csv_text, fmt_float
 
 PROJECTION_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
@@ -429,10 +427,5 @@ def kms_experiment(trials: int, c: float, seed: int, *,
 
 
 def kms_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(KMS_HEADER)
-    for seed, n, c, diff, lhs, rhs, margin, _ in rows:
-        writer.writerow([seed, n, fmt_float(c), fmt_float(diff),
-                         fmt_float(lhs), fmt_float(rhs), fmt_float(margin)])
-    return buf.getvalue()
+    return csv_text(KMS_HEADER, ([seed, n, *map(fmt_float, floats)]
+                                 for seed, n, *floats, _ in rows))

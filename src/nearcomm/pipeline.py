@@ -14,9 +14,7 @@ distances shrink with nu on seeded random ensembles.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 import time
 
@@ -25,12 +23,11 @@ import numpy as np
 from .calibration import load_calibration
 from .ensembles import instance_rng, pair_instance
 from .errors import BlockNormViolation, NearcommError
-from .hermitian import (HermitianMatrix, as_array, commutator, hermitian_part, op_norm,
-                        spectral_decomp)
+from .hermitian import as_array, commutator, hermitian_part, op_norm, spectral_decomp
 from .jointdiag import CommutingPair, commuting_approximation
 from .kernels import band_smooth
-from .projections import ProjectionPartition, partition
-from .serialize import fmt_float, matrix_to_json
+from .projections import ProjectionPartition, checked_pair, partition
+from .serialize import csv_text, fmt_float, matrix_to_json
 
 BLOCK_NORM_SLACK = 1e-6
 BLOCK_SHIFT = 0.5          # block spectrum sits in (k - 1/4, k + 5/4)
@@ -135,10 +132,7 @@ def theorem_c_correct(a, b, eps: float, *,
     (diag(lambda), V* b V); the returned basis is V times the basis found
     there, and dist_a, dist_b are measured against the input matrices.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    am = HermitianMatrix(as_array(a)).m
-    bm_orig = HermitianMatrix(as_array(b)).m
+    am, bm_orig = checked_pair(a, b, eps)
     nu_input = op_norm(commutator(am, bm_orig))
 
     b_rescale = 1.0
@@ -155,8 +149,8 @@ def theorem_c_correct(a, b, eps: float, *,
 
     # in the eigenbasis of a every spectral window is a set of coordinates
     dec = spectral_decomp(am)
-    v = dec.basis
-    a_diag = np.diag(dec.eigenvalues).astype(np.complex128)
+    lam, v = dec.eigenvalues, dec.basis
+    a_diag = np.diag(lam).astype(np.complex128)
     smoothed = band_smooth(a_diag, v.conj().T @ bm @ v).m
     part = partition(a_diag, smoothed, eps)
 
@@ -168,7 +162,7 @@ def theorem_c_correct(a, b, eps: float, *,
     for blk in part.blocks:
         k, q = blk.k, blk.q
         rank = q.shape[1]
-        a_blk = q.conj().T @ a_diag @ q
+        a_blk = (q.conj().T * lam) @ q
         b_blk = q.conj().T @ smoothed @ q
         compress_a += q @ a_blk @ q.conj().T
         compress_b += q @ b_blk @ q.conj().T
@@ -269,14 +263,9 @@ SWEEP_HEADER = ("n", "nu_target", "nu_measured", "dist_a", "dist_b",
 
 
 def sweep_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    for r in rows:
-        writer.writerow([r.n, fmt_float(r.nu_target), fmt_float(r.nu_measured),
-                         fmt_float(r.dist_a), fmt_float(r.dist_b), r.seed,
-                         fmt_float(r.runtime_ms), r.flag])
-    return buf.getvalue()
+    return csv_text(SWEEP_HEADER, ([r.n, fmt_float(r.nu_target), fmt_float(r.nu_measured),
+                                    fmt_float(r.dist_a), fmt_float(r.dist_b), r.seed,
+                                    fmt_float(r.runtime_ms), r.flag] for r in rows))
 
 
 def sweep_medians(rows) -> dict:

@@ -9,28 +9,26 @@ that almost commutes with both a and b.  Chaining these at the integer cut
 points t = k that the spectrum reaches and differencing yields a partition
 of unity {p_k} subordinate to unit-length spectral windows of a.
 
-Construction per cut point: smooth step c = step(a - t) commutes with a and
-almost commutes with b; joint diagonalization replaces (b, c) by an exactly
-commuting pair (b1, c1); the spectral projection q of c1 above 1/2 is then
-compressed to the window subspace ran E_a(t-1/4, t+1/4) and rounded back to
-a projection q0 there; finally p = q0 + E_a[t+1/4, oo).  The joint
-diagonalization runs only on the eigenvectors of a with |lambda - t| <
-LOCAL_RADIUS = 3/4: outside them c is exactly 0 or 1 and no window column
-lives there, and a band-smoothed b couples the window only to eigenvalues
-within 1/2 of it.  Each edge is kept as the orthonormal column basis
-cols = [win_in | eigenvectors of a in [t+1/4, oo)] of ran p, never as an
-n x n matrix, and every certificate is a norm of an n x rank array of the
-full matrices, so a poor local solve raises.  Because q0 is built inside
-the explicit window column span, the sandwich certificates and the chain
-monotonicity e_{k+1} <= e_k hold at rounding level by construction: each
-edge is built once, and a failed certificate raises instead of retrying.
+Everything runs in the eigenbasis of a, a = diag(lambda), where E_a(S) is
+the set of coordinates with lambda in S: partition takes a there, and
+window_projection rotates a pair in any basis there and its columns back.
+Per cut point, joint diagonalization replaces (b, c), c = step(lambda - t),
+by an exactly commuting pair (b1, c1); the projection q of c1 above 1/2 is
+compressed to the window |lambda - t| < 1/4 and rounded back to a
+projection q0 there; p = q0 + E_a[t+1/4, oo).  The solve runs only on the
+coordinates with |lambda - t| < LOCAL_RADIUS = 3/4: c is exactly 0 or 1
+outside them, and a band-smoothed b couples the window only to eigenvalues
+within 1/2 of it.  An edge is kept as the orthonormal basis cols =
+[win_in | coordinates in [t+1/4, oo)] of ran p, and every certificate is
+a norm of an n x rank array of the full matrices, so a poor local solve
+raises.  As q0 lies in the window, the sandwich and the chain
+e_{k+1} <= e_k hold at rounding level by construction: each edge is built
+once, and a failed certificate raises.
 
-The partition is stored as one orthonormal column basis q_k per nonempty
-block, p_k = q_k q_k^*.  Each edge splits its window eigenvectors into the
-selected columns win_in (inside e_k) and the rest win_out, so q_k is read
-off directly as [win_in of edge k | eigenvectors of a in [k+1/4, k+3/4] |
-win_out of edge k+1]; the three sets are disjoint, which makes q_k
-orthonormal by construction.  Empty windows are not stored.
+A block p_k = q_k q_k^* is stored as q_k = [win_in of edge k | coordinates
+in [k+1/4, k+3/4] | win_out of edge k+1], win_out being the window columns
+outside the edge; the sets are disjoint, so q_k is orthonormal.  Empty
+windows are not stored.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ import math
 import numpy as np
 
 from .errors import LinSolverFailure, MonotonicityViolation, SandwichViolation
-from .hermitian import (ENDPOINT_RTOL, SpectralDecomposition, as_array,
-                        hermitian_part, op_norm, spectral_decomp)
+from .hermitian import (ENDPOINT_RTOL, HermitianMatrix, as_array, hermitian_part, op_norm,
+                        spectral_decomp)
 from .jointdiag import SolverReport, commuting_approximation
 from .kernels import RAMP_HALF_WIDTH, _step_eval
 
@@ -133,42 +131,45 @@ def _outside_norm(y: np.ndarray, q: np.ndarray) -> float:
     return op_norm(y - q @ (q.conj().T @ y))
 
 
-def _window_core(am, bm, decomp: SpectralDecomposition, t: float,
-                 eps: float) -> WindowProjectionResult:
-    lam, v = decomp.eigenvalues, decomp.basis
-    scale = float(np.max(np.abs(lam))) if lam.size else 1.0
-    lo, win, hi = _split_masks(lam, t, scale)
-    v_lo, v_win, v_hi = v[:, lo], v[:, win], v[:, hi]
+def _embed(mask: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """n x r columns: rows (default the identity) on the coordinates in mask, 0 elsewhere."""
+    rows = np.eye(np.count_nonzero(mask)) if rows is None else rows
+    cols = np.zeros((mask.size, rows.shape[1]), dtype=np.complex128)
+    cols[mask] = rows
+    return cols
 
-    report = None
-    if not np.any(win):
-        # no spectrum in the window: q0 = 0 regardless of b, so p = E_a[t+1/4,oo)
-        win_in = win_out = v_win
-    else:
+
+def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
+                 eps: float) -> WindowProjectionResult:
+    """Edge at cut point t for a = diag(lam), scale = max |lam|."""
+    lo, win, hi = _split_masks(lam, t, scale)
+    # an empty window has q0 = 0 regardless of b, so p = E_a[t+1/4,oo)
+    report, mu, w = None, np.zeros(0), np.zeros((0, 0))
+    if np.any(win):
         # far from t the step is exactly 0 or 1 and no window column lives there
         near = np.abs(lam - t) < LOCAL_RADIUS
-        v_near = v[:, near]
-        pair = commuting_approximation(hermitian_part(v_near.conj().T @ bm @ v_near).m,
+        pair = commuting_approximation(hermitian_part(bm[np.ix_(near, near)]).m,
                                        np.diag(_step_eval(lam[near] - t)))
         report = pair.report
         if not report.converged:
             raise LinSolverFailure(
                 f"inner joint diagonalization stalled at t={t}: "
                 f"offdiag energy {report.offdiag_energy:.3e} after {report.sweeps} sweeps")
-        q_cols = v_near @ pair.basis[:, pair.diag_b > 0.5]
-        m_win = v_win.conj().T @ (q_cols @ q_cols.conj().T) @ v_win
+        q_near = pair.basis[:, pair.diag_b > 0.5]
+        m_win = (q_near @ q_near.conj().T)[np.ix_(win[near], win[near])]
         mu, w = np.linalg.eigh(hermitian_part(m_win).m)
-        win_in, win_out = v_win @ w[:, mu > 0.5], v_win @ w[:, mu <= 0.5]
-    cols = np.concatenate([win_in, v_hi], axis=1)
+    win_in, win_out = _embed(win, w[:, mu > 0.5]), _embed(win, w[:, mu <= 0.5])
+    e_hi = _embed(hi)
+    cols = np.concatenate([win_in, e_hi], axis=1)
 
-    sandwich_lo = _outside_norm(v_hi, cols)
-    sandwich_hi = op_norm(cols.conj().T @ v_lo)
+    sandwich_lo = _outside_norm(e_hi, cols)
+    sandwich_hi = op_norm(cols[lo])         # ||E_a(-oo, t-1/4] cols||
     proj_defect = op_norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
     if sandwich_lo > CERTIFICATE_TOL or sandwich_hi > CERTIFICATE_TOL or proj_defect > PROJECTION_TOL:
         raise SandwichViolation(
             f"window projection at t={t} failed certificates: "
             f"lo={sandwich_lo:.3e} hi={sandwich_hi:.3e} proj={proj_defect:.3e}")
-    comm_a = _outside_norm(am @ cols, cols)
+    comm_a = _outside_norm(lam[:, None] * cols, cols)
     comm_b = _outside_norm(bm @ cols, cols)
     if not (comm_a < eps and comm_b < eps):
         raise SandwichViolation(
@@ -179,15 +180,31 @@ def _window_core(am, bm, decomp: SpectralDecomposition, t: float,
                                   win_in=win_in, win_out=win_out, inner_report=report)
 
 
+def checked_pair(a, b, eps: float):
+    """a and b as Hermitian arrays of one shape, n >= 1; eps > 0 or inf."""
+    am, bm = HermitianMatrix(as_array(a)).m, HermitianMatrix(as_array(b)).m
+    if bm.shape != am.shape or not am.size:
+        raise ValueError(f"expected a and b of one shape, n >= 1: {am.shape}, {bm.shape}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return am, bm
+
+
 def window_projection(a, b, t: float, eps: float) -> WindowProjectionResult:
     """Projection sandwiched by E_a[t+1/4,oo) and E_a(t-1/4,oo), almost
-    commuting with a and b.
+    commuting with a and b, for a in any basis.
 
-    Raises SandwichViolation when the certificates or the commutator
-    budget eps fail, and LinSolverFailure when the inner solve stalls.
+    Raises ValueError on malformed input, SandwichViolation on a failed
+    certificate or budget eps, and LinSolverFailure on a stalled inner solve.
     """
-    am, bm = as_array(a), as_array(b)
-    return _window_core(am, bm, spectral_decomp(am), t, eps)
+    am, bm = checked_pair(a, b, eps)
+    if not math.isfinite(t):
+        raise ValueError(f"cut point t must be finite, got {t}")
+    dec = spectral_decomp(am)
+    lam, v = dec.eigenvalues, dec.basis
+    res = _window_core(lam, v.conj().T @ bm @ v, float(np.max(np.abs(lam))), t, eps)
+    return dataclasses.replace(res, cols=v @ res.cols, win_in=v @ res.win_in,
+                               win_out=v @ res.win_out)
 
 
 def _cut_points(eigvals: np.ndarray) -> list:
@@ -197,7 +214,8 @@ def _cut_points(eigvals: np.ndarray) -> list:
 
 
 def partition(a, b, eps: float) -> ProjectionPartition:
-    """Partition of unity {p_k} subordinate to the unit spectral windows of a.
+    """Partition of unity {p_k} subordinate to the unit spectral windows of a,
+    for a in its eigenbasis: a real diagonal matrix, read as diag(lambda).
 
     Edges are built once each, with budget eps/2 (so every p_k = e_k - e_{k+1}
     meets eps), only at the cut points an eigenvalue reaches: e_{min K} = 1
@@ -208,15 +226,18 @@ def partition(a, b, eps: float) -> ProjectionPartition:
     is measured between consecutive built edges; a residual above
     CERTIFICATE_TOL raises MonotonicityViolation.
     """
-    am, bm = as_array(a), as_array(b)
-    decomp = spectral_decomp(am)
-    lam, v = decomp.eigenvalues, decomp.basis
+    am, bm = checked_pair(a, b, eps)
+    lam = np.diag(am).real      # exactly real once a passed as Hermitian
+    off = np.max(np.abs(am - np.diag(lam)))
+    if off > 0:
+        raise ValueError(f"partition takes a in its eigenbasis, a real diagonal matrix; "
+                         f"largest off-diagonal |a_ij| = {off:.3e}")
     scale = float(np.max(np.abs(lam)))
     ks = _cut_points(lam)
     blocks, chain, edge_comm = [], 0.0, 0.0
-    hi_edge = _window_core(am, bm, decomp, float(ks[0]), eps / 2)
+    hi_edge = _window_core(lam, bm, scale, float(ks[0]), eps / 2)
     for k in ks:
-        lo_edge, hi_edge = hi_edge, _window_core(am, bm, decomp, float(k + 1), eps / 2)
+        lo_edge, hi_edge = hi_edge, _window_core(lam, bm, scale, float(k + 1), eps / 2)
         edge_comm = max(edge_comm, lo_edge.comm_a, lo_edge.comm_b)
         residual = _outside_norm(hi_edge.cols, lo_edge.cols)
         if residual > CERTIFICATE_TOL:
@@ -226,9 +247,9 @@ def partition(a, b, eps: float) -> ProjectionPartition:
         chain = max(chain, residual)
         _, _, hi = _split_masks(lam, float(k), scale)
         lo_next, _, _ = _split_masks(lam, float(k + 1), scale)
-        q = np.concatenate([lo_edge.win_in, v[:, hi & lo_next], hi_edge.win_out], axis=1)
+        q = np.concatenate([lo_edge.win_in, _embed(hi & lo_next), hi_edge.win_out], axis=1)
         if q.shape[1]:
-            blocks.append(PartitionBlock(k=k, q=q, comm_a=_outside_norm(am @ q, q),
+            blocks.append(PartitionBlock(k=k, q=q, comm_a=_outside_norm(lam[:, None] * q, q),
                                          comm_b=_outside_norm(bm @ q, q)))
     edge_comm = max(edge_comm, hi_edge.comm_a, hi_edge.comm_b)
     return ProjectionPartition(blocks=tuple(blocks), chain_residual=chain,

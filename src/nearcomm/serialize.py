@@ -1,4 +1,4 @@
-"""Shared JSON layout for matrices and deterministic float formatting.
+"""Shared JSON layout for matrices, CSV text and deterministic float formatting.
 
 Matrix object: {"n": int, "re": [[float...]], "im": [[float...]]}.  Writers
 emit exactly symmetrized entries for Hermitian payloads; "im" may be omitted
@@ -7,6 +7,8 @@ for real matrices on input.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -50,6 +52,13 @@ def hermitian_from_json(obj, field: str = "matrix") -> HermitianMatrix:
 def fmt_float(x) -> str:
     """Shortest round-trip decimal form; deterministic across runs."""
     return repr(float(x))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text with bare newline line ends: the header row, then each row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def dump_json(path, payload) -> None:

@@ -135,6 +135,69 @@ class TestPartition:
             assert op_norm(commutator(b, pk)) < 1e-9
 
 
+    def test_rejects_a_outside_its_eigenbasis(self):
+        a = np.diag([0.1, 1.2, 2.3]).astype(complex)
+        a[0, 2] = a[2, 0] = 1e-3
+        with pytest.raises(ValueError, match=r"off-diagonal \|a_ij\| = 1\.000e-03"):
+            partition(a, np.zeros((3, 3)), eps=0.1)
+
+    def test_rejects_complex_diagonal(self):
+        # a diagonal a with an imaginary entry is not even Hermitian
+        a = np.diag([0.1, 1.2 + 1e-6j, 2.3])
+        with pytest.raises(ValueError, match=r"not self-adjoint: .* = 2\.000e-06"):
+            partition(a, np.zeros((3, 3)), eps=0.1)
+
+    def test_correction_decomposes_nothing_here(self, monkeypatch):
+        # theorem_c_correct hands partition the diagonal a it decomposed;
+        # window_projection, the any-basis entry, is the one caller left
+        calls = []
+        real = projections.spectral_decomp
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(projections, "spectral_decomp", counted)
+        rng = np.random.default_rng(89)
+        inst = pair_instance(16, 1e-3, rng)
+        u = haar_unitary(16, rng)
+        a, b = u @ inst.a @ u.conj().T, u @ inst.b @ u.conj().T
+        theorem_c_correct(a, b, eps=0.1)
+        assert calls == []
+        window_projection(a, b, t=1.0, eps=np.inf)
+        assert calls == [(16, 16)]
+
+
+def _diag(*vals):
+    return np.diag(vals).astype(complex)
+
+
+BAD_INPUTS = {
+    "t-nan": (lambda: window_projection(_diag(0.0, 1.0), 0.5 * np.eye(2), t=np.nan, eps=0.1),
+              "t must be finite"),
+    "t-inf": (lambda: window_projection(_diag(0.0, 1.0), 0.5 * np.eye(2), t=np.inf, eps=0.1),
+              "t must be finite"),
+    "eps-zero": (lambda: partition(_diag(0.0, 1.0), 0.5 * np.eye(2), eps=0.0),
+                 "eps must be positive"),
+    "eps-nan": (lambda: window_projection(_diag(0.0, 1.0), 0.5 * np.eye(2), t=1.0, eps=np.nan),
+                "eps must be positive"),
+    "shape-mismatch": (lambda: partition(np.eye(3), np.eye(4), 0.1), "one shape"),
+    "b-not-square": (lambda: window_projection(np.eye(2), np.ones((2, 3)), t=1.0, eps=0.1),
+                     "square"),
+    "a-nan": (lambda: partition(_diag(np.nan, 1.0), 0.5 * np.eye(2), 0.1), "finite"),
+    "b-nan": (lambda: partition(_diag(0.0, 1.0), _diag(np.nan, 0.5), 0.1), "finite"),
+    "empty-pair": (lambda: theorem_c_correct(np.zeros((0, 0)), np.zeros((0, 0)), 0.1),
+                   "n >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_value_error(case):
+    call, message = BAD_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestBlockStorage:
     """Only nonempty blocks are stored, however wide the spectrum of a."""
 
@@ -165,14 +228,14 @@ class TestBlockStorage:
 def recording_window_core(monkeypatch, edit=None):
     """Route partition's edge builds through a wrapper of the real
     _window_core; returns the list of (t, result) it built, in order.
-    edit(decomp, t, result) may replace a result before partition sees it."""
+    edit(lam, t, result) may replace a result before partition sees it."""
     real = projections._window_core
     built = []
 
-    def wrapper(am, bm, decomp, t, eps):
-        res = real(am, bm, decomp, t, eps)
+    def wrapper(lam, bm, scale, t, eps):
+        res = real(lam, bm, scale, t, eps)
         if edit is not None:
-            res = edit(decomp, t, res)
+            res = edit(lam, t, res)
         built.append((t, res))
         return res
 
@@ -192,15 +255,22 @@ def certificate_pairs():
 
 class TestColumnCertificates:
     """The certificates computed on n x rank arrays equal their n x n
-    definitions with p = cols cols^*."""
+    definitions with p = cols cols^*, in the basis the input arrives in:
+    partition's edges for a diagonal a, window_projection's at the same
+    cut points for a Haar-rotated one."""
 
     @pytest.mark.parametrize("name", ["diagonal", "haar", "wide"])
     def test_match_nxn_definitions(self, name, monkeypatch):
         a, b = certificate_pairs()[name]
-        built = recording_window_core(monkeypatch)
-        part = partition(a, b, eps=0.1)
         decomp = spectral_decomp(a)
         lam, v = decomp.eigenvalues, decomp.basis
+        if name == "haar":
+            ks = projections._cut_points(lam)
+            built = [(float(t), window_projection(a, b, t=float(t), eps=0.05))
+                     for t in [ks[0]] + [k + 1 for k in ks]]
+        else:
+            built = recording_window_core(monkeypatch)
+            part = partition(a, b, eps=0.1)
         scale = float(np.max(np.abs(lam)))
         eye = np.eye(a.shape[0])
         edges = []
@@ -215,7 +285,10 @@ class TestColumnCertificates:
             assert res.comm_b == pytest.approx(op_norm(commutator(b, p)), abs=1e-12)
             edges.append(p)
         chain = max(op_norm(hi @ (eye - lo)) for lo, hi in zip(edges, edges[1:]))
-        assert part.chain_residual == pytest.approx(chain, abs=1e-12)
+        if name == "haar":
+            assert chain <= CERT_TOL
+        else:
+            assert part.chain_residual == pytest.approx(chain, abs=1e-12)
 
 
 def tail_sum_invariants(lam, part):
@@ -257,10 +330,10 @@ class TestEdgeBuilds:
         a, b1 = smoothed_pair(8, 1e-3, rng)
         last = float(projections._cut_points(np.linalg.eigvalsh(a))[-1] + 1)
 
-        def swap(decomp, t, res):
+        def swap(lam, t, res):
             if t != last:
                 return res
-            return dataclasses.replace(res, cols=decomp.basis[:, decomp.eigenvalues < t - 0.25])
+            return dataclasses.replace(res, cols=np.eye(lam.size)[:, lam < t - 0.25])
 
         recording_window_core(monkeypatch, edit=swap)
         with pytest.raises(MonotonicityViolation, match=r"residual \d\.\d{3}e[+-]\d+"):
@@ -284,32 +357,31 @@ class TestEdgeBuilds:
         assert max(tail_sum_invariants(lam, part)) <= CERT_TOL
 
 
-def full_window_core(am, bm, decomp, t, eps):
+def full_window_core(lam, bm, scale, t, eps):
     """The edge built with Jacobi on the full n x n pair (b, step(a - t)):
     the reference for the local solve on the coordinates near t."""
-    lam, v = decomp.eigenvalues, decomp.basis
-    lo, win, hi = projections._split_masks(lam, t, float(np.max(np.abs(lam))))
-    v_win, v_hi = v[:, win], v[:, hi]
+    lo, win, hi = projections._split_masks(lam, t, scale)
+    eye = np.eye(lam.size, dtype=complex)
+    e_win, e_hi = eye[:, win], eye[:, hi]
     report = None
     if not np.any(win):
-        win_in = win_out = v_win
+        win_in = win_out = e_win
     else:
-        cm = hermitian_part((v * _step_eval(lam - t)) @ v.conj().T).m
-        pair = commuting_approximation(bm, cm)
+        pair = commuting_approximation(bm, np.diag(_step_eval(lam - t)).astype(complex))
         report = pair.report
         if not report.converged:
             raise LinSolverFailure(f"full edge solve stalled at t={t}")
         q_cols = pair.basis[:, pair.diag_b > 0.5]
-        mu, w = np.linalg.eigh(hermitian_part(v_win.conj().T @ q_cols @ q_cols.conj().T @ v_win).m)
-        win_in, win_out = v_win @ w[:, mu > 0.5], v_win @ w[:, mu <= 0.5]
-    cols = np.concatenate([win_in, v_hi], axis=1)
-    sandwich_lo = projections._outside_norm(v_hi, cols)
-    sandwich_hi = op_norm(cols.conj().T @ v[:, lo])
+        mu, w = np.linalg.eigh(hermitian_part(e_win.T @ q_cols @ q_cols.conj().T @ e_win).m)
+        win_in, win_out = e_win @ w[:, mu > 0.5], e_win @ w[:, mu <= 0.5]
+    cols = np.concatenate([win_in, e_hi], axis=1)
+    sandwich_lo = projections._outside_norm(e_hi, cols)
+    sandwich_hi = op_norm(cols.conj().T @ eye[:, lo])
     proj_defect = op_norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
     if (sandwich_lo > projections.CERTIFICATE_TOL or sandwich_hi > projections.CERTIFICATE_TOL
             or proj_defect > projections.PROJECTION_TOL):
         raise SandwichViolation(f"full edge at t={t} failed certificates")
-    comm_a = projections._outside_norm(am @ cols, cols)
+    comm_a = projections._outside_norm(np.diag(lam) @ cols, cols)
     comm_b = projections._outside_norm(bm @ cols, cols)
     if not (comm_a < eps and comm_b < eps):
         raise SandwichViolation(f"full edge at t={t} exceeds budget")

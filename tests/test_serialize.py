@@ -1,6 +1,7 @@
 """JSON matrix layout, float formatting, calibration table plumbing."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -10,6 +11,8 @@ from nearcomm.calibration import (DATA_ENV_VAR, CalibrationTable,
                                   build_calibration, fixture_path,
                                   load_calibration, save_calibration)
 from nearcomm.hermitian import op_norm
+from nearcomm.kms import kms_rows_to_csv
+from nearcomm.pipeline import SweepRow, sweep_rows_to_csv
 from nearcomm.serialize import (dump_json, fmt_float, hermitian_from_json,
                                 load_json, matrix_from_json, matrix_to_json)
 
@@ -58,6 +61,18 @@ class TestMatrixJson:
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
         assert load_json(path) == {"a": 2, "b": 1}
+
+
+class TestCsvText:
+    def test_sweep_and_kms_bytes(self):
+        # bare newline line ends, quotes only where a field needs them,
+        # floats in fmt_float form, the kms row's last field left out
+        rows = [SweepRow(8, 0.1, 0.10000000000000003, 1e-300, math.nan, 3, 0.0, 'error:X, "y"')]
+        assert sweep_rows_to_csv(rows) == (
+            "n,nu_target,nu_measured,dist_a,dist_b,seed,runtime_ms,flag\n"
+            '8,0.1,0.10000000000000003,1e-300,nan,3,0.0,"error:X, ""y"""\n')
+        assert kms_rows_to_csv([(0, 2, -1.0, 0.5, 1.25, 2.0, 0.75, 3.0)]) == (
+            "seed,n,c,norm_b_diff,lhs,rhs,margin\n0,2,-1.0,0.5,1.25,2.0,0.75\n")
 
 
 class TestCalibrationTable:

@@ -7,6 +7,7 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 from nearcomm import projections
 
@@ -36,13 +37,33 @@ def test_window_core_takes_cut_point_fourth():
     assert list(inspect.signature(projections._window_core).parameters)[3] == "t"
 
 
-def test_traced_core_op_records_edge_solves():
-    # the per-layer edge metrics read the sweeps of the wrapped edge solve;
-    # an edge built without calling it would read zero
+@pytest.fixture(scope="module")
+def core_op_spans():
+    """Spans of one traced core-mix op."""
     workloads = load_perfbench("workloads")
     work = workloads.make_workload("core-mix", True, ROOT)
     inp = work.make_input(np.random.default_rng([7, 0]))
     with load_perfbench("tracing").Tracer() as tracer:
         work.run(inp)
-    edges = [s for s in tracer.spans if s[0] == "jointdiag.edge"]
+    return tracer.spans
+
+
+def test_traced_core_op_records_edge_solves(core_op_spans):
+    # the per-layer edge metrics read the sweeps of the wrapped edge solve;
+    # an edge built without calling it would read zero
+    edges = [s for s in core_op_spans if s[0] == "jointdiag.edge"]
     assert edges and all("sweeps" in (s[4] or {}) for s in edges)
+
+
+def test_traced_edges_name_their_cut_points(core_op_spans):
+    # projections.edges counts distinct t per partition span; t must be the
+    # integer cut point, rising edge by edge, not eps or the spectral scale
+    by_partition: dict = {}
+    for name, _, _, parent, attrs in core_op_spans:
+        if name == "projections.window_core":
+            assert core_op_spans[parent][0] == "projections.partition"
+            by_partition.setdefault(parent, []).append(attrs["t"])
+    assert by_partition
+    for ts in by_partition.values():
+        assert all(isinstance(t, float) and t == int(t) for t in ts)
+        assert all(lo < hi for lo, hi in zip(ts, ts[1:]))
