@@ -8,6 +8,12 @@ the second quantization dGamma(H) = J (H (x) 1) J* (for finite-rank H
 these are the inner perturbations).  On top sit quasi-free flows,
 Wick-form operator assembly, and residual-vector extraction.
 
+dGamma(H) commutes with the number operator, so it is block diagonal over
+the particle-number sectors (the basis indices with m bits set, m = 0..n).
+Flows are diagonalized and applied per sector, and the Wick unitarity
+defect is a norm over the groups of sectors that x*x - 1 couples; no
+2^n x 2^n eigensolver runs.
+
 Conventions, fixed once:
   - mode 1 occupies the most significant bit of the basis index, so the
     occupation basis is lexicographic;
@@ -20,11 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import scipy.sparse as sparse
 
-from .hermitian import HermitianMatrix, SpectralDecomposition, as_array, op_norm
+from .hermitian import HermitianMatrix, as_array, op_norm
 
 MAX_MODES = 12
 
@@ -73,6 +80,17 @@ class FockRep:
 
 
 @functools.lru_cache(maxsize=None)
+def _sectors(n: int) -> tuple:
+    """(particle number of each basis index, the ascending basis indices of
+    each sector m = 0..n)."""
+    number = _popcount(np.arange(1 << n), n)
+    sectors = tuple(np.flatnonzero(number == m) for m in range(n + 1))
+    for arr in (number, *sectors):
+        arr.flags.writeable = False     # shared by every caller through the cache
+    return number, sectors
+
+
+@functools.lru_cache(maxsize=None)
 def fock_rep(n: int) -> FockRep:
     if not 1 <= n <= MAX_MODES:
         raise ValueError(f"mode count must be in [1, {MAX_MODES}], got {n}")
@@ -113,17 +131,55 @@ def number_operator(rep: FockRep) -> sparse.csr_matrix:
     return second_quantize(rep, np.eye(rep.modes))
 
 
+def _check_operator(rep: FockRep, x) -> None:
+    shape = x.shape if sparse.issparse(x) else np.shape(x)
+    if shape != (rep.dim, rep.dim):
+        raise ValueError(f"operator has shape {shape}, expected ({rep.dim}, {rep.dim})")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class QuasiFreeFlow:
-    """Flow alpha_t = Ad exp(it dGamma(H)) induced by U_t = exp(itH)."""
+    """Flow alpha_t = Ad exp(it dGamma(H)) induced by U_t = exp(itH).
+
+    Each particle-number sector block of dGamma(H) is diagonalized once, on
+    the first evolve, so a flow that never evolves runs no eigensolver.
+    """
 
     rep: FockRep
     one_particle_h: np.ndarray
     second_quantized: sparse.csr_matrix
 
+    @functools.cached_property
+    def _sector_spectra(self) -> tuple:
+        """(basis indices, eigenvalues, eigenbasis) of dGamma(H) per sector."""
+        d = self.second_quantized
+        return tuple((idx, *np.linalg.eigh(d[idx][:, idx].toarray()))
+                     for idx in _sectors(self.rep.modes)[1])
+
     def evolve(self, t: float, x) -> np.ndarray:
-        dec = SpectralDecomposition(*np.linalg.eigh(self.second_quantized.toarray()))
-        return dec.evolve(t, x.toarray() if sparse.issparse(x) else x)
+        """alpha_t(x) for real t, dense on the lexicographic basis.
+
+        Each nonzero sector block x_rc becomes V_r ((V_r* x_rc V_c) o
+        e^{it(lambda_ri - lambda_cj)}) V_c*; zero blocks stay zero.  The
+        phases are centred between the two sectors' spectra, which Ad
+        ignores, to keep their arguments small.
+        """
+        _check_operator(self.rep, x)
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
+        is_sparse = sparse.issparse(x)
+        x = x.tocsr() if is_sparse else np.asarray(x)
+        out = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
+        for ir, lam_r, v_r in self._sector_spectra:
+            rows = x[ir].toarray() if is_sparse else x[ir]
+            for ic, lam_c, v_c in self._sector_spectra:
+                blk = rows[:, ic]
+                if not blk.any():
+                    continue
+                mid = 0.25 * (lam_r[0] + lam_r[-1] + lam_c[0] + lam_c[-1])
+                phase = np.outer(np.exp(1j * t * (lam_r - mid)), np.exp(-1j * t * (lam_c - mid)))
+                out[np.ix_(ir, ic)] = v_r @ ((v_r.conj().T @ blk @ v_c) * phase) @ v_c.conj().T
+        return out
 
 
 def quasi_free_flow(rep: FockRep, h_one) -> QuasiFreeFlow:
@@ -137,11 +193,8 @@ def quasi_free_generator(flow: QuasiFreeFlow, x):
 
     Sparse input gives sparse output, dense gives dense.
     """
+    _check_operator(flow.rep, x)
     d = flow.second_quantized
-    dim = flow.rep.dim
-    shape = x.shape if sparse.issparse(x) else np.asarray(x).shape
-    if shape != (dim, dim):
-        raise ValueError(f"operator has shape {shape}, expected ({dim}, {dim})")
     return 1j * (d @ x - x @ d)
 
 
@@ -175,7 +228,8 @@ def wick_unitary(rep: FockRep, coeffs, family=None) -> tuple[sparse.csr_matrix, 
     unitary family V = [f_1 ... f_n] gives Gamma(V) x_e Gamma(V)*, with x_e
     the standard-basis element: x depends on the family, its unitarity
     defect does not.  Returns (x, ‖x*x - 1‖); the defect is a report, not an
-    error.
+    error, and is measured on the groups of particle-number sectors that
+    x*x - 1 couples.
     """
     n = rep.modes
     if family is None:
@@ -197,8 +251,27 @@ def wick_unitary(rep: FockRep, coeffs, family=None) -> tuple[sparse.csr_matrix, 
         for j in nu:
             term = term @ annihilator(rep, fam[:, j])
         x = x + term
-    defect = op_norm((x.conj().T @ x - rep.identity()).toarray())
-    return x.tocsr(), defect
+    return x.tocsr(), _sector_norm(rep, x.conj().T @ x - rep.identity())
+
+
+def _sector_norm(rep: FockRep, y: sparse.spmatrix) -> float:
+    """||y||, the largest op_norm over the groups of sectors y couples.
+
+    Sectors joined by a nonzero block of y form one group, so y is block
+    diagonal over the groups; groups without a nonzero entry add nothing.
+    """
+    number = _sectors(rep.modes)[0]
+    y = y.tocoo()
+    rows, cols = number[y.row], number[y.col]
+    group = np.arange(rep.modes + 1)
+    for r, c in set(zip(rows.tolist(), cols.tolist())):
+        group[group == group[c]] = group[r]
+    y, label = y.tocsr(), group[number]
+    norm = 0.0
+    for g in np.unique(group[rows]):
+        idx = np.flatnonzero(label == g)
+        norm = max(norm, op_norm(y[idx][:, idx].toarray()))
+    return norm
 
 
 @dataclasses.dataclass(frozen=True)

@@ -158,6 +158,9 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
         q_near = pair.basis[:, pair.diag_b > 0.5]
         m_win = (q_near @ q_near.conj().T)[np.ix_(win[near], win[near])]
         mu, w = np.linalg.eigh(hermitian_part(m_win).m)
+        if np.all(mu > 0.5) or np.all(mu <= 0.5):
+            # q0 is the whole window or 0; eigh's basis of it is rounding noise
+            w = np.eye(mu.size)
     win_in, win_out = _embed(win, w[:, mu > 0.5]), _embed(win, w[:, mu <= 0.5])
     e_hi = _embed(hi)
     cols = np.concatenate([win_in, e_hi], axis=1)

@@ -244,6 +244,57 @@ class TestSecondQuantization:
         assert np.linalg.norm(d @ vac) < 1e-14
 
 
+def dense_evolve(flow, t, x):
+    """alpha_t(x) from the dense eigh of the whole 2^n generator: the
+    reference for the per-sector path."""
+    lam, v = np.linalg.eigh(flow.second_quantized.toarray())
+    x = x.toarray() if sparse.issparse(x) else x
+    phase = np.outer(np.exp(1j * t * lam), np.exp(-1j * t * lam))
+    return v @ ((v.conj().T @ x @ v) * phase) @ v.conj().T
+
+
+class TestSectorEvolve:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_reference(self, n):
+        rng = np.random.default_rng(900 + n)
+        rep = fock_rep(n)
+        degenerate = np.diag(rng.integers(-1, 2, size=n)).astype(complex)
+        for h in (random_hermitian(n, rng), degenerate):
+            flow = quasi_free_flow(rep, h)
+            dense_x = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
+            for x in (a_star(rep, random_vector(n, rng)), dense_x):
+                for t in (-1.3, 0.0, 0.45, 2.0):
+                    got = flow.evolve(t, x)
+                    assert got.shape == (rep.dim, rep.dim)
+                    assert np.max(np.abs(got - dense_evolve(flow, t, x))) < 1e-12
+
+    def test_matches_one_particle_lift_at_10_modes(self):
+        rng = np.random.default_rng(911)
+        rep = fock_rep(10)
+        h = random_hermitian(10, rng)
+        flow = quasi_free_flow(rep, h)
+        xi = random_vector(10, rng, unit=True)
+        lifted = a_star(rep, scipy.linalg.expm(1j * 0.8 * h) @ xi).toarray()
+        assert np.linalg.norm(flow.evolve(0.8, a_star(rep, xi)) - lifted) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(16, 16), (4, 4), (8, 16)])
+    def test_rejects_wrong_shape(self, shape):
+        # sector indexing would take a sub-block of an oversized x
+        flow = quasi_free_flow(fock_rep(3), np.eye(3))
+        for x in (np.zeros(shape), sparse.csr_matrix(shape, dtype=complex)):
+            with pytest.raises(ValueError, match="shape"):
+                flow.evolve(0.5, x)
+            with pytest.raises(ValueError, match="shape"):
+                quasi_free_generator(flow, x)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, t):
+        rep = fock_rep(3)
+        flow = quasi_free_flow(rep, np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            flow.evolve(t, a_star(rep, np.ones(3)))
+
+
 class TestInnerPerturbation:
     def test_covariance_identity(self):
         # [i b, a*(xi)] = i a*(T xi) to 1e-10
@@ -339,6 +390,24 @@ class TestWickUnitary:
             x, _ = wick_unitary(rep, coeffs, family=fam)
             norms.append(op_norm(quasi_free_generator(flow, x).toarray()))
         assert max(norms) - min(norms) < 1e-10
+
+    @pytest.mark.parametrize("coeffs, rotated", [
+        ({((), ()): 0.5, ((0, 1), (0, 2)): 0.25 + 0.1j, ((2,), (1,)): -0.3}, False),
+        ({((0,), ()): 0.5, ((), (2,)): 0.3, ((1, 2), (0,)): 0.2}, False),
+        # x*x - 1 couples sectors m and m +- 2; their blocks alone read 0.34
+        ({((), ()): 1.0, ((0,), ()): 0.5, ((), (2,)): 0.3, ((1, 2), (0,)): 0.2}, False),
+        ({((), ()): 0.9, ((1,), ()): 0.4j, ((0, 3), (2,)): -0.2}, True),
+    ])
+    def test_defect_matches_dense_norm(self, coeffs, rotated):
+        # number-conserving, number-changing, and in a rotated family: the
+        # norm over the coupled sector groups is the norm of the whole
+        rep = fock_rep(4)
+        rng = np.random.default_rng(757)
+        fam = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        x, defect = wick_unitary(rep, coeffs, family=fam if rotated else None)
+        dense = op_norm((x.conj().T @ x).toarray() - np.eye(rep.dim))
+        assert defect > 0.1
+        assert defect == pytest.approx(dense, abs=1e-13)
 
     def test_rejects_bad_indices(self):
         rep = fock_rep(2)

@@ -365,7 +365,7 @@ class TestModuleEntryPoint:
         # are imported only inside the functions that call them
         code = ("import sys, nearcomm.cli; "
                 "print(sorted(m for m in ('scipy.optimize', 'scipy.special', "
-                "'scipy.linalg') if m in sys.modules))")
+                "'scipy.linalg', 'scipy.sparse.csgraph') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -89,6 +89,24 @@ class TestWindowProjection:
         res = window_projection(a, b, t=t, eps=np.inf)
         assert res.comm_b > 1e-10
 
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_whole_window_takes_identity_columns(self, inside):
+        # every window eigenvalue on one side of t: q0 is the whole window
+        # or 0, and its basis is the window's identity columns, not the one
+        # eigh picks for a degenerate eigenvalue from rounding noise
+        lam = np.array([0.2, 1.05, 1.1, 1.15, 1.2, 1.9])
+        if not inside:
+            lam[1:5] -= 0.25
+        rng = np.random.default_rng(3)
+        g = random_hermitian(lam.size, rng)
+        b = band_smooth(np.diag(lam).astype(complex),
+                        np.diag(rng.uniform(-1.0, 1.0, lam.size)) + 2e-3 * g).m
+        res = projections._window_core(lam, b, float(np.max(lam)), 1.0, 0.1)
+        _, win, _ = projections._split_masks(lam, 1.0, float(np.max(lam)))
+        whole, empty = (res.win_in, res.win_out) if inside else (res.win_out, res.win_in)
+        assert whole.dtype == complex and empty.shape == (lam.size, 0)
+        assert whole.tobytes() == projections._embed(win).tobytes()
+
 
 class TestPartition:
     def test_sums_to_identity(self):
