@@ -31,6 +31,7 @@ FIXTURE_NAME = "calibration.json"
 
 DEFAULT_EPS_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 DEFAULT_NU_GRID = (1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1)
+DEFAULT_DIMS = (8, 16, 32)
 PASS_FRACTION = 0.99
 
 
@@ -91,7 +92,7 @@ def _edge_statistic(n: int, nu: float, rng) -> float:
 
 
 def build_calibration(eps_grid=DEFAULT_EPS_GRID, nu_grid=DEFAULT_NU_GRID,
-                      dims=(8, 16), trials: int = 12,
+                      dims=DEFAULT_DIMS, trials: int = 12,
                       seed: int = 20240915) -> CalibrationTable:
     """Measure the admissible-nu table on the standard ensemble."""
     eps_grid = tuple(sorted(float(e) for e in eps_grid))

@@ -1,16 +1,19 @@
 """Command-line interface: corrections, sweeps, KMS and measure-path runs.
 
-Every command writes machine-readable output (JSON or CSV) that embeds the
-resolved configuration and the kernel constants in use, so a result file is
-reproducible from its own header.  Exit codes: 0 success, 2 for a flagged
-result (out-of-regime input, violated inequality, excessive drift), 1 for
-errors, usage errors included.
+The parser is the whole configuration: each subcommand holds its flags,
+their defaults and their checks, and registers its handler.  Every command
+writes machine-readable output (JSON or CSV) that embeds its own flags with
+the values used (the output path aside) and the constants its result
+depends on: k1 and c_const for `correct` and `sweep`, the isometry constant
+C for `kms`, none for `car-path`; `calibrate` writes its flags into the
+table's `meta`.  So a result file is reproducible from its own header.
+Exit codes: 0 success, 2 for a flagged result (out-of-regime input,
+violated inequality, excessive drift), 1 for errors, usage errors included.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -27,86 +30,28 @@ EXIT_FLAGGED = 2
 DRIFT_LIMIT = 1e-9
 KMS_TOL = 1e-8
 
-_COMMANDS = ("correct", "sweep", "kms", "car-path", "calibrate")
 
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters; unknown keys are rejected at construction."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    seed: int = 20240915
-    eps: float | None = None
-    nu: float | None = None
-    c: float = 1.0
-    dims: tuple = ()
-    nu_targets: tuple = ()
-    trials: int = 1
-    timings: bool = False
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command '{self.command}'")
-        if self.eps is not None and not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if not math.isfinite(self.c):
-            raise ValueError(f"c must be finite, got {self.c}")
-        if self.nu is not None and not 0 <= self.nu < math.inf:
-            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if any(int(d) < 1 for d in self.dims):
-            raise ValueError(f"dims must be positive integers, got {self.dims}")
-        if not all(0 <= t < math.inf for t in self.nu_targets):
-            raise ValueError(
-                f"nu_targets must be finite and nonnegative, got {self.nu_targets}")
-        if self.command == "kms" and self.c == 0:
-            raise ValueError("c must be nonzero for the kms command")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(mapping)
-        for key in ("dims", "nu_targets"):
-            if key in coerced and coerced[key] is not None:
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
-
-    def to_payload(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["dims"] = list(self.dims)
-        out["nu_targets"] = list(self.nu_targets)
-        return out
-
-    def embed_payload(self) -> dict:
-        """Config as embedded in outputs: the output destination is omitted
-        so identical runs written to different paths produce byte-identical
-        files."""
-        out = self.to_payload()
-        del out["output_path"]
-        return out
-
-
-def _constants_payload() -> dict:
+def _kernel_constants() -> dict:
     return {"k1": build_mollifier().k1, "c_const": build_step().c_const}
 
 
-def _write_csv(config: RunConfig, text: str) -> None:
+def _run_config(ns: argparse.Namespace) -> dict:
+    """The command's flags with the values used.  The output path is left
+    out so identical runs written to different paths give identical bytes."""
+    return {k: v for k, v in vars(ns).items() if k not in ("output", "handler")}
+
+
+def _write_csv(ns: argparse.Namespace, constants: dict, text: str) -> None:
     """Write CSV text to the output path behind '# config' and '# constants' lines."""
-    cfg = json.dumps(config.embed_payload(), sort_keys=True)
-    consts = json.dumps(_constants_payload(), sort_keys=True)
-    with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+    cfg = json.dumps(_run_config(ns), sort_keys=True)
+    consts = json.dumps(constants, sort_keys=True)
+    with open(ns.output, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {cfg}\n# constants: {consts}\n{text}")
 
 
-def cmd_correct(config: RunConfig) -> int:
+def cmd_correct(ns: argparse.Namespace) -> int:
     """Correct one almost-commuting pair from JSON {a, b} to a commuting pair."""
-    payload = load_json(config.input_path)
+    payload = load_json(ns.input)
     if not isinstance(payload, dict):
         raise ValueError("input JSON must be an object with fields 'a' and 'b'")
     for field in ("a", "b"):
@@ -114,22 +59,20 @@ def cmd_correct(config: RunConfig) -> int:
             raise ValueError(f"input JSON is missing field '{field}'")
     a = hermitian_from_json(payload["a"], "a")
     b = hermitian_from_json(payload["b"], "b")
-    eps = config.eps if config.eps is not None else 0.05
-    result = pipeline.theorem_c_correct(a, b, eps)
-    dump_json(config.output_path, {
-        "config": config.embed_payload(),
-        "constants": _constants_payload(),
+    result = pipeline.theorem_c_correct(a, b, ns.eps)
+    dump_json(ns.output, {
+        "config": _run_config(ns),
+        "constants": _kernel_constants(),
         "result": result.to_payload(),
     })
     return EXIT_FLAGGED if result.out_of_regime else EXIT_OK
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(ns: argparse.Namespace) -> int:
     """Seeded ensemble sweep; CSV rows plus a per-(n, nu) median summary."""
-    rows = pipeline.modulus_sweep(config.dims, config.nu_targets, config.trials,
-                                  config.seed, eps=config.eps,
-                                  timings=config.timings)
-    _write_csv(config, pipeline.sweep_rows_to_csv(rows))
+    rows = pipeline.modulus_sweep(ns.dims, ns.nu_targets, ns.trials, ns.seed,
+                                  eps=ns.eps, timings=ns.timings)
+    _write_csv(ns, _kernel_constants(), pipeline.sweep_rows_to_csv(rows))
     medians = pipeline.sweep_medians(rows)
     summary = " ".join(
         f"n={n},nu={fmt_float(nu)}:{fmt_float(med)}"
@@ -138,13 +81,11 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_kms(config: RunConfig) -> int:
+def cmd_kms(ns: argparse.Namespace) -> int:
     """Two-state inequality ensemble; flags a margin below -KMS_TOL max(1, M)."""
-    dims = config.dims if config.dims else kms.DEFAULT_KMS_DIMS
-    scale = config.nu if config.nu is not None else 0.05
-    rows = kms.kms_experiment(config.trials, config.c, config.seed, dims=dims,
-                              perturb_scale=scale)
-    _write_csv(config, kms.kms_rows_to_csv(rows))
+    rows = kms.kms_experiment(ns.trials, ns.c, ns.seed, dims=ns.dims,
+                              perturb_scale=ns.nu)
+    _write_csv(ns, {"C": kms.isometry_function_constant()}, kms.kms_rows_to_csv(rows))
     worst = min(row[6] for row in rows)
     violated = any(row[6] < -KMS_TOL * max(1.0, row[7]) for row in rows)
     print(f"kms rows={len(rows)} worst_margin={fmt_float(worst)}"
@@ -152,13 +93,13 @@ def cmd_kms(config: RunConfig) -> int:
     return EXIT_FLAGGED if violated else EXIT_OK
 
 
-def cmd_car_path(config: RunConfig) -> int:
+def cmd_car_path(ns: argparse.Namespace) -> int:
     """Three-point measure path; trace CSV plus drift check."""
-    state = measurepath.load_measure(config.input_path)
+    state = measurepath.load_measure(ns.input)
     path = measurepath.three_point_path(state)
     rows = ([stage, *map(fmt_float, (t, mean, var)), support, *map(fmt_float, masses)]
             for stage, t, mean, var, support, *masses in measurepath.trace_rows(path))
-    _write_csv(config, csv_text(measurepath.trace_header(state.atoms.size), rows))
+    _write_csv(ns, {}, csv_text(measurepath.trace_header(state.atoms.size), rows))
     d_mean, d_var, d_norm = path.drift()
     drift = max(d_mean, d_var, d_norm)
     print(f"path states={len(path.states)} targets={path.target_atoms} "
@@ -166,22 +107,45 @@ def cmd_car_path(config: RunConfig) -> int:
     return EXIT_FLAGGED if drift > DRIFT_LIMIT else EXIT_OK
 
 
-def cmd_calibrate(config: RunConfig) -> int:
-    """Regenerate the admissible-nu table fixture."""
-    dims = config.dims if config.dims else (8, 16, 32)
-    table = calibration.build_calibration(dims=dims, trials=config.trials,
-                                          seed=config.seed)
-    path = calibration.save_calibration(table, config.output_path)
+def cmd_calibrate(ns: argparse.Namespace) -> int:
+    """Regenerate the admissible-nu table fixture; its meta records the flags."""
+    table = calibration.build_calibration(dims=ns.dims, trials=ns.trials,
+                                          seed=ns.seed)
+    path = calibration.save_calibration(table, ns.output)
     print(f"calibration written to {path}")
     return EXIT_OK
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part)
+def _checked(name: str, parse, ok, rule: str):
+    """argparse type= converter: parse the text and require ok(value); a
+    rejection reads 'argument --flag: <name> must be <rule>, got <text>'."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text!r}")
+    return convert
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part)
+def _listed(parse):
+    return lambda text: tuple(parse(part) for part in text.split(",") if part)
+
+
+def _nonneg(x) -> bool:
+    return 0 <= x < math.inf
+
+
+_EPS = _checked("eps", float, lambda x: 0 < x < math.inf, "finite and positive")
+_TRIALS = _checked("trials", int, lambda n: n >= 1, ">= 1")
+_SEED = _checked("seed", int, lambda n: n >= 0, "a nonnegative integer")
+_DIMS = _checked("dims", _listed(int), lambda v: v and min(v) >= 1,
+                 "positive integers, comma-separated and at least one")
+_NU_TARGETS = _checked("nu_targets", _listed(float),
+                       lambda v: v and all(map(_nonneg, v)),
+                       "finite and nonnegative, comma-separated and at least one")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,68 +161,56 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nearcomm",
         description="Almost-commuting matrix correction toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     p_correct = sub.add_parser("correct", help="correct one pair from JSON input")
+    p_correct.set_defaults(handler=cmd_correct)
     p_correct.add_argument("--input", required=True)
     p_correct.add_argument("--output", required=True)
-    p_correct.add_argument("--eps", type=float, default=None)
+    p_correct.add_argument("--eps", type=_EPS, default=0.05)
 
     p_sweep = sub.add_parser("sweep", help="seeded ensemble sweep to CSV")
+    p_sweep.set_defaults(handler=cmd_sweep)
     p_sweep.add_argument("--output", required=True)
-    p_sweep.add_argument("--dims", type=_int_list, default=(8, 16))
-    p_sweep.add_argument("--nu-targets", type=_float_list,
-                         default=(1e-1, 1e-2, 1e-4))
-    p_sweep.add_argument("--trials", type=int, default=10)
-    p_sweep.add_argument("--seed", type=int, default=20240915)
-    p_sweep.add_argument("--eps", type=float, default=None)
+    p_sweep.add_argument("--dims", type=_DIMS, default=(8, 16))
+    p_sweep.add_argument("--nu-targets", type=_NU_TARGETS, default=(1e-1, 1e-2, 1e-4))
+    p_sweep.add_argument("--trials", type=_TRIALS, default=10)
+    p_sweep.add_argument("--seed", type=_SEED, default=20240915)
+    p_sweep.add_argument("--eps", type=_EPS, default=None,
+                         help="commutator budget (default: calibrated per nu)")
     p_sweep.add_argument("--timings", action="store_true")
 
     p_kms = sub.add_parser("kms", help="two-state inequality ensemble to CSV")
+    p_kms.set_defaults(handler=cmd_kms)
     p_kms.add_argument("--output", required=True)
-    p_kms.add_argument("--c", type=float, default=1.0)
-    p_kms.add_argument("--trials", type=int, default=50)
-    p_kms.add_argument("--seed", type=int, default=20240915)
-    p_kms.add_argument("--nu", type=float, default=None,
+    p_kms.add_argument("--c", default=1.0, type=_checked(
+        "c", float, lambda x: math.isfinite(x) and x != 0, "finite and nonzero"))
+    p_kms.add_argument("--trials", type=_TRIALS, default=50)
+    p_kms.add_argument("--seed", type=_SEED, default=20240915)
+    p_kms.add_argument("--nu", default=0.05,
+                       type=_checked("nu", float, _nonneg, "finite and nonnegative"),
                        help="scale of the b1-b2 difference (0 for b1 = b2)")
-    p_kms.add_argument("--dims", type=_int_list, default=())
+    p_kms.add_argument("--dims", type=_DIMS, default=kms.DEFAULT_KMS_DIMS)
 
     p_car = sub.add_parser("car-path", help="three-point measure path trace")
+    p_car.set_defaults(handler=cmd_car_path)
     p_car.add_argument("--input", required=True)
     p_car.add_argument("--output", required=True)
 
     p_cal = sub.add_parser("calibrate", help="regenerate the admissible-nu table")
+    p_cal.set_defaults(handler=cmd_calibrate)
     p_cal.add_argument("--output", default=None)
-    p_cal.add_argument("--dims", type=_int_list, default=())
-    p_cal.add_argument("--trials", type=int, default=12)
-    p_cal.add_argument("--seed", type=int, default=20240915)
+    p_cal.add_argument("--dims", type=_DIMS, default=calibration.DEFAULT_DIMS)
+    p_cal.add_argument("--trials", type=_TRIALS, default=12)
+    p_cal.add_argument("--seed", type=_SEED, default=20240915)
 
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    mapping = {"command": ns.command}
-    translate = {"input": "input_path", "output": "output_path"}
-    for key, value in vars(ns).items():
-        if key == "command":
-            continue
-        mapping[translate.get(key, key)] = value
-    return RunConfig.from_mapping(mapping)
-
-
-_DISPATCH = {
-    "correct": cmd_correct,
-    "sweep": cmd_sweep,
-    "kms": cmd_kms,
-    "car-path": cmd_car_path,
-    "calibrate": cmd_calibrate,
-}
-
-
 def main(argv=None) -> int:
     try:
-        config = _config_from_args(_build_parser().parse_args(argv))
-        return _DISPATCH[config.command](config)
+        ns = _build_parser().parse_args(argv)
+        return ns.handler(ns)
     except DegenerateMeasure as exc:
         print(f"error: degenerate measure: {exc}; a single-atom state is "
               "already concentrated, so there is no path to construct",

@@ -38,7 +38,7 @@ BAND_HALF_WIDTH = 0.5          # Fourier support of the mollifier: (-1/2, 1/2)
 RAMP_HALF_WIDTH = 0.25         # bump support for both kernels: (-1/4, 1/4)
 _TIME_CUTOFF = 1200.0          # |psi(t)|^2 ~ 1e-19 here; tails are negligible
 _FREQ_CUTOFF = 1000.0          # |slope transform| ~ 2e-9 here, tail ~ 1e-7
-_K1_PANELS = 240               # Gauss-Legendre panels (16 nodes) for k1
+_K1_PANELS = 32                # Gauss-Legendre panels (16 nodes) for k1
 _BISECTIONS = 45               # halvings of a <= 1/4 scan bracket: width < 1e-14
 DUMP_POINTS = 256              # samples per kernel in the dump payloads
 

@@ -411,7 +411,8 @@ def kms_experiment(trials: int, c: float, seed: int, *,
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def run(trial: int):
+    rows = []
+    for trial in range(trials):
         n = dims[trial % len(dims)]
         rng = np.random.default_rng([seed, trial])
         try:
@@ -420,10 +421,9 @@ def kms_experiment(trials: int, c: float, seed: int, *,
             raise NearcommError(
                 f"instance trial={trial} (seed=[{seed}, {trial}], n={n}): {exc}"
             ) from exc
-        return (trial, n, c, res.norm_b_diff, res.lhs, res.rhs,
-                res.rhs - res.lhs, res.m_norm)
-
-    return [run(t) for t in range(trials)]
+        rows.append((trial, n, c, res.norm_b_diff, res.lhs, res.rhs,
+                     res.rhs - res.lhs, res.m_norm))
+    return rows
 
 
 def kms_rows_to_csv(rows) -> str:

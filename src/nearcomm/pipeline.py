@@ -15,6 +15,7 @@ distances shrink with nu on seeded random ensembles.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 
@@ -229,13 +230,9 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
         raise ValueError(f"eps must be positive, got {eps}")
     table = load_calibration()
 
-    jobs = [(i_dim, n, i_nu, nu, trial)
-            for i_dim, n in enumerate(dims)
-            for i_nu, nu in enumerate(nu_targets)
-            for trial in range(trials)]
-
-    def run(job) -> SweepRow:
-        i_dim, n, i_nu, nu, trial = job
+    rows = []
+    for (i_dim, n), (i_nu, nu), trial in itertools.product(
+            enumerate(dims), enumerate(nu_targets), range(trials)):
         rng = instance_rng(seed, i_dim, i_nu, trial)
         start = time.perf_counter()
         try:
@@ -253,9 +250,8 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
         if timings:
             row = dataclasses.replace(
                 row, runtime_ms=(time.perf_counter() - start) * 1e3)
-        return row
-
-    return [run(job) for job in jobs]
+        rows.append(row)
+    return rows
 
 
 SWEEP_HEADER = ("n", "nu_target", "nu_measured", "dist_a", "dist_b",

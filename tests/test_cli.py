@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, embedded config, determinism."""
 
+import argparse
+import inspect
 import json
 import pathlib
 import shlex
@@ -9,13 +11,14 @@ import sys
 import numpy as np
 import pytest
 
-from nearcomm.cli import (_COMMANDS, EXIT_ERROR, EXIT_FLAGGED, EXIT_OK,
-                          RunConfig, _build_parser, main)
+from nearcomm import calibration
+from nearcomm.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, _build_parser, main
 from nearcomm.ensembles import instance_rng, pair_instance
 from nearcomm.serialize import matrix_to_json
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 GAUSSIAN_FIXTURE = REPO_ROOT / "demos" / "measure_gaussian16.json"
+CALIBRATION_FIXTURE = REPO_ROOT / "src" / "nearcomm" / "data" / "calibration.json"
 
 
 def write_pair(path, n=6, nu=1e-3, seed=42):
@@ -31,22 +34,57 @@ def header_config(path):
     return json.loads(first[len("# config: "):])
 
 
+def subcommands() -> dict:
+    """Subcommand name -> its subparser."""
+    parser = _build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def replay_flags(config: dict) -> list:
+    """Turn an embedded config back into command-line flags."""
+    argv = []
+    for key, value in sorted(config.items()):
+        flag = "--" + key.replace("_", "-")
+        if value is None or value is False:
+            continue
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
 class TestRunConfig:
-    def test_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown config keys.*bogus"):
-            RunConfig.from_mapping({"command": "sweep", "bogus": 1})
+    # the run configuration is the parsed namespace: the converters reject
+    # a bad value by its flag, and each output embeds the command's own flags
 
-    def test_rejects_unknown_command(self):
-        with pytest.raises(ValueError, match="unknown command"):
-            RunConfig(command="dance")
-
-    def test_field_validation(self):
-        with pytest.raises(ValueError, match="eps"):
-            RunConfig(command="correct", eps=-1.0)
-        with pytest.raises(ValueError, match="trials"):
-            RunConfig(command="sweep", trials=0)
-        with pytest.raises(ValueError, match="nonzero"):
-            RunConfig(command="kms", c=0.0)
+    @pytest.mark.parametrize("argv, message", [
+        (["dance"], "invalid choice: 'dance'"),
+        (["sweep", "--seed", "-1"],
+         "argument --seed: seed must be a nonnegative integer, got '-1'"),
+        (["kms", "--seed", "-1"], "argument --seed: seed must be a nonnegative"),
+        (["sweep", "--dims", ""], "argument --dims: dims must be positive integers"),
+        (["sweep", "--nu-targets", ""], "argument --nu-targets: nu_targets must be"),
+        (["kms", "--dims", ""], "argument --dims: dims must be positive integers"),
+        (["calibrate", "--dims", "4,0"], "argument --dims: dims must be positive"),
+        (["correct", "--input", "pair.json", "--eps", "-1"],
+         "argument --eps: eps must be finite and positive, got '-1'"),
+        (["sweep", "--trials", "0"], "argument --trials: trials must be >= 1"),
+        (["kms", "--c", "0"], "argument --c: c must be finite and nonzero"),
+        (["kms", "--trials", "two"], "argument --trials: trials must be >= 1, got 'two'"),
+    ], ids=["unknown-command", "sweep-seed", "kms-seed", "sweep-dims-empty",
+            "sweep-nu-targets-empty", "kms-dims-empty", "calibrate-dims-zero",
+            "correct-eps", "sweep-trials", "kms-c-zero", "kms-trials-text"])
+    def test_rejected_by_flag_name(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == EXIT_ERROR
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and message in errors[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, field", [
         (["kms", "--c", "nan"], "c"),
@@ -64,12 +102,34 @@ class TestRunConfig:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_embed_payload_drops_execution_fields(self):
-        cfg = RunConfig(command="sweep", output_path="/tmp/x.csv",
-                        dims=(8,), nu_targets=(1e-2,))
-        payload = cfg.embed_payload()
-        assert "output_path" not in payload
-        assert payload["dims"] == [8]
+    @pytest.mark.parametrize("command", ["correct", "sweep", "kms", "car-path",
+                                         "calibrate"])
+    def test_header_replays_the_run(self, tmp_path, command):
+        # defaults are left to the parser, so the header must carry the
+        # values it resolved; replaying the header reproduces every byte
+        pair = tmp_path / "pair.json"
+        write_pair(pair)
+        argv = {"correct": ["--input", str(pair)],
+                "sweep": ["--dims", "4", "--nu-targets", "1e-3", "--trials", "1"],
+                "kms": ["--trials", "2"],
+                "car-path": ["--input", str(GAUSSIAN_FIXTURE)],
+                "calibrate": ["--dims", "4", "--trials", "1", "--seed", "2"]}[command]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([command, *argv, "--output", str(first)]) != EXIT_ERROR
+        flags = {action.dest for action in subcommands()[command]._actions} \
+            - {"help", "output"}
+        if command == "correct":
+            config = json.loads(first.read_text())["config"]
+        elif command == "calibrate":
+            # the table's meta is its header: the flags plus the grid it ran
+            meta = json.loads(first.read_text())["meta"]
+            config = {key: meta[key] for key in flags}
+        else:
+            config = header_config(first)
+        assert set(config) == flags
+        assert main([command, *replay_flags(config), "--output", str(second)]) \
+            != EXIT_ERROR
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestUsageErrors:
@@ -113,8 +173,9 @@ class TestUsageErrors:
         examples = [shlex.split(line)[1:] for line in lines
                     if line.startswith("nearcomm ")]
         parser = _build_parser()
-        parsed = [parser.parse_args(args).command for args in examples]
-        assert sorted(parsed) == sorted(_COMMANDS)
+        handlers = [parser.parse_args(args).handler.__name__ for args in examples]
+        assert sorted(args[0] for args in examples) == sorted(subcommands())
+        assert len(set(handlers)) == len(subcommands())
 
 
 class TestCorrectCommand:
@@ -238,7 +299,7 @@ class TestSweepCommand:
         main(["sweep", "--output", str(out), "--dims", "4",
               "--nu-targets", "1e-3", "--trials", "1"])
         cfg = header_config(out)
-        assert "workers" not in cfg and "output_path" not in cfg
+        assert "workers" not in cfg and "output" not in cfg
         assert cfg["seed"] == 20240915
 
 
@@ -340,6 +401,16 @@ class TestCalibrateCommand:
         payload = json.loads(written.read_text())
         assert payload["meta"]["dims"] == [4]
         assert str(written) in capsys.readouterr().out
+
+    def test_defaults_match_fixture_meta(self):
+        # a flag-free `nearcomm calibrate` regenerates the packaged table
+        ns = _build_parser().parse_args(["calibrate"])
+        meta = json.loads(CALIBRATION_FIXTURE.read_text())["meta"]
+        assert (list(ns.dims), ns.trials, ns.seed) == \
+            (meta["dims"], meta["trials"], meta["seed"])
+        defaults = inspect.signature(calibration.build_calibration).parameters
+        assert {key: defaults[key].default for key in ("dims", "trials", "seed")} \
+            == {"dims": ns.dims, "trials": ns.trials, "seed": ns.seed}
 
     def test_explicit_output_path(self, tmp_path):
         out = tmp_path / "table.json"
