@@ -131,6 +131,20 @@ class TestRunConfig:
             != EXIT_ERROR
         assert first.read_bytes() == second.read_bytes()
 
+    def test_rejects_unknown_keys(self, tmp_path, capsys):
+        # a config key the command does not know becomes a flag it does not
+        # know when the header is replayed, and the parser refuses it
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        argv = ["--dims", "4", "--nu-targets", "1e-3", "--trials", "1"]
+        assert main(["sweep", *argv, "--output", str(first)]) != EXIT_ERROR
+        config = {**header_config(first), "bogus": 1}
+        capsys.readouterr()
+        assert main(["sweep", *replay_flags(config), "--output", str(second)]) \
+            == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert "error: unrecognized arguments: --bogus 1" in err
+        assert not second.exists()
+
 
 class TestUsageErrors:
     # exit code 2 means "finished but flagged", so a bad command line must
