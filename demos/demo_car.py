@@ -35,7 +35,7 @@ print(f"number operator spectrum: {levels}")
 
 # quasi-free flow: alpha_t(a*(xi)) = a*(e^{itH} xi)
 h_one = hermitian_part(rng.standard_normal((n, n))
-                       + 1j * rng.standard_normal((n, n))).m
+                       + 1j * rng.standard_normal((n, n)))
 flow = quasi_free_flow(rep, h_one)
 x = a_star(rep, xi)
 t = 0.8

@@ -23,10 +23,10 @@ print(f"instance: n=12, ||a|| = {op_norm(a):.3f}, ||b|| = {op_norm(b):.3f}, "
 print(f"ground truth: commuting pair at distance {inst.ground_distance:.3e}")
 
 smoothed = band_smooth(a, b)
-print(f"\nstage 1  band-smooth: ||b - b'|| = {op_norm(b - smoothed.m):.3e}, "
-      f"||[a, b']|| = {op_norm(commutator(a, smoothed.m)):.3e}")
+print(f"\nstage 1  band-smooth: ||b - b'|| = {op_norm(b - smoothed):.3e}, "
+      f"||[a, b']|| = {op_norm(commutator(a, smoothed)):.3e}")
 
-part = partition(a, smoothed.m, EPS)
+part = partition(a, smoothed, EPS)
 print(f"stage 2  partition: {len(part.blocks)} nonempty windows, "
       f"sum residual {part.sum_residual():.1e}, "
       f"chain residual {part.chain_residual:.1e}")

@@ -30,7 +30,7 @@ b = (g + g.conj().T) / 2
 b /= op_norm(b)
 
 nu = op_norm(commutator(a, b))
-b1 = band_smooth(a, b).m
+b1 = band_smooth(a, b)
 print("\nsmoothing a random 10x10 pair")
 print(f"  input commutator nu      = {nu:.6f}")
 print(f"  ||b - b1||               = {op_norm(b - b1):.6f}"

@@ -22,7 +22,7 @@ rng = np.random.default_rng(20240915)
 
 def random_hermitian(n, norm):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = hermitian_part(g).m
+    h = hermitian_part(g)
     return h * (norm / op_norm(h))
 
 

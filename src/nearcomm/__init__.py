@@ -42,9 +42,9 @@ from .errors import (
     SpectralGapMissing,
 )
 from .hermitian import (
-    HermitianMatrix,
     SpectralDecomposition,
     as_array,
+    checked_hermitian,
     commutator,
     func_calc,
     hermitian_part,
@@ -85,7 +85,6 @@ from .measurepath import (
     MeasurePath,
     discrete_measure_state,
     load_measure,
-    save_measure,
     select_three_points,
     three_point_path,
     three_point_weights,

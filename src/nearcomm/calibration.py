@@ -85,7 +85,7 @@ def _edge_statistic(n: int, nu: float, rng) -> float:
     smoothed = band_smooth(inst.a, inst.b)
     try:
         # an infinite budget measures every edge and rejects none
-        part = partition(inst.a, smoothed.m, eps=np.inf)
+        part = partition(inst.a, smoothed, eps=np.inf)
     except NearcommError:
         return np.inf
     return 2.0 * part.edge_comm
@@ -97,6 +97,9 @@ def build_calibration(eps_grid=DEFAULT_EPS_GRID, nu_grid=DEFAULT_NU_GRID,
     """Measure the admissible-nu table on the standard ensemble."""
     eps_grid = tuple(sorted(float(e) for e in eps_grid))
     nu_grid = tuple(sorted(float(v) for v in nu_grid))
+    for name, grid in (("eps_grid", eps_grid), ("nu_grid", nu_grid), ("dims", dims)):
+        if not len(grid):
+            raise ValueError(f"{name} must be nonempty")
     by_nu = {nu: [] for nu in nu_grid}
     for i_dim, n in enumerate(dims):
         for i_nu, nu in enumerate(nu_grid):

@@ -31,7 +31,7 @@ import math
 import numpy as np
 import scipy.sparse as sparse
 
-from .hermitian import HermitianMatrix, as_array, op_norm
+from .hermitian import as_array, checked_hermitian, op_norm
 
 MAX_MODES = 12
 
@@ -123,7 +123,7 @@ def second_quantize(rep: FockRep, h_one) -> sparse.csr_matrix:
     n = rep.modes
     if hm.shape != (n, n):
         raise ValueError(f"one-particle matrix has shape {hm.shape}, expected ({n}, {n})")
-    lift = sparse.kron(HermitianMatrix(hm).m, rep.identity(), format="csr")
+    lift = sparse.kron(checked_hermitian(hm), rep.identity(), format="csr")
     return rep.jw @ lift @ rep.jw.conj().T
 
 
@@ -146,7 +146,6 @@ class QuasiFreeFlow:
     """
 
     rep: FockRep
-    one_particle_h: np.ndarray
     second_quantized: sparse.csr_matrix
 
     @functools.cached_property
@@ -183,9 +182,7 @@ class QuasiFreeFlow:
 
 
 def quasi_free_flow(rep: FockRep, h_one) -> QuasiFreeFlow:
-    hm = HermitianMatrix(as_array(h_one)).m
-    return QuasiFreeFlow(rep=rep, one_particle_h=hm,
-                         second_quantized=second_quantize(rep, hm))
+    return QuasiFreeFlow(rep=rep, second_quantized=second_quantize(rep, h_one))
 
 
 def quasi_free_generator(flow: QuasiFreeFlow, x):
@@ -205,7 +202,7 @@ def rank_perturbation_norms(t_matrix) -> tuple[float, float]:
     of the eigenvalues, so ‖b‖ = max(sum of positive, -sum of negative);
     equality with Tr|T| holds exactly when the eigenvalues share a sign.
     """
-    lam = np.linalg.eigvalsh(HermitianMatrix(as_array(t_matrix)).m)
+    lam = np.linalg.eigvalsh(checked_hermitian(t_matrix))
     positive = float(np.sum(lam[lam > 0]))
     negative = float(-np.sum(lam[lam < 0]))
     return max(positive, negative), positive + negative
@@ -286,7 +283,7 @@ class ResidualVector:
 def residual_vector(h, xi) -> ResidualVector:
     """Split H xi into its xi-component c = (H xi | xi) and the orthogonal
     remainder; eta_unit is the zero vector when the remainder is below 1e-12."""
-    hm = HermitianMatrix(as_array(h)).m
+    hm = checked_hermitian(h)
     xv = np.asarray(xi, dtype=np.complex128)
     norm = float(np.linalg.norm(xv))
     if abs(norm - 1.0) > 1e-10:

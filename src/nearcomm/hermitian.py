@@ -1,4 +1,8 @@
-"""Hermitian matrix core: decompositions, functional calculus, norms.
+"""Hermitian matrices as plain arrays: checks, decompositions, functional
+calculus, norms.
+
+Matrices go in and come out as complex128 arrays; checked_hermitian
+validates an input, and every Hermitian result is read-only.
 
 Tolerances are relative: HERMITICITY_RTOL to max(1, max|A_ij|), op_norm's
 Hermitian test to max|A_ij| with no floor, CLUSTER_RTOL to max(1, ||A||).
@@ -13,55 +17,45 @@ import numpy as np
 
 from .errors import EigensolverError, FunctionDomainError
 
-HERMITICITY_RTOL = 1e-12       # entrywise check on construction, times max(1, max|A_ij|)
+HERMITICITY_RTOL = 1e-12       # entrywise check in checked_hermitian, times max(1, max|A_ij|)
 ENDPOINT_RTOL = 1e-12          # window endpoint assignment, times max(1, scale)
 CLUSTER_RTOL = 1e-10           # eigenvalue cluster width, times max(1, ||A||)
 
 
 def as_array(x) -> np.ndarray:
-    """Unwrap a HermitianMatrix (or pass through an ndarray) as complex128."""
-    if isinstance(x, HermitianMatrix):
-        return x.m
+    """x as a complex128 array, without a copy when it already is one."""
     return np.asarray(x, dtype=np.complex128)
 
 
-def hermitian_part(m) -> "HermitianMatrix":
-    """Exactly symmetrize an almost-Hermitian array and wrap it."""
-    arr = np.asarray(m, dtype=np.complex128)
-    return HermitianMatrix(0.5 * (arr + arr.conj().T), _checked=True)
+def _square(x) -> np.ndarray:
+    arr = as_array(x)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
 
 
-class HermitianMatrix:
-    """Immutable complex square matrix with A = A*.
+def hermitian_part(m) -> np.ndarray:
+    """(m + m*) / 2 for a square array, exactly self-adjoint and read-only."""
+    arr = _square(m)
+    out = 0.5 * (arr + arr.conj().T)
+    out.flags.writeable = False
+    return out
 
-    Construction verifies finiteness and self-adjointness entrywise to
-    1e-12 max(1, max|A_ij|), since the rounding of u a u* grows with the
-    entries, and then stores the exactly symmetrized entries, read-only.
+
+def checked_hermitian(x) -> np.ndarray:
+    """x as a Hermitian array: its symmetrized entries, read-only.
+
+    Verifies a square shape, finite entries and self-adjointness entrywise
+    to HERMITICITY_RTOL max(1, max|A_ij|), since the rounding of u a u*
+    grows with the entries.
     """
-
-    __slots__ = ("m", "n")
-
-    def __init__(self, entries, _checked: bool = False):
-        arr = np.array(entries, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not _checked:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("matrix has non-finite entries (NaN or inf)")
-            asym = np.max(np.abs(arr - arr.conj().T), initial=0.0)
-            if asym > HERMITICITY_RTOL * max(1.0, np.max(np.abs(arr), initial=0.0)):
-                raise ValueError(
-                    f"matrix is not self-adjoint: max |A - A*| entry = {asym:.3e}")
-        arr = 0.5 * (arr + arr.conj().T)
-        arr.flags.writeable = False
-        object.__setattr__(self, "m", arr)
-        object.__setattr__(self, "n", arr.shape[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianMatrix is immutable")
-
-    def __repr__(self):
-        return f"HermitianMatrix(n={self.n})"
+    arr = _square(x)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has non-finite entries (NaN or inf)")
+    asym = np.max(np.abs(arr - arr.conj().T), initial=0.0)
+    if asym > HERMITICITY_RTOL * max(1.0, np.max(np.abs(arr), initial=0.0)):
+        raise ValueError(f"matrix is not self-adjoint: max |A - A*| entry = {asym:.3e}")
+    return hermitian_part(arr)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,7 +157,7 @@ def spectral_decomp(a) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=vals, basis=vecs)
 
 
-def func_calc(a, f) -> HermitianMatrix:
+def func_calc(a, f) -> np.ndarray:
     """Apply a real function to a Hermitian matrix through its spectrum."""
     dec = spectral_decomp(a)
     # out-of-domain values surface as non-finite entries and are rejected

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, as_array, commutator, hermitian_part, op_norm
+from .hermitian import as_array, commutator, hermitian_part, op_norm
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 200
@@ -54,16 +54,16 @@ class CommutingPair:
     dist_b: float
     report: SolverReport | None = None
 
-    def a1(self) -> HermitianMatrix:
+    def a1(self) -> np.ndarray:
         u = self.basis
         return hermitian_part((u * self.diag_a) @ u.conj().T)
 
-    def b1(self) -> HermitianMatrix:
+    def b1(self) -> np.ndarray:
         u = self.basis
         return hermitian_part((u * self.diag_b) @ u.conj().T)
 
     def commutation_residual(self) -> float:
-        return op_norm(commutator(self.a1().m, self.b1().m))
+        return op_norm(commutator(self.a1(), self.b1()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,8 +31,8 @@ import numpy as np
 
 from ._quad import _leggauss, gl_nodes
 from .errors import QuadratureError
-from .hermitian import HermitianMatrix, as_array, hermitian_part, op_norm, \
-    commutator, func_calc, spectral_decomp
+from .hermitian import as_array, hermitian_part, op_norm, commutator, func_calc, \
+    spectral_decomp
 
 BAND_HALF_WIDTH = 0.5          # Fourier support of the mollifier: (-1/2, 1/2)
 RAMP_HALF_WIDTH = 0.25         # bump support for both kernels: (-1/4, 1/4)
@@ -269,7 +269,7 @@ def build_step() -> StepKernel:
     return StepKernel(c_const=c2)
 
 
-def band_smooth(a, b) -> HermitianMatrix:
+def band_smooth(a, b) -> np.ndarray:
     """Average b over the spectral flow of a, band-limiting it to |dl| < 1/2.
 
     In the eigenbasis of a the result is entrywise b_ij * F(l_i - l_j);
@@ -290,8 +290,7 @@ def lipschitz_commutator_check(a, b):
     Returns (lhs, rhs); lhs <= rhs up to quadrature slack.
     """
     kernel = build_step()
-    fa = func_calc(a, kernel)
-    lhs = op_norm(commutator(as_array(b), fa.m))
+    lhs = op_norm(commutator(b, func_calc(a, kernel)))
     rhs = kernel.c_const * op_norm(commutator(a, b))
     return lhs, rhs
 

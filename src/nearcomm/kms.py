@@ -26,8 +26,8 @@ import numpy as np
 from ._quad import _leggauss, gl_nodes
 from .ensembles import random_hermitian
 from .errors import NearcommError, SpectralGapMissing
-from .hermitian import (HermitianMatrix, SpectralDecomposition, as_array,
-                        commutator, hermitian_part, op_norm)
+from .hermitian import (SpectralDecomposition, as_array, checked_hermitian, commutator,
+                        hermitian_part, op_norm)
 from .serialize import csv_text, fmt_float
 
 PROJECTION_ATOL = 1e-10
@@ -49,13 +49,10 @@ def _logsumexp(values: np.ndarray) -> float:
 class KmsState:
     """Gibbs state exp(-c h)/Z for the flow generated by h; log_z = log Z."""
 
-    h: HermitianMatrix
+    h: np.ndarray
     c: float
     rho: np.ndarray
     log_z: float
-
-    def expect(self, x) -> complex:
-        return complex(np.trace(self.rho @ as_array(x)))
 
 
 def _check_c(c: float) -> None:
@@ -66,12 +63,12 @@ def _check_c(c: float) -> None:
 def gibbs(h, c: float) -> KmsState:
     """Gibbs state at inverse-temperature parameter c (either sign, nonzero)."""
     _check_c(c)
-    hm = HermitianMatrix(as_array(h))
-    lam, v = np.linalg.eigh(hm.m)
+    hm = checked_hermitian(h)
+    lam, v = np.linalg.eigh(hm)
     exponents = -c * lam
     shift = float(np.max(exponents))
     weights = np.exp(exponents - shift)
-    rho = hermitian_part((v * (weights / weights.sum())) @ v.conj().T).m
+    rho = hermitian_part((v * (weights / weights.sum())) @ v.conj().T)
     return KmsState(h=hm, c=float(c), rho=rho, log_z=_logsumexp(exponents))
 
 
@@ -84,7 +81,7 @@ def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
     entries up to e^{|c| spread(h)} |y|, so the rounding error of the
     residual grows like 1e-16 e^{|c| spread(h)}, for the Gibbs density too.
     """
-    dec = SpectralDecomposition(*np.linalg.eigh(HermitianMatrix(as_array(h)).m))
+    dec = SpectralDecomposition(*np.linalg.eigh(checked_hermitian(h)))
     xm, ym = as_array(x), as_array(y)
     worst = 0.0
     for t in t_samples:
@@ -95,7 +92,7 @@ def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
 
 
 def kms_verify(state: KmsState, x, y) -> float:
-    return boundary_residual(state.rho, state.h.m, state.c, x, y, (-1.0, 0.0, 1.0))
+    return boundary_residual(state.rho, state.h, state.c, x, y, (-1.0, 0.0, 1.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,8 +105,6 @@ class PerturbedFunctional:
     basis, each formed in the exponent so none loses digits at large |c|.
     """
 
-    base: KmsState
-    perturb: HermitianMatrix
     density: np.ndarray
     weight: float
     basis: np.ndarray
@@ -123,9 +118,8 @@ class PerturbedFunctional:
 
 
 def perturbed_functional(state: KmsState, b) -> PerturbedFunctional:
-    bm = HermitianMatrix(as_array(b))
     c = state.c
-    mu, w = np.linalg.eigh(state.h.m + bm.m)
+    mu, w = np.linalg.eigh(state.h + checked_hermitian(b))
     log_weight = _logsumexp(-c * mu) - state.log_z
     try:
         weight = math.exp(log_weight)
@@ -133,9 +127,8 @@ def perturbed_functional(state: KmsState, b) -> PerturbedFunctional:
         raise NearcommError(f"functional weight exp({log_weight:.6g}) is beyond "
                             f"the float range at c = {c:g}") from None
     spectrum = np.exp(-c * mu - state.log_z)
-    density = hermitian_part((w * spectrum) @ w.conj().T).m
-    return PerturbedFunctional(base=state, perturb=bm, density=density,
-                               weight=weight, basis=w, spectrum=spectrum)
+    density = hermitian_part((w * spectrum) @ w.conj().T)
+    return PerturbedFunctional(density=density, weight=weight, basis=w, spectrum=spectrum)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,10 +158,10 @@ def symmetry_action(state: KmsState, w) -> SymmetryActionResult:
     n = wm.shape[0]
     if op_norm(wm.conj().T @ wm - np.eye(n)) > UNITARY_ATOL:
         raise ValueError("w is not unitary within 1e-10")
-    dec = SpectralDecomposition(*np.linalg.eigh(state.h.m))
+    dec = SpectralDecomposition(*np.linalg.eigh(state.h))
     cocycle = dec.evolve(1j * state.c, wm) @ wm.conj().T
     raw = cocycle @ wm @ state.rho @ wm.conj().T
-    density = hermitian_part(raw).m
+    density = hermitian_part(raw)
     density = density / float(np.trace(density).real)
     return SymmetryActionResult(density=density,
                                 residual=trace_norm(density - state.rho),
@@ -295,7 +288,7 @@ def close_projection_isometry(e1, e2) -> np.ndarray:
         if op_norm(em @ em - em) > PROJECTION_ATOL or op_norm(em - em.conj().T) > PROJECTION_ATOL:
             raise ValueError(f"{name} is not an orthogonal projection within 1e-10")
     prod = e1m @ e2m
-    gram = hermitian_part(prod.conj().T @ prod).m    # e2 e1 e2
+    gram = hermitian_part(prod.conj().T @ prod)    # e2 e1 e2
     lam, w = np.linalg.eigh(gram)
     zero_tol = 1e-10
     lower_edge = float(_KNOTS[1])
@@ -348,7 +341,7 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     numerical breakdown, not a violation, and raises NearcommError.
     """
     _check_c(c)
-    hm, b1m, b2m = (HermitianMatrix(as_array(m)).m for m in (h, b1, b2))
+    hm, b1m, b2m = (checked_hermitian(m) for m in (h, b1, b2))
     e1m, e2m = as_array(e1), as_array(e2)
     n = hm.shape[0]
     k1, k2 = hm + b1m, hm + b2m
@@ -410,6 +403,8 @@ def kms_experiment(trials: int, c: float, seed: int, *,
     rhs - lhs < 0 marks a violation, and m_norm is the M that scales rhs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not len(dims):
+        raise ValueError("dims must be nonempty")
 
     rows = []
     for trial in range(trials):

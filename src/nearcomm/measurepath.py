@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DegenerateMeasure, MomentInfeasible
-from .serialize import dump_json, load_json
+from .serialize import load_json
 
 NORM_ATOL = 1e-12
 MEAN_MATCH_ATOL = 1e-10
@@ -312,10 +312,6 @@ def measure_from_json(obj: dict) -> DiscreteMeasureState:
         raise ValueError(f"amplitude norm^2 is {nrm}, expected 1 within 1e-9")
     amp = amp / np.sqrt(nrm)
     return discrete_measure_state(atoms, weights, amp)
-
-
-def save_measure(path: str, state: DiscreteMeasureState) -> None:
-    dump_json(path, measure_to_json(state))
 
 
 def load_measure(path: str) -> DiscreteMeasureState:

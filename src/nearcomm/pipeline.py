@@ -107,7 +107,7 @@ def tridiagonal_check(part: ProjectionPartition, a, b_smoothed) -> float:
 def _orthonormalize(w: np.ndarray) -> np.ndarray:
     """Polar correction w (w*w)^(-1/2); w is already unitary to ~1e-9, and a
     Gram eigenvalue farther than GRAM_TOL from 1 raises BlockNormViolation."""
-    gram = hermitian_part(w.conj().T @ w).m
+    gram = hermitian_part(w.conj().T @ w)
     vals, vecs = np.linalg.eigh(gram)
     if np.max(np.abs(vals - 1.0)) > GRAM_TOL:
         raise BlockNormViolation(
@@ -152,7 +152,7 @@ def theorem_c_correct(a, b, eps: float, *,
     dec = spectral_decomp(am)
     lam, v = dec.eigenvalues, dec.basis
     a_diag = np.diag(lam).astype(np.complex128)
-    smoothed = band_smooth(a_diag, v.conj().T @ bm @ v).m
+    smoothed = band_smooth(a_diag, v.conj().T @ bm @ v)
     part = partition(a_diag, smoothed, eps)
 
     n = am.shape[0]
@@ -168,13 +168,13 @@ def theorem_c_correct(a, b, eps: float, *,
         compress_a += q @ a_blk @ q.conj().T
         compress_b += q @ b_blk @ q.conj().T
         block_comms.append(op_norm(commutator(a_blk, b_blk)))
-        a_scaled = hermitian_part((a_blk - (k + BLOCK_SHIFT) * np.eye(rank)) * BLOCK_SCALE).m
+        a_scaled = hermitian_part((a_blk - (k + BLOCK_SHIFT) * np.eye(rank)) * BLOCK_SCALE)
         norm_scaled = op_norm(a_scaled)
         if norm_scaled > 1.0 + BLOCK_NORM_SLACK:
             raise BlockNormViolation(
                 f"block k={k}: rescaled a-block norm {norm_scaled:.8f} exceeds 1 "
                 "(partition sandwich must have failed)")
-        inner = commuting_approximation(a_scaled, hermitian_part(b_blk).m)
+        inner = commuting_approximation(a_scaled, hermitian_part(b_blk))
         cols.append(q @ inner.basis)
         diag_a_parts.append(inner.diag_a / BLOCK_SCALE + (k + BLOCK_SHIFT))
         diag_b_parts.append(inner.diag_b)
@@ -226,6 +226,9 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for name, grid in (("dims", dims), ("nu_targets", nu_targets)):
+        if not len(grid):
+            raise ValueError(f"{name} must be nonempty")
     if eps is not None and not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     table = load_calibration()

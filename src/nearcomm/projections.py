@@ -39,14 +39,14 @@ import math
 import numpy as np
 
 from .errors import LinSolverFailure, MonotonicityViolation, SandwichViolation
-from .hermitian import (ENDPOINT_RTOL, HermitianMatrix, as_array, hermitian_part, op_norm,
+from .hermitian import (ENDPOINT_RTOL, checked_hermitian, hermitian_part, op_norm,
                         spectral_decomp)
 from .jointdiag import SolverReport, commuting_approximation
-from .kernels import RAMP_HALF_WIDTH, _step_eval
+from .kernels import BAND_HALF_WIDTH, RAMP_HALF_WIDTH, _step_eval
 
 CERTIFICATE_TOL = 1e-9
 PROJECTION_TOL = 1e-10
-LOCAL_RADIUS = 0.75        # window half-width 1/4 plus the band width 1/2 of smoothed b
+LOCAL_RADIUS = RAMP_HALF_WIDTH + BAND_HALF_WIDTH
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
     if np.any(win):
         # far from t the step is exactly 0 or 1 and no window column lives there
         near = np.abs(lam - t) < LOCAL_RADIUS
-        pair = commuting_approximation(hermitian_part(bm[np.ix_(near, near)]).m,
+        pair = commuting_approximation(hermitian_part(bm[np.ix_(near, near)]),
                                        np.diag(_step_eval(lam[near] - t)))
         report = pair.report
         if not report.converged:
@@ -157,7 +157,7 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
                 f"offdiag energy {report.offdiag_energy:.3e} after {report.sweeps} sweeps")
         q_near = pair.basis[:, pair.diag_b > 0.5]
         m_win = (q_near @ q_near.conj().T)[np.ix_(win[near], win[near])]
-        mu, w = np.linalg.eigh(hermitian_part(m_win).m)
+        mu, w = np.linalg.eigh(hermitian_part(m_win))
         if np.all(mu > 0.5) or np.all(mu <= 0.5):
             # q0 is the whole window or 0; eigh's basis of it is rounding noise
             w = np.eye(mu.size)
@@ -185,7 +185,7 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
 
 def checked_pair(a, b, eps: float):
     """a and b as Hermitian arrays of one shape, n >= 1; eps > 0 or inf."""
-    am, bm = HermitianMatrix(as_array(a)).m, HermitianMatrix(as_array(b)).m
+    am, bm = checked_hermitian(a), checked_hermitian(b)
     if bm.shape != am.shape or not am.size:
         raise ValueError(f"expected a and b of one shape, n >= 1: {am.shape}, {bm.shape}")
     if not eps > 0:

@@ -13,11 +13,11 @@ import json
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, as_array, hermitian_part
+from .hermitian import as_array, hermitian_part
 
 
 def matrix_to_json(m) -> dict:
-    arr = np.asarray(as_array(m), dtype=np.complex128)
+    arr = as_array(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return {"n": int(arr.shape[0]),
@@ -39,7 +39,7 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
     return re + 1j * im
 
 
-def hermitian_from_json(obj, field: str = "matrix") -> HermitianMatrix:
+def hermitian_from_json(obj, field: str = "matrix") -> np.ndarray:
     arr = matrix_from_json(obj, field)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"field '{field}' has non-finite entries (NaN or inf)")

@@ -48,7 +48,7 @@ def _report(label, ok, detail):
 
 def _random_hermitian(n, rng, norm=1.5):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = hermitian_part(g).m
+    h = hermitian_part(g)
     return h * (norm / op_norm(h))
 
 
@@ -82,7 +82,7 @@ def test_1_smoothing_bounds():
     exact_zero = True
     for a, b in _smoothing_ensemble():
         comm = op_norm(commutator(a, b))
-        b1 = band_smooth(a, b).m
+        b1 = band_smooth(a, b)
         dist_margin = max(dist_margin, op_norm(b - b1) - kernel.k1 * comm)
         comm_margin = max(comm_margin, op_norm(commutator(a, b1)) - comm)
         lam, v = np.linalg.eigh(a)
@@ -120,7 +120,7 @@ def _spectral_projection(am, inside):
     lam = dec.eigenvalues
     tol = ENDPOINT_RTOL * max(1.0, float(np.max(np.abs(lam))))
     cols = dec.basis[:, inside(lam, tol)]
-    return hermitian_part(cols @ cols.conj().T).m
+    return hermitian_part(cols @ cols.conj().T)
 
 
 def _edge_invariants(a, part):
@@ -166,7 +166,7 @@ def test_3_partition_invariants():
         for i_dim, n in enumerate(dims):
             for trial in range(trials):
                 inst = pair_instance(n, nu, instance_rng(seed, i_dim, i_nu, trial))
-                smoothed = band_smooth(inst.a, inst.b).m
+                smoothed = band_smooth(inst.a, inst.b)
                 total += 1
                 try:
                     part = partition(inst.a, smoothed, eps)
@@ -214,7 +214,7 @@ def test_4_correction_pipeline():
                 inst = pair_instance(n, nu, instance_rng(SEED + 2, i, j, trial))
                 eps = eps_for[nu]
                 res = theorem_c_correct(inst.a, inst.b, eps, table=table)
-                scale = max(1.0, op_norm(res.pair.a1().m))
+                scale = max(1.0, op_norm(res.pair.a1()))
                 resid = res.pair.commutation_residual() - 1e-11 * scale
                 compress = max(res.compress_defect_a, res.compress_defect_b) \
                     - (4 * eps + 1e-8)

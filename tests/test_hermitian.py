@@ -1,13 +1,17 @@
-"""Core Hermitian layer: wrappers, norms, functional calculus."""
+"""Core Hermitian layer: input checks, norms, functional calculus."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from nearcomm.errors import FunctionDomainError
-from nearcomm.hermitian import (HermitianMatrix, SpectralDecomposition,
-                                as_array, commutator, func_calc,
-                                hermitian_part, op_norm, spectral_decomp)
+from nearcomm.hermitian import (SpectralDecomposition, as_array, checked_hermitian,
+                                commutator, func_calc, hermitian_part, op_norm,
+                                spectral_decomp)
+from nearcomm.jointdiag import commuting_approximation
+from nearcomm.kernels import band_smooth
+from nearcomm.kms import gibbs
+from nearcomm.serialize import hermitian_from_json
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -19,53 +23,54 @@ def random_hermitian(n, rng):
     return 0.5 * (g + g.conj().T)
 
 
-class TestHermitianMatrix:
-    def test_wraps_and_symmetrizes(self):
-        m = HermitianMatrix([[1.0, 2.0], [2.0, 3.0]])
-        assert m.n == 2
-        np.testing.assert_array_equal(m.m, m.m.conj().T)
+class TestCheckedHermitian:
+    def test_symmetrizes(self):
+        m = checked_hermitian([[1.0, 2.0], [2.0, 3.0]])
+        assert m.shape == (2, 2)
+        np.testing.assert_array_equal(m, m.conj().T)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            HermitianMatrix(np.zeros((2, 3)))
+            checked_hermitian(np.zeros((2, 3)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="self-adjoint"):
-            HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
+            checked_hermitian([[0.0, 1.0], [0.0, 0.0]])
 
     def test_tolerance_scales_with_entries(self):
         # 1e-12 times max(1, max|A_ij|): rounding at large norms passes,
         # the same defect at unit scale does not
-        HermitianMatrix([[1e6, 1e6 + 5e-7], [1e6, 0.0]])
+        checked_hermitian([[1e6, 1e6 + 5e-7], [1e6, 0.0]])
         with pytest.raises(ValueError, match="self-adjoint"):
-            HermitianMatrix([[1.0, 1.0 + 5e-12], [1.0, 0.0]])
-        assert HermitianMatrix(np.zeros((0, 0))).n == 0
+            checked_hermitian([[1.0, 1.0 + 5e-12], [1.0, 0.0]])
+        assert checked_hermitian(np.zeros((0, 0))).shape == (0, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            HermitianMatrix([[0.0, bad], [bad, 0.0]])
+            checked_hermitian([[0.0, bad], [bad, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            HermitianMatrix([[bad, 0.0], [0.0, 1.0]])
+            checked_hermitian([[bad, 0.0], [0.0, 1.0]])
 
     def test_immutable(self):
-        m = HermitianMatrix(SZ)
-        with pytest.raises(AttributeError):
-            m.n = 5
-        with pytest.raises(ValueError):
-            m.m[0, 0] = 7.0
+        src = SZ.copy()
+        m = checked_hermitian(src)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 7.0
+        src[0, 0] = 7.0     # the result does not alias its input
+        assert m[0, 0] == 1.0
 
     def test_hermitian_part_handles_noise(self):
         rng = np.random.default_rng(0)
         base = random_hermitian(4, rng)
         noisy = base + 1e-10 * rng.normal(size=(4, 4))
         m = hermitian_part(noisy)
-        assert op_norm(m.m - base) < 1e-9
-        np.testing.assert_array_equal(m.m, m.m.conj().T)
+        assert op_norm(m - base) < 1e-9
+        np.testing.assert_array_equal(m, m.conj().T)
 
     def test_as_array_passthrough(self):
-        m = HermitianMatrix(SX)
-        assert as_array(m) is m.m
+        m = checked_hermitian(SX)
+        assert as_array(m) is m
         arr = as_array([[1.0, 0.0], [0.0, 2.0]])
         assert arr.dtype == np.complex128
 
@@ -156,18 +161,18 @@ class TestFuncCalc:
         rng = np.random.default_rng(7)
         for _ in range(10):
             h = random_hermitian(5, rng)
-            ours = func_calc(h, np.exp).m
+            ours = func_calc(h, np.exp)
             oracle = scipy.linalg.expm(h)
             assert op_norm(ours - oracle) < 1e-11
 
     def test_identity_function(self):
         h = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        assert op_norm(func_calc(h, lambda t: t).m - h) < 1e-14
+        assert op_norm(func_calc(h, lambda t: t) - h) < 1e-14
 
     def test_square_matches_matmul(self):
         rng = np.random.default_rng(9)
         h = random_hermitian(4, rng)
-        assert op_norm(func_calc(h, np.square).m - h @ h) < 1e-12
+        assert op_norm(func_calc(h, np.square) - h @ h) < 1e-12
 
     def test_domain_error(self):
         h = np.diag([-1.0, 1.0]).astype(complex)
@@ -177,4 +182,24 @@ class TestFuncCalc:
     def test_scalar_function_accepted(self):
         h = np.diag([1.0, 4.0]).astype(complex)
         out = func_calc(h, lambda t: float(t) ** 0.5)
-        np.testing.assert_allclose(np.diag(out.m).real, [1.0, 2.0], atol=1e-14)
+        np.testing.assert_allclose(np.diag(out).real, [1.0, 2.0], atol=1e-14)
+
+
+READ_ONLY_RESULTS = {
+    "checked_hermitian": lambda: checked_hermitian(SX),
+    "hermitian_part": lambda: hermitian_part(SX + 1e-3 * SY),
+    "func_calc": lambda: func_calc(SZ, np.exp),
+    "band_smooth": lambda: band_smooth(SZ, SX),
+    "a1": lambda: commuting_approximation(SZ, SX).a1(),
+    "b1": lambda: commuting_approximation(SZ, SX).b1(),
+    "hermitian_from_json": lambda: hermitian_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
+    "gibbs_h": lambda: gibbs(SZ, 1.0).h,
+}
+
+
+@pytest.mark.parametrize("make", READ_ONLY_RESULTS.values(), ids=READ_ONLY_RESULTS.keys())
+def test_hermitian_results_are_read_only_arrays(make):
+    out = make()
+    assert type(out) is np.ndarray and out.dtype == np.complex128
+    with pytest.raises(ValueError, match="read-only"):
+        out[0, 0] = 7.0

@@ -227,7 +227,7 @@ class TestCommutingApproximation:
             pair = commuting_approximation(a, b)
             scale = max(op_norm(a), op_norm(b), 1.0)
             assert pair.commutation_residual() < 1e-13 * scale
-            assert op_norm(commutator(pair.a1().m, pair.b1().m)) < 1e-13 * scale
+            assert op_norm(commutator(pair.a1(), pair.b1())) < 1e-13 * scale
 
     def test_small_perturbation_small_distance(self):
         # sigma_z paired with a slightly tilted sigma_z: the pair is within
@@ -250,9 +250,9 @@ class TestCommutingApproximation:
         a, b = almost_commuting_pair(5, 0.03, rng)
         pair = commuting_approximation(a, b)
         u = pair.basis
-        assert op_norm(pair.a1().m - (u * pair.diag_a) @ u.conj().T) < 1e-13
-        assert op_norm(a - pair.a1().m) == pytest.approx(pair.dist_a, abs=1e-12)
-        assert op_norm(b - pair.b1().m) == pytest.approx(pair.dist_b, abs=1e-12)
+        assert op_norm(pair.a1() - (u * pair.diag_a) @ u.conj().T) < 1e-13
+        assert op_norm(a - pair.a1()) == pytest.approx(pair.dist_a, abs=1e-12)
+        assert op_norm(b - pair.b1()) == pytest.approx(pair.dist_b, abs=1e-12)
 
     def test_distance_scales_with_perturbation(self):
         dist = {}

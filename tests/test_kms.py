@@ -36,7 +36,7 @@ def random_unitary(n, rng):
 class TestGibbs:
     def test_single_spin_literal(self):
         state = gibbs(SZ, c=1.0)
-        assert state.expect(SZ).real == pytest.approx(-math.tanh(1.0), abs=1e-14)
+        assert np.trace(state.rho @ SZ).real == pytest.approx(-math.tanh(1.0), abs=1e-14)
         assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-14)
 
     def test_density_properties(self):
@@ -458,3 +458,7 @@ class TestKmsExperiment:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
             kms_experiment(0, 1.0, seed=7)
+
+    def test_rejects_empty_dims(self):
+        with pytest.raises(ValueError, match="dims must be nonempty"):
+            kms_experiment(1, 1.0, seed=7, dims=())

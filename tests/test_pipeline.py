@@ -74,7 +74,7 @@ class TestTheoremCCorrect:
         res = theorem_c_correct(inst.a, big_b, eps=0.05)
         assert res.b_rescale == pytest.approx(op_norm(big_b), abs=1e-9)
         # distances are reported in original units
-        assert op_norm(big_b - res.pair.b1().m) == pytest.approx(
+        assert op_norm(big_b - res.pair.b1()) == pytest.approx(
             res.pair.dist_b, abs=1e-10)
         assert res.pair.dist_b < 5.0 * 0.05
 
@@ -130,7 +130,7 @@ class TestTheoremCCorrect:
         a = np.diag([0.0, 1.0, 2.5]).astype(complex)
         b = np.zeros((3, 3), dtype=complex)
         b[0, 2] = b[2, 0] = 0.5
-        smoothed = band_smooth(a, b).m
+        smoothed = band_smooth(a, b)
         part = partition(a, smoothed, eps=0.5)
         assert tridiagonal_check(part, a, smoothed) < 1e-12
         # control: the unsmoothed b keeps the far entry
@@ -242,7 +242,7 @@ def eigenbasis_partition(n, a_norm, haar, seed):
     a, b = rotated if haar else (inst.a, inst.b)
     dec = spectral_decomp(a)
     a_diag = np.diag(dec.eigenvalues).astype(complex)
-    smoothed = band_smooth(a_diag, dec.basis.conj().T @ b @ dec.basis).m
+    smoothed = band_smooth(a_diag, dec.basis.conj().T @ b @ dec.basis)
     return a_diag, smoothed, partition(a_diag, smoothed, 0.1)
 
 
@@ -340,6 +340,12 @@ class TestModulusSweep:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError, match="eps"):
             modulus_sweep(dims=(4,), nu_targets=(1e-3,), trials=1, seed=15, eps=0.0)
+
+    @pytest.mark.parametrize("grid", ["dims", "nu_targets"])
+    def test_rejects_empty_grid(self, grid):
+        grids = {"dims": (4,), "nu_targets": (1e-3,), grid: ()}
+        with pytest.raises(ValueError, match=f"{grid} must be nonempty"):
+            modulus_sweep(**grids, trials=1, seed=15)
 
     def test_bad_trial_is_a_flagged_row(self):
         # pair_instance raises ValueError at n=1: that row is flagged and the

@@ -34,7 +34,7 @@ def smoothed_pair(n, nu, rng, spread=3.0):
         d /= op_norm(commutator(a, d))
         b = b + nu * d
         b /= max(1.0, op_norm(b))
-    return a, band_smooth(a, 0.5 * (b + b.conj().T)).m
+    return a, band_smooth(a, 0.5 * (b + b.conj().T))
 
 
 class TestWindowProjection:
@@ -100,7 +100,7 @@ class TestWindowProjection:
         rng = np.random.default_rng(3)
         g = random_hermitian(lam.size, rng)
         b = band_smooth(np.diag(lam).astype(complex),
-                        np.diag(rng.uniform(-1.0, 1.0, lam.size)) + 2e-3 * g).m
+                        np.diag(rng.uniform(-1.0, 1.0, lam.size)) + 2e-3 * g)
         res = projections._window_core(lam, b, float(np.max(lam)), 1.0, 0.1)
         _, win, _ = projections._split_masks(lam, 1.0, float(np.max(lam)))
         whole, empty = (res.win_in, res.win_out) if inside else (res.win_out, res.win_in)
@@ -223,7 +223,7 @@ class TestBlockStorage:
     def test_wide_spectrum_diagonal_pair(self, a_norm, monkeypatch):
         n = 16
         inst = pair_instance(n, 1e-3, instance_rng(5, 0, 0, int(a_norm)), a_norm=a_norm)
-        smoothed = band_smooth(inst.a, inst.b).m
+        smoothed = band_smooth(inst.a, inst.b)
         built = recording_window_core(monkeypatch)
         part = partition(inst.a, smoothed, eps=0.1)
         # time scales with n too: one build per reachable cut point, plus one
@@ -268,7 +268,7 @@ def certificate_pairs():
     inst = pair_instance(16, 1e-3, instance_rng(5, 0, 0, 100), a_norm=100.0)
     return {"diagonal": (a, b1),
             "haar": (u @ a @ u.conj().T, u @ b1 @ u.conj().T),
-            "wide": (inst.a, band_smooth(inst.a, inst.b).m)}
+            "wide": (inst.a, band_smooth(inst.a, inst.b))}
 
 
 class TestColumnCertificates:
@@ -365,7 +365,7 @@ class TestEdgeBuilds:
         a = np.diag(lam).astype(complex)
         d = random_hermitian(lam.size, rng)
         b = np.diag(rng.uniform(-0.5, 0.5, lam.size)) + 1e-3 * d / op_norm(commutator(a, d))
-        smoothed = band_smooth(a, b).m
+        smoothed = band_smooth(a, b)
         built = recording_window_core(monkeypatch)
         part = partition(a, smoothed, eps=0.1)
         assert len(built) <= 2 * lam.size + 1
@@ -390,7 +390,7 @@ def full_window_core(lam, bm, scale, t, eps):
         if not report.converged:
             raise LinSolverFailure(f"full edge solve stalled at t={t}")
         q_cols = pair.basis[:, pair.diag_b > 0.5]
-        mu, w = np.linalg.eigh(hermitian_part(e_win.T @ q_cols @ q_cols.conj().T @ e_win).m)
+        mu, w = np.linalg.eigh(hermitian_part(e_win.T @ q_cols @ q_cols.conj().T @ e_win))
         win_in, win_out = e_win @ w[:, mu > 0.5], e_win @ w[:, mu <= 0.5]
     cols = np.concatenate([win_in, e_hi], axis=1)
     sandwich_lo = projections._outside_norm(e_hi, cols)
@@ -502,7 +502,7 @@ class TestLocalEdgeSolve:
         a = np.diag(np.linspace(0.0, 2.0, 16)).astype(complex)
         d = random_hermitian(16, rng)
         b1 = band_smooth(a, np.diag(rng.uniform(-1.0, 1.0, 16))
-                         + 1e-3 * d / op_norm(commutator(a, d))).m
+                         + 1e-3 * d / op_norm(commutator(a, d)))
         t = 1.0
         assert window_projection(a, b1, t=t, eps=0.05).comm_a < 1e-3
         real = projections.commuting_approximation

@@ -42,7 +42,7 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_from_json(obj, field="b")
         ok = hermitian_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]})
-        assert op_norm(ok.m - np.array([[0, 1], [1, 0]])) < 1e-15
+        assert op_norm(ok - np.array([[0, 1], [1, 0]])) < 1e-15
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rejected_with_field(self, bad):
@@ -116,6 +116,11 @@ class TestCalibrationTable:
         assert fixture_path() == os.path.join(str(tmp_path), "calibration.json")
         save_calibration(table)
         assert load_calibration().nu_admissible == (0.123,)
+
+    @pytest.mark.parametrize("grid", ["eps_grid", "nu_grid", "dims"])
+    def test_build_calibration_rejects_empty_grid(self, grid):
+        with pytest.raises(ValueError, match=f"{grid} must be nonempty"):
+            build_calibration(**{grid: ()}, trials=1)
 
     def test_build_calibration_small(self, tmp_path):
         # tiny grid, checks the statistic wiring rather than the numbers
