@@ -11,7 +11,7 @@ hard-codes them.
 import numpy as np
 
 from nearcomm import (band_smooth, build_mollifier, build_step, commutator,
-                      kernel_dump, lipschitz_commutator_check, op_norm)
+                      lipschitz_commutator_check, op_norm)
 
 mol = build_mollifier()
 step = build_step()
@@ -19,7 +19,6 @@ step = build_step()
 print("kernel constants")
 print(f"  k1      = {mol.k1:.12f}   (||b - b1|| <= k1 ||[a,b]||)")
 print(f"  c_const = {step.c_const:.12f}   (||[b, f(a)]|| <= c_const ||[a,b]||)")
-print(f"  dump payload keys: {sorted(kernel_dump())}")
 
 # one concrete pair: a with spectrum spread over ~4 units, b a contraction
 rng = np.random.default_rng(7)

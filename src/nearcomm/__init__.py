@@ -63,7 +63,6 @@ from .kernels import (
     band_smooth,
     build_mollifier,
     build_step,
-    kernel_dump,
     lipschitz_commutator_check,
 )
 from .kms import (

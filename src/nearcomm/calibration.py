@@ -100,6 +100,8 @@ def build_calibration(eps_grid=DEFAULT_EPS_GRID, nu_grid=DEFAULT_NU_GRID,
     for name, grid in (("eps_grid", eps_grid), ("nu_grid", nu_grid), ("dims", dims)):
         if not len(grid):
             raise ValueError(f"{name} must be nonempty")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     by_nu = {nu: [] for nu in nu_grid}
     for i_dim, n in enumerate(dims):
         for i_nu, nu in enumerate(nu_grid):

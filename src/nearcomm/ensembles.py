@@ -13,6 +13,7 @@ trial), so results are reproducible and independent of execution order.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -49,6 +50,8 @@ def pair_instance(n: int, nu_target: float, rng: np.random.Generator,
     renormalized once so the measured commutator lands within ~5% of the
     target even after b is pulled back inside the unit ball.
     """
+    if not math.isfinite(nu_target):
+        raise ValueError(f"nu_target must be finite, got {nu_target}")
     if nu_target < 0:
         raise ValueError("nu_target must be nonnegative")
     a = np.diag(rng.uniform(0.0, a_norm, n)).astype(np.complex128)

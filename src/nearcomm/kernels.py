@@ -40,7 +40,6 @@ _TIME_CUTOFF = 1200.0          # |psi(t)|^2 ~ 1e-19 here; tails are negligible
 _FREQ_CUTOFF = 1000.0          # |slope transform| ~ 2e-9 here, tail ~ 1e-7
 _K1_PANELS = 32                # Gauss-Legendre panels (16 nodes) for k1
 _BISECTIONS = 45               # halvings of a <= 1/4 scan bracket: width < 1e-14
-DUMP_POINTS = 256              # samples per kernel in the dump payloads
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -60,11 +59,12 @@ def _bump_quarter(x: np.ndarray) -> np.ndarray:
     return _bump(4.0 * np.asarray(x, dtype=float))
 
 
-@lru_cache(maxsize=1)
-def _autocorr_norm() -> float:
-    """A(0) = integral of the squared quarter-bump."""
+@lru_cache(maxsize=2)
+def _bump_moment(power: int) -> float:
+    """Integral of the quarter-bump to a power: 2 gives the autocorrelation
+    A(0), 1 the mass that normalizes the ramp slope."""
     x, w = gl_nodes(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, 256)
-    return float(w @ (_bump_quarter(x) ** 2))
+    return float(w @ (_bump_quarter(x) ** power))
 
 
 def _autocorr(omega: np.ndarray) -> np.ndarray:
@@ -125,22 +125,12 @@ class MollifierKernel:
         statements hold structurally.
         """
         om = np.asarray(omega, dtype=float)
-        return _autocorr(om) / _autocorr_norm()
+        return _autocorr(om) / _bump_moment(2)
 
     def time_profile(self, t) -> np.ndarray:
         """The mollifier f(t) itself (unit mass, nonnegative)."""
-        z = _autocorr_norm() / (2.0 * np.pi)
+        z = _bump_moment(2) / (2.0 * np.pi)
         return _psi(np.asarray(t, dtype=float)) ** 2 / z
-
-    def dump(self) -> dict:
-        """Transfer function F sampled on DUMP_POINTS points of [-1/2, 1/2];
-        F vanishes outside (-1/2, 1/2), so the endpoint samples are 0.0."""
-        grid = np.linspace(-BAND_HALF_WIDTH, BAND_HALF_WIDTH, DUMP_POINTS)
-        return {
-            "grid": grid.tolist(),
-            "values": self.multiplier(grid).tolist(),
-            "k1": self.k1,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,21 +146,6 @@ class StepKernel:
     def __call__(self, x) -> np.ndarray:
         return _step_eval(np.asarray(x, dtype=float))
 
-    def dump(self) -> dict:
-        """The ramp sampled on DUMP_POINTS points of [-1/4, 1/4]."""
-        grid = np.linspace(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, DUMP_POINTS)
-        return {
-            "grid": grid.tolist(),
-            "values": self(grid).tolist(),
-            "c_const": self.c_const,
-        }
-
-
-@lru_cache(maxsize=1)
-def _slope_norm() -> float:
-    x, w = gl_nodes(-RAMP_HALF_WIDTH, RAMP_HALF_WIDTH, 256)
-    return float(w @ _bump_quarter(x))
-
 
 def _step_eval(x: np.ndarray) -> np.ndarray:
     """Cumulative integral of the normalized quarter-bump, clamped to {0, 1}."""
@@ -184,7 +159,7 @@ def _step_eval(x: np.ndarray) -> np.ndarray:
         half = 0.5 * (tv + RAMP_HALF_WIDTH)
         nodes = -RAMP_HALF_WIDTH + half[:, None] * (base[None, :] + 1.0)
         # the cumulative quadrature can overshoot [0, 1] by rounding noise
-        out[mid] = np.clip((_bump_quarter(nodes) @ wts) * half / _slope_norm(),
+        out[mid] = np.clip((_bump_quarter(nodes) @ wts) * half / _bump_moment(1),
                            0.0, 1.0)
     return float(out[0]) if scalar else out
 
@@ -196,7 +171,7 @@ def _slope_transform(t: np.ndarray, k: int = 256) -> np.ndarray:
     The order k must resolve ~t/8 oscillation nodes; the default covers the
     integration range used for c_const with a 2x margin.
     """
-    return _cosine_transform(t, k, _slope_norm())
+    return _cosine_transform(t, k, _bump_moment(1))
 
 
 def _sign_cuts(scan_step: float, transform_order: int) -> np.ndarray:
@@ -245,7 +220,7 @@ def build_mollifier() -> MollifierKernel:
     QuadratureError on disagreement.
     """
     edges = np.linspace(0.0, _TIME_CUTOFF, _K1_PANELS + 1)[:, None]
-    z = _autocorr_norm() / (2.0 * np.pi)
+    z = _bump_moment(2) / (2.0 * np.pi)
 
     def panel_sums(order):      # (k1, unit mass): integrals of psi^2 * t, psi^2
         t, w = gl_nodes(edges[:-1], edges[1:], order)
@@ -293,8 +268,3 @@ def lipschitz_commutator_check(a, b):
     lhs = op_norm(commutator(b, func_calc(a, kernel)))
     rhs = kernel.c_const * op_norm(commutator(a, b))
     return lhs, rhs
-
-
-def kernel_dump() -> dict:
-    """Combined kernel fixture: Fourier samples plus both constants."""
-    return {**build_mollifier().dump(), "c_const": build_step().c_const}

@@ -137,7 +137,6 @@ class SymmetryActionResult:
 
     density: np.ndarray
     residual: float
-    cocycle_norm: float
 
 
 def trace_norm(x: np.ndarray) -> float:
@@ -164,8 +163,7 @@ def symmetry_action(state: KmsState, w) -> SymmetryActionResult:
     density = hermitian_part(raw)
     density = density / float(np.trace(density).real)
     return SymmetryActionResult(density=density,
-                                residual=trace_norm(density - state.rho),
-                                cocycle_norm=op_norm(cocycle))
+                                residual=trace_norm(density - state.rho))
 
 
 def _taper_coeffs():

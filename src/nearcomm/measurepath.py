@@ -63,6 +63,9 @@ def discrete_measure_state(atoms, weights, amplitude) -> DiscreteMeasureState:
         raise ValueError("atoms must be a nonempty 1-d sequence")
     if weights.shape != atoms.shape or amplitude.shape != atoms.shape:
         raise ValueError("atoms, weights, and amplitude must have equal length")
+    for name, arr in (("atoms", atoms), ("weights", weights), ("amplitude", amplitude)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
     if np.any(np.diff(atoms) <= 0):
         raise ValueError("atoms must be strictly ascending")
     if np.any(weights <= 0):
@@ -143,9 +146,6 @@ class MeasurePath:
         d_norm = max(abs(s.norm_sq() - 1.0) for s in self.states)
         return d_mean, d_var, d_norm
 
-    def final_state(self) -> DiscreteMeasureState:
-        return self.states[-1]
-
 
 def _with_masses(state: DiscreteMeasureState, masses: np.ndarray,
                  phase: np.ndarray | None = None) -> DiscreteMeasureState:
@@ -176,17 +176,16 @@ def _stage_mass_plan(masses: np.ndarray, atoms: np.ndarray, target_idx,
     """
     target_idx = np.asarray(target_idx)
     targets = atoms[target_idx]
-    non_target = np.array([i for i in range(atoms.size)
-                           if i not in set(target_idx)], dtype=np.intp)
-    dist = np.array([np.min(np.abs(atoms[i] - targets)) for i in non_target])
-    order = non_target[np.argsort(-dist, kind="stable")]
+    non_target = np.setdiff1d(np.arange(atoms.size), target_idx)
+    dist = np.min(np.abs(atoms[non_target, None] - targets[None, :]), axis=1)
+    by_far = np.argsort(-dist, kind="stable")
+    order, radii = non_target[by_far], dist[by_far]
     live = masses[order] > 0
-    order = order[live]
+    order, radii = order[live], radii[live]
 
     # geometric schedule: stage j removes atoms down to radius r_max * q^(j+1)
     plans = []
     if order.size:
-        radii = np.array([np.min(np.abs(atoms[i] - targets)) for i in order])
         r_max, r_min = float(radii[0]), float(radii[-1])
         q = (0.5 * r_min / max(r_max, r_min, 1e-300)) ** (1.0 / stages)
         cuts = r_max * q ** np.arange(1, stages + 1)
@@ -207,7 +206,7 @@ def _stage_mass_plan(masses: np.ndarray, atoms: np.ndarray, target_idx,
             kept = np.array([np.sum(trial), np.sum(atoms * trial),
                              np.sum(atoms ** 2 * trial)])
             deficit = np.array([1.0, c, v + c * c]) - kept
-            sol = _solve_targets(tuple(atoms[target_idx]), deficit)
+            sol = _solve_targets(tuple(targets), deficit)
             if np.all(sol > 0.0):
                 trial[target_idx] = sol
                 plans.append(trial)
@@ -216,7 +215,7 @@ def _stage_mass_plan(masses: np.ndarray, atoms: np.ndarray, target_idx,
             if stage_end >= order.size:
                 raise MomentInfeasible(
                     "three-point moment system has a nonpositive weight "
-                    f"(targets {tuple(atoms[target_idx])}, weights {sol})")
+                    f"(targets {tuple(targets)}, weights {sol})")
             stage_end = min(order.size, stage_end + 1)
     return plans
 
@@ -235,22 +234,16 @@ def three_point_path(state: DiscreteMeasureState) -> MeasurePath:
     flat_states = _phase_flatten_states(state)
     flat = flat_states[-1]
     masses = flat.masses()
-    c, v = flat.mean(), flat.variance()
-
     if support.size == 2:
         # mass on two atoms sits exactly on the moment boundary; the only
         # admissible motion is the phase flattening itself
-        states = [state] + flat_states
-        stage_ids = [0] * len(states)
-        times = np.linspace(0.0, 1.0, len(states), endpoint=False)
-        return MeasurePath(times=times, states=tuple(states),
-                           stages=tuple(stage_ids),
-                           target_atoms=tuple(float(s) for s in support))
-
-    s1, s2, s3 = select_three_points(flat)
-    target_idx = np.array([int(np.flatnonzero(state.atoms == s)[0])
-                           for s in (s1, s2, s3)])
-    plans = _stage_mass_plan(masses, state.atoms, target_idx, c, v, DEFAULT_STAGES)
+        targets, plans = tuple(float(s) for s in support), []
+    else:
+        targets = select_three_points(flat)
+        target_idx = np.array([int(np.flatnonzero(state.atoms == s)[0])
+                               for s in targets])
+        plans = _stage_mass_plan(masses, state.atoms, target_idx, flat.mean(),
+                                 flat.variance(), DEFAULT_STAGES)
 
     states = [state] + flat_states
     stage_ids = [0] * len(states)
@@ -265,7 +258,7 @@ def three_point_path(state: DiscreteMeasureState) -> MeasurePath:
         prev = plan
     times = np.linspace(0.0, 1.0, len(states), endpoint=False)
     return MeasurePath(times=times, states=tuple(states), stages=tuple(stage_ids),
-                       target_atoms=(s1, s2, s3))
+                       target_atoms=targets)
 
 
 def trace_header(n_atoms: int) -> tuple:
@@ -281,13 +274,6 @@ def trace_rows(path: MeasurePath):
         rows.append((stage, float(t), st.mean(), st.variance(),
                      int(np.sum(np.abs(st.amplitude) > 0)), *map(float, m)))
     return rows
-
-
-def measure_to_json(state: DiscreteMeasureState) -> dict:
-    return {"atoms": [float(x) for x in state.atoms],
-            "weights": [float(x) for x in state.weights],
-            "xi_re": [float(x) for x in state.amplitude.real],
-            "xi_im": [float(x) for x in state.amplitude.imag]}
 
 
 def measure_from_json(obj: dict) -> DiscreteMeasureState:

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import LinSolverFailure, MonotonicityViolation, SandwichViolation
 from .hermitian import (ENDPOINT_RTOL, checked_hermitian, hermitian_part, op_norm,
                         spectral_decomp)
-from .jointdiag import SolverReport, commuting_approximation
+from .jointdiag import commuting_approximation
 from .kernels import BAND_HALF_WIDTH, RAMP_HALF_WIDTH, _step_eval
 
 CERTIFICATE_TOL = 1e-9
@@ -68,7 +68,6 @@ class WindowProjectionResult:
     sandwich_hi: float
     win_in: np.ndarray
     win_out: np.ndarray
-    inner_report: SolverReport | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,7 +143,7 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
     """Edge at cut point t for a = diag(lam), scale = max |lam|."""
     lo, win, hi = _split_masks(lam, t, scale)
     # an empty window has q0 = 0 regardless of b, so p = E_a[t+1/4,oo)
-    report, mu, w = None, np.zeros(0), np.zeros((0, 0))
+    mu, w = np.zeros(0), np.zeros((0, 0))
     if np.any(win):
         # far from t the step is exactly 0 or 1 and no window column lives there
         near = np.abs(lam - t) < LOCAL_RADIUS
@@ -180,7 +179,7 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
             f"comm_a={comm_a:.3e} comm_b={comm_b:.3e} (commutator of inputs too large)")
     return WindowProjectionResult(cols=cols, comm_a=comm_a, comm_b=comm_b,
                                   sandwich_lo=sandwich_lo, sandwich_hi=sandwich_hi,
-                                  win_in=win_in, win_out=win_out, inner_report=report)
+                                  win_in=win_in, win_out=win_out)
 
 
 def checked_pair(a, b, eps: float):

@@ -20,6 +20,7 @@ def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # a warning in a demo fails, as it does in the tests
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

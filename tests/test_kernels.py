@@ -9,8 +9,7 @@ from nearcomm.errors import QuadratureError
 from nearcomm.kernels import (BAND_HALF_WIDTH, RAMP_HALF_WIDTH, _FREQ_CUTOFF,
                               _abs_transform_integral, _sign_cuts,
                               _slope_transform, band_smooth, build_mollifier,
-                              build_step, kernel_dump,
-                              lipschitz_commutator_check)
+                              build_step, lipschitz_commutator_check)
 from nearcomm.hermitian import commutator, op_norm, spectral_decomp
 
 # constants pinned after convergence studies; the oracles below recompute
@@ -92,12 +91,6 @@ class TestMollifierShape:
         t = np.linspace(-30.0, 30.0, 2001)
         assert np.all(kern.time_profile(t) >= 0)
 
-    def test_dump_payload(self):
-        d = build_mollifier().dump()
-        assert set(d) == {"grid", "values", "k1"}
-        assert len(d["grid"]) == len(d["values"]) == 256
-        assert d["values"][0] == 0.0 and d["values"][-1] == 0.0
-
 
 class TestStepKernel:
     def test_c_const_pinned(self):
@@ -134,15 +127,6 @@ class TestStepKernel:
         step = build_step()
         x = np.linspace(-0.24, 0.24, 49)
         np.testing.assert_allclose(step(x) + step(-x), np.ones_like(x), atol=1e-12)
-
-    def test_dump_payload(self):
-        d = build_step().dump()
-        assert set(d) == {"grid", "values", "c_const"}
-        assert d["values"][0] == 0.0 and d["values"][-1] == 1.0
-
-    def test_kernel_dump_combined(self):
-        d = kernel_dump()
-        assert set(d) == {"grid", "values", "k1", "c_const"}
 
 
 class TestBandSmooth:

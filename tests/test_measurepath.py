@@ -10,9 +10,8 @@ from nearcomm import measurepath
 from nearcomm.errors import DegenerateMeasure, MomentInfeasible
 from nearcomm.measurepath import (DiscreteMeasureState, discrete_measure_state,
                                   load_measure, measure_from_json,
-                                  measure_to_json, select_three_points,
-                                  three_point_path, three_point_weights,
-                                  trace_header, trace_rows)
+                                  select_three_points, three_point_path,
+                                  three_point_weights, trace_header, trace_rows)
 
 GAUSSIAN_FIXTURE = pathlib.Path(__file__).resolve().parents[1] / "demos" \
     / "measure_gaussian16.json"
@@ -56,6 +55,15 @@ class TestStateValidation:
     def test_rejects_unnormalized_amplitude(self):
         with pytest.raises(ValueError, match="xi"):
             discrete_measure_state([0.0, 1.0], [0.5, 0.5], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["atoms", "weights", "amplitude"])
+    def test_rejects_non_finite(self, field, bad):
+        args = {"atoms": [0.0, 0.5, 1.0], "weights": [0.25, 0.5, 0.25],
+                "amplitude": [1.0, 1.0, 1.0]}
+        args[field] = [*args[field][:2], bad]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            discrete_measure_state(**args)
 
     def test_support_ignores_dead_atoms(self):
         st = discrete_measure_state([0.0, 0.5, 1.0],
@@ -131,7 +139,7 @@ class TestThreePointPath:
         assert st.atoms.size == 16
         path = three_point_path(st)
         assert self.drift_of(path) <= 1e-10
-        final = path.final_state()
+        final = path.states[-1]
         np.testing.assert_array_equal(np.sort(final.support()),
                                       np.sort(path.target_atoms))
         final_masses = final.masses()[np.abs(final.amplitude) > 0]
@@ -143,7 +151,7 @@ class TestThreePointPath:
             st = random_state(int(rng.integers(4, 14)), rng)
             path = three_point_path(st)
             assert self.drift_of(path) <= 1e-10
-            assert path.final_state().support().size == 3
+            assert path.states[-1].support().size == 3
             assert path.times[0] == 0.0 and path.times[-1] < 1.0
 
     def test_phases_flattened_first(self):
@@ -153,7 +161,7 @@ class TestThreePointPath:
         # the first states only rotate phases: masses stay fixed
         np.testing.assert_allclose(path.states[1].masses(), st.masses(),
                                    atol=1e-15)
-        assert np.all(np.abs(np.angle(path.final_state().amplitude)) < 1e-12)
+        assert np.all(np.abs(np.angle(path.states[-1].amplitude)) < 1e-12)
 
     def test_two_point_support_flatten_only(self):
         st = discrete_measure_state([0.0, 0.5, 1.0],
@@ -199,7 +207,9 @@ class TestMeasureJson:
     def test_round_trip(self):
         rng = np.random.default_rng(181)
         st = random_state(5, rng)
-        back = measure_from_json(measure_to_json(st))
+        obj = {"atoms": st.atoms.tolist(), "weights": st.weights.tolist(),
+               "xi_re": st.amplitude.real.tolist(), "xi_im": st.amplitude.imag.tolist()}
+        back = measure_from_json(json.loads(json.dumps(obj)))
         np.testing.assert_allclose(back.atoms, st.atoms, atol=0)
         np.testing.assert_allclose(back.amplitude, st.amplitude, atol=1e-15)
 

@@ -32,6 +32,11 @@ class TestEnsembles:
         inst = pair_instance(6, 0.0, instance_rng(2, 0, 0, 0))
         assert op_norm(commutator(inst.a, inst.b)) == 0.0
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf])
+    def test_rejects_non_finite_nu_target(self, nu):
+        with pytest.raises(ValueError, match="nu_target must be finite"):
+            pair_instance(4, nu, instance_rng(3, 0, 0, 0))
+
     def test_instance_rng_reproducible(self):
         a = pair_instance(5, 1e-2, instance_rng(9, 1, 2, 3))
         b = pair_instance(5, 1e-2, instance_rng(9, 1, 2, 3))

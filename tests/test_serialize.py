@@ -122,6 +122,11 @@ class TestCalibrationTable:
         with pytest.raises(ValueError, match=f"{grid} must be nonempty"):
             build_calibration(**{grid: ()}, trials=1)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_build_calibration_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            build_calibration(dims=(4,), trials=trials)
+
     def test_build_calibration_small(self, tmp_path):
         # tiny grid, checks the statistic wiring rather than the numbers
         table = build_calibration(eps_grid=(0.1, 1.0), nu_grid=(1e-4, 1e-3),
