@@ -54,6 +54,8 @@ def pair_instance(n: int, nu_target: float, rng: np.random.Generator,
         raise ValueError(f"nu_target must be finite, got {nu_target}")
     if nu_target < 0:
         raise ValueError("nu_target must be nonnegative")
+    if n < 2 and nu_target > 0:
+        raise ValueError(f"n = {n} < 2 admits no nonzero commutator for nu_target > 0")
     a = np.diag(rng.uniform(0.0, a_norm, n)).astype(np.complex128)
     base_b = np.diag(rng.uniform(-1.0, 1.0, n)).astype(np.complex128)
     if nu_target == 0.0:

@@ -18,8 +18,8 @@ interpolation of stored samples.  The constants k1 and c_const are computed
 by checked quadrature and reported in diagnostics; nothing downstream
 hard-codes them.  k1 (with the unit-mass check) sums Gauss-Legendre panels
 and is checked against the same panels at twice the order; c_const integrates
-|slope transform| between its zeros, found by bisecting all scan brackets at
-once, and is checked against a finer scan.
+|slope transform| between its zeros (>= 12.98 apart), bisecting the brackets
+of a step-2 scan, checked against a step-1 scan; cos matrices stay <= 2 MB.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ RAMP_HALF_WIDTH = 0.25         # bump support for both kernels: (-1/4, 1/4)
 _TIME_CUTOFF = 1200.0          # |psi(t)|^2 ~ 1e-19 here; tails are negligible
 _FREQ_CUTOFF = 1000.0          # |slope transform| ~ 2e-9 here, tail ~ 1e-7
 _K1_PANELS = 32                # Gauss-Legendre panels (16 nodes) for k1
-_BISECTIONS = 45               # halvings of a <= 1/4 scan bracket: width < 1e-14
+_BISECTIONS = 45               # halvings of a <= 2 scan bracket: width < 6e-14
+_CHUNK_ELEMENTS = 1 << 18      # entries per cos matrix (2 MB) in _cosine_transform
+_C_CONST_RULES = ((2.0, 24, 256), (1.0, 48, 384))  # (scan step, gl, transform order)
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -96,7 +98,7 @@ def _cosine_transform(t: np.ndarray, order: int, divisor: float) -> np.ndarray:
     gw = _bump_quarter(x) * w / divisor
     flat = t.ravel()
     out = np.empty_like(flat)
-    step = 65536
+    step = max(1, _CHUNK_ELEMENTS // order)
     for i in range(0, len(flat), step):
         out[i:i + step] = np.cos(np.outer(flat[i:i + step], x)) @ gw
     return (out / np.pi).reshape(t.shape)
@@ -237,8 +239,7 @@ def build_mollifier() -> MollifierKernel:
 @lru_cache(maxsize=1)
 def build_step() -> StepKernel:
     """Construct the smooth step kernel and its commutator constant."""
-    c1 = _abs_transform_integral(scan_step=0.25, gl_order=24, transform_order=256)
-    c2 = _abs_transform_integral(scan_step=0.125, gl_order=48, transform_order=384)
+    c1, c2 = (_abs_transform_integral(*rule) for rule in _C_CONST_RULES)
     if abs(c1 - c2) > 1e-6 * max(1.0, abs(c2)):
         raise QuadratureError(f"c_const: refinement moved by {abs(c1 - c2):.3e}")
     return StepKernel(c_const=c2)

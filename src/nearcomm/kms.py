@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-from ._quad import _leggauss, gl_nodes
+from ._quad import gl_nodes
 from .ensembles import random_hermitian
-from .errors import NearcommError, SpectralGapMissing
+from .errors import NearcommError, QuadratureError, SpectralGapMissing
 from .hermitian import (SpectralDecomposition, as_array, checked_hermitian, commutator,
                         hermitian_part, op_norm)
 from .serialize import csv_text, fmt_float
@@ -38,6 +38,9 @@ CONSISTENCY_RTOL = 1e-8        # two-state endpoint check, times max(1, M)
 # taper profile: 0 below 1/2, cubic ramp on [1/2, 3/4], t^(-1/2) on
 # [3/4, 9/8], cubic ramp back to 0 on [9/8, 11/8]
 _KNOTS = (0.5, 0.75, 1.125, 1.375)
+_PERIOD = 16.0 * math.pi       # e^(-i t x) has period P in t at every knot x
+_C_PERIODS = 10                # periods of panels before the closed-form tail
+_C_PANELS = 64                 # order-12 panels per period
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -201,7 +204,6 @@ def _poly_segment_transform(coeffs: np.ndarray, a: float, b: float,
                             t: np.ndarray) -> np.ndarray:
     """Exact integral of the cubic (power basis at a) against exp(-itx) on [a,b]."""
     it = 1j * t
-    out = np.zeros_like(t, dtype=np.complex128)
     # g with (d/dx - it) g = p gives antiderivative e^(-itx) g(x)
     def g_at(x):
         d = x - a
@@ -232,11 +234,8 @@ def _taper_transform(t: np.ndarray) -> np.ndarray:
     if np.any(small):
         # closed forms cancel catastrophically near 0; per-piece quadrature is
         # exact here (integrand smooth between knots, oscillation < 1 cycle)
-        acc = np.zeros(int(np.sum(small)), dtype=np.complex128)
-        for lo, hi in zip(_KNOTS[:-1], _KNOTS[1:]):
-            x, w = gl_nodes(lo, hi, 48)
-            acc += (taper(x) * w) @ np.exp(-1j * np.outer(x, t[small]))
-        out[small] = acc
+        pieces = (gl_nodes(lo, hi, 48) for lo, hi in zip(_KNOTS[:-1], _KNOTS[1:]))
+        out[small] = sum((taper(x) * w) @ np.exp(-1j * np.outer(x, t[small])) for x, w in pieces)
     big = ~small
     if np.any(big):
         tb = np.abs(t[big])
@@ -247,30 +246,52 @@ def _taper_transform(t: np.ndarray) -> np.ndarray:
     return out / (2.0 * np.pi)
 
 
+def _taper_sup() -> float:
+    """sup|f|: the up-ramp cubic's overshoot, at the root of p' = d (2 c2 + 3 c3 d)."""
+    (cu, au), _ = _taper_coeffs()
+    return float(taper(au - 2.0 * cu[2] / (3.0 * cu[3])))
+
+
+def _knot_jumps() -> np.ndarray:
+    """Jumps of f'', f''' and f'''' (columns) across the four knots (rows)."""
+    (cu, au), (cd, ad) = _taper_coeffs()
+    cubic = lambda c, a: lambda x: np.array([2 * c[2] + 6 * c[3] * (x - a), 6 * c[3], 0.0])
+    root = lambda x: np.array([0.75, -1.875, 6.5625]) * x ** np.array([-2.5, -3.5, -4.5])
+    pieces = (lambda x: np.zeros(3), cubic(cu, au), root, cubic(cd, ad), lambda x: np.zeros(3))
+    return np.array([pieces[k + 1](x) - pieces[k](x) for k, x in enumerate(_KNOTS)])
+
+
+def _abs_moment(periods: int, panels: int) -> float:
+    """integral_0^inf |t f^(t)| dt: order-12 Gauss-Legendre panels, `panels`
+    per period P, on [0, periods P].  Beyond, by parts at the knots (all
+    multiples of 1/8), t f^ = (i S2 + S3/t - i S4/t^2) / (2 pi t^2) + O(t^-5)
+    with P-periodic Sk (jumps of f^(k) times e^(-i t x_k)); |.| to O(t^-4) is
+    summed over the periods with Hurwitz zeta(k, periods + s/P) / P^k weights."""
+    from scipy.special import zeta
+    edges = np.linspace(0.0, _PERIOD, panels + 1)
+    s, w = (a.ravel() for a in gl_nodes(edges[:-1, None], edges[1:, None], 12))
+    body = sum(float(w @ np.abs(t * _taper_transform(t)))
+               for t in s + _PERIOD * np.arange(periods)[:, None])
+    s2, s3, s4 = (np.exp(-1j * np.outer(s, _KNOTS)) @ _knot_jumps()).T
+    mag, lin = np.abs(s2), np.real(-1j * np.conj(s2) * s3)
+    quad = (np.abs(s3) ** 2 - 2.0 * np.real(np.conj(s2) * s4) - (lin / mag) ** 2) / (2.0 * mag)
+    tail = sum(float(w @ (g * zeta(k, periods + s / _PERIOD))) / _PERIOD ** k
+               for k, g in ((2, mag), (3, lin / mag), (4, quad)))
+    return body + tail / (2.0 * np.pi)
+
+
 @functools.lru_cache(maxsize=1)
 def isometry_function_constant() -> float:
     """C = sup|f| + 2 integral |t f^(t)| dt for the fixed taper f.
 
-    The transform decays like t^(-3) (f is C^1 with piecewise-smooth second
-    derivative), so the integral converges; beyond the quadrature cutoff the
-    remainder is estimated from the measured t^(-2) envelope of |t f^|.
+    The integral is _abs_moment at (_C_PERIODS, _C_PANELS) and at twice both;
+    if the two move C by more than 1e-8 max(1, C), QuadratureError is raised.
     """
-    grid = np.linspace(_KNOTS[0], _KNOTS[3], 200001)
-    sup_f = float(np.max(taper(grid)))
-
-    cutoff = 50000.0
-    panels = np.linspace(0.0, cutoff, 100001)
-    base, wts = _leggauss(8)
-    lo, hi = panels[:-1], panels[1:]
-    half = 0.5 * (hi - lo)
-    nodes = lo[:, None] + half[:, None] * (base[None, :] + 1.0)
-    vals = np.abs(nodes * _taper_transform(nodes.ravel()).reshape(nodes.shape))
-    integral = float(np.sum(vals @ wts * half))
-
-    window = np.linspace(cutoff, 2 * cutoff, 20001)
-    envelope = float(np.mean(np.abs(window * _taper_transform(window)) * window ** 2))
-    tail = envelope / cutoff
-    return sup_f + 2.0 * (integral + tail)
+    coarse, fine = (_taper_sup() + 2.0 * _abs_moment(k * _C_PERIODS, k * _C_PANELS)
+                    for k in (1, 2))
+    if abs(fine - coarse) > 1e-8 * max(1.0, fine):
+        raise QuadratureError(f"isometry constant C: refinement moved by {abs(fine - coarse):.3e}")
+    return fine
 
 
 def close_projection_isometry(e1, e2) -> np.ndarray:
@@ -373,7 +394,7 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
 
 
 DEFAULT_KMS_DIMS = (2, 3, 4, 5, 6, 7, 8)
-KMS_HEADER = ("seed", "n", "c", "norm_b_diff", "lhs", "rhs", "margin")
+KMS_HEADER = ("trial", "n", "c", "norm_b_diff", "lhs", "rhs", "margin")
 
 
 def _bottom_projection(m: np.ndarray, k: int) -> np.ndarray:
@@ -397,8 +418,8 @@ def two_state_instance(n: int, c: float, rng, *,
 
 def kms_experiment(trials: int, c: float, seed: int, *,
                    dims=DEFAULT_KMS_DIMS, perturb_scale: float = 0.05) -> list:
-    """Seeded rows (seed, n, c, norm_b_diff, lhs, rhs, margin, m_norm); margin
-    rhs - lhs < 0 marks a violation, and m_norm is the M that scales rhs."""
+    """Rows (trial, n, c, norm_b_diff, lhs, rhs, margin, m_norm), each drawn from
+    rng [seed, trial]; margin rhs - lhs < 0 is a violation, m_norm the M in rhs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not len(dims):
@@ -420,5 +441,5 @@ def kms_experiment(trials: int, c: float, seed: int, *,
 
 
 def kms_rows_to_csv(rows) -> str:
-    return csv_text(KMS_HEADER, ([seed, n, *map(fmt_float, floats)]
-                                 for seed, n, *floats, _ in rows))
+    return csv_text(KMS_HEADER, ([trial, n, *map(fmt_float, floats)]
+                                 for trial, n, *floats, _ in rows))

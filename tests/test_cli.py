@@ -325,7 +325,7 @@ class TestKmsCommand:
         assert code == EXIT_OK
         assert "worst_margin" in capsys.readouterr().out
         lines = out.read_text().splitlines()
-        assert lines[2].split(",")[0] == "seed"
+        assert lines[2].split(",")[0] == "trial"
 
     def test_equal_perturbations_zero_lhs(self, tmp_path):
         out = tmp_path / "kms.csv"

@@ -1,5 +1,7 @@
 """Smoothing kernels: constants, band limiting, Lipschitz transfer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -11,6 +13,7 @@ from nearcomm.kernels import (BAND_HALF_WIDTH, RAMP_HALF_WIDTH, _FREQ_CUTOFF,
                               _slope_transform, band_smooth, build_mollifier,
                               build_step, lipschitz_commutator_check)
 from nearcomm.hermitian import commutator, op_norm, spectral_decomp
+from nearcomm.kms import isometry_function_constant
 
 # constants pinned after convergence studies; the oracles below recompute
 # them from the defining integrals by independent quadratures
@@ -197,7 +200,8 @@ class TestLipschitzCheck:
 NOISE = 1e-15
 
 
-@pytest.mark.parametrize("scan_step, order", [(0.25, 256), (0.125, 384)],
+@pytest.mark.parametrize("scan_step, order",
+                         [(step, order) for step, _, order in kernels._C_CONST_RULES],
                          ids=["c1", "c2"])
 class TestSignCuts:
     def brackets(self, scan_step, order):
@@ -224,6 +228,14 @@ class TestSignCuts:
         assert np.count_nonzero(well) >= 10
         assert np.all(np.abs(cuts - ref)[well] <= 1e-12)
 
+    def test_scan_brackets_every_zero_of_a_fine_scan(self, scan_step, order):
+        # the zeros are >= 12.98 apart, so the coarse scan misses none: each
+        # of its brackets holds exactly one bracket of a scan at step 1/16
+        lo, hi, _ = self.brackets(scan_step, order)
+        fine_lo, fine_hi, _ = self.brackets(0.0625, order)
+        assert len(lo) == len(fine_lo) == 74
+        assert np.all((lo <= fine_lo) & (fine_hi <= hi))
+
     def test_transform_changes_sign_across_each_cut(self, scan_step, order):
         lo, hi, sign_lo = self.brackets(scan_step, order)
         cuts = _sign_cuts(scan_step, order)
@@ -233,3 +245,17 @@ class TestSignCuts:
         right = np.sign(_slope_transform(cuts + delta, order))
         np.testing.assert_array_equal(left, sign_lo)
         np.testing.assert_array_equal(right, -sign_lo)
+
+
+@pytest.mark.parametrize("builder", [build_step, isometry_function_constant],
+                         ids=["build_step", "isometry_function_constant"])
+def test_cold_constant_peak_memory(builder):
+    # each cold constant works in chunks: its traced peak stays under 8 MB
+    builder.cache_clear()
+    tracemalloc.start()
+    try:
+        builder()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from nearcomm import ensembles, kms
-from nearcomm.errors import NearcommError, SpectralGapMissing
+from nearcomm.errors import NearcommError, QuadratureError, SpectralGapMissing
 from nearcomm.hermitian import SpectralDecomposition, commutator, op_norm
-from nearcomm.kms import (DEFAULT_KMS_DIMS, KMS_HEADER, _taper_transform,
+from nearcomm.kms import (DEFAULT_KMS_DIMS, KMS_HEADER, _PERIOD, _taper_sup,
+                          _taper_transform,
                           boundary_residual, close_projection_isometry,
                           gibbs, isometry_function_constant,
                           kms_experiment, kms_rows_to_csv, kms_verify,
@@ -19,7 +21,7 @@ from nearcomm._quad import gl_nodes
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 UPPER = np.array([[0, 1], [0, 0]], dtype=complex)   # not self-adjoint
-C_EXPECTED = 11.44373607696392
+C_EXPECTED = 11.443736192108899
 
 
 def random_hermitian(n, scale, rng):
@@ -241,6 +243,48 @@ class TestTaper:
         c = isometry_function_constant()
         assert c == pytest.approx(C_EXPECTED, abs=1e-9)
         assert c > 2.0 / math.sqrt(3.0)  # sup |f| alone
+
+    def test_sup_matches_dense_grid(self):
+        sup = _taper_sup()
+        grid = np.linspace(0.5, 1.375, 200001)
+        coarse = np.abs(taper(grid))
+        assert np.max(coarse) <= sup
+        peak = grid[np.argmax(coarse)]
+        fine = np.abs(taper(np.linspace(peak - 1e-5, peak + 1e-5, 20001)))
+        assert abs(float(np.max(fine)) - sup) < 1e-12
+
+    def test_constant_against_extrapolated_panel_oracle(self):
+        # no closed-form tail and no closed-form sup: order-8 panels of width
+        # 1/2 out to T = 40P, 80P, 160P, extrapolated quadratically in 1/T to
+        # T = inf (the tail is mean/T + O(T^-2) when T is a multiple of P)
+        moments, total, lo = [], 0.0, 0.0
+        for cutoff in (40 * _PERIOD, 80 * _PERIOD, 160 * _PERIOD):
+            edges = np.linspace(lo, cutoff, int(round(2 * (cutoff - lo))) + 1)[:, None]
+            for i in range(0, len(edges) - 1, 2048):
+                t, w = gl_nodes(edges[:-1][i:i + 2048], edges[1:][i:i + 2048], 8)
+                total += float(np.sum(w * np.abs(t * _taper_transform(t.ravel())
+                                                 .reshape(t.shape))))
+            moments.append(total)
+            lo = cutoff
+        extrapolated = moments[0] / 3 - 2 * moments[1] + 8 * moments[2] / 3
+        peak = scipy.optimize.minimize_scalar(
+            lambda x: -float(taper(x)), bounds=(0.5, 0.75), method="bounded",
+            options={"xatol": 1e-12})
+        oracle = -peak.fun + 2.0 * extrapolated
+        assert isometry_function_constant() == pytest.approx(oracle, abs=2e-8)
+
+    def test_refinement_gate_is_live(self, monkeypatch):
+        # 16 panels per period leave the small-t panels unresolved: the rule
+        # and its refinement then disagree by ~1e-5, far past the 1e-8 gate
+        isometry_function_constant.cache_clear()
+        monkeypatch.setattr(kms, "_C_PANELS", 16)
+        try:
+            with pytest.raises(QuadratureError, match="isometry constant C"):
+                isometry_function_constant()
+        finally:
+            monkeypatch.undo()
+            isometry_function_constant.cache_clear()
+            isometry_function_constant()
 
 
 class TestCloseProjectionIsometry:

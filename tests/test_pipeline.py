@@ -37,6 +37,11 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="nu_target must be finite"):
             pair_instance(4, nu, instance_rng(3, 0, 0, 0))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_size_below_two_with_positive_nu(self, n):
+        with pytest.raises(ValueError, match=rf"n = {n} < 2 admits no nonzero commutator"):
+            pair_instance(n, 1e-3, instance_rng(4, 0, 0, 0))
+
     def test_instance_rng_reproducible(self):
         a = pair_instance(5, 1e-2, instance_rng(9, 1, 2, 3))
         b = pair_instance(5, 1e-2, instance_rng(9, 1, 2, 3))

@@ -72,7 +72,7 @@ class TestCsvText:
             "n,nu_target,nu_measured,dist_a,dist_b,seed,runtime_ms,flag\n"
             '8,0.1,0.10000000000000003,1e-300,nan,3,0.0,"error:X, ""y"""\n')
         assert kms_rows_to_csv([(0, 2, -1.0, 0.5, 1.25, 2.0, 0.75, 3.0)]) == (
-            "seed,n,c,norm_b_diff,lhs,rhs,margin\n0,2,-1.0,0.5,1.25,2.0,0.75\n")
+            "trial,n,c,norm_b_diff,lhs,rhs,margin\n0,2,-1.0,0.5,1.25,2.0,0.75\n")
 
 
 class TestCalibrationTable:
