@@ -50,7 +50,7 @@ closed = gibbs(h + b, c)
 print(f"\nperturbed functional: weight = {pf.weight:.6f}, "
       f"Z(h+b)/Z(h) = {math.exp(closed.log_z - state.log_z):.6f}")
 print(f"  normalized density vs gibbs(h+b): "
-      f"{op_norm(pf.normalized_density() - closed.rho):.2e}")
+      f"{op_norm(pf.normalized_density() - closed.density):.2e}")
 
 # 3. inner symmetries act trivially once the flow cocycle is applied
 g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -67,7 +67,6 @@ from .kernels import (
 )
 from .kms import (
     KmsState,
-    PerturbedFunctional,
     TheoremBResult,
     boundary_residual,
     close_projection_isometry,

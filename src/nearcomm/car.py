@@ -31,7 +31,7 @@ import math
 import numpy as np
 import scipy.sparse as sparse
 
-from .hermitian import as_array, checked_hermitian, op_norm
+from .hermitian import SpectralDecomposition, ad_evolve, as_array, checked_hermitian, op_norm
 
 MAX_MODES = 12
 
@@ -150,18 +150,16 @@ class QuasiFreeFlow:
 
     @functools.cached_property
     def _sector_spectra(self) -> tuple:
-        """(basis indices, eigenvalues, eigenbasis) of dGamma(H) per sector."""
+        """(basis indices, SpectralDecomposition) of dGamma(H) per sector."""
         d = self.second_quantized
-        return tuple((idx, *np.linalg.eigh(d[idx][:, idx].toarray()))
+        return tuple((idx, SpectralDecomposition(*np.linalg.eigh(d[idx][:, idx].toarray())))
                      for idx in _sectors(self.rep.modes)[1])
 
     def evolve(self, t: float, x) -> np.ndarray:
         """alpha_t(x) for real t, dense on the lexicographic basis.
 
-        Each nonzero sector block x_rc becomes V_r ((V_r* x_rc V_c) o
-        e^{it(lambda_ri - lambda_cj)}) V_c*; zero blocks stay zero.  The
-        phases are centred between the two sectors' spectra, which Ad
-        ignores, to keep their arguments small.
+        Each nonzero sector block x_rc becomes ad_evolve(t, x_rc) between
+        the two sectors' decompositions; zero blocks stay zero.
         """
         _check_operator(self.rep, x)
         if not math.isfinite(t):
@@ -169,15 +167,12 @@ class QuasiFreeFlow:
         is_sparse = sparse.issparse(x)
         x = x.tocsr() if is_sparse else np.asarray(x)
         out = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
-        for ir, lam_r, v_r in self._sector_spectra:
+        for ir, dec_r in self._sector_spectra:
             rows = x[ir].toarray() if is_sparse else x[ir]
-            for ic, lam_c, v_c in self._sector_spectra:
+            for ic, dec_c in self._sector_spectra:
                 blk = rows[:, ic]
-                if not blk.any():
-                    continue
-                mid = 0.25 * (lam_r[0] + lam_r[-1] + lam_c[0] + lam_c[-1])
-                phase = np.outer(np.exp(1j * t * (lam_r - mid)), np.exp(-1j * t * (lam_c - mid)))
-                out[np.ix_(ir, ic)] = v_r @ ((v_r.conj().T @ blk @ v_c) * phase) @ v_c.conj().T
+                if blk.any():
+                    out[np.ix_(ir, ic)] = ad_evolve(t, blk, dec_r, dec_c)
         return out
 
 

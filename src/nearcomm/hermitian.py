@@ -71,18 +71,23 @@ class SpectralDecomposition:
 
     def evolve(self, z: complex, x) -> np.ndarray:
         """Ad e^{izh}(x) = e^{izh} x e^{-izh} for complex z, h the decomposed
-        matrix: V ((V* x V) o e^{iz(lambda_i - lambda_j)}) V*.
+        matrix; see ad_evolve."""
+        return ad_evolve(z, as_array(x), self, self)
 
-        Entire in z and independent of the choice of eigenbasis; the factors
-        e^{+-izh} are never formed as matrices, so nothing cancels between
-        them.  The phases are an outer product of scalar exponentials over
-        the spectrum centred at its midpoint (Ad ignores a scalar shift of
-        h), which keeps each factor within e^{|Im z| spread / 2}.
-        """
-        lam, v = self.eigenvalues, self.basis
-        mu = lam - 0.5 * (lam[0] + lam[-1])
-        phase = np.outer(np.exp(1j * z * mu), np.exp(-1j * z * mu))
-        return v @ ((v.conj().T @ as_array(x) @ v) * phase) @ v.conj().T
+
+def ad_evolve(z: complex, x: np.ndarray, row: SpectralDecomposition,
+              col: SpectralDecomposition) -> np.ndarray:
+    """e^{iz h_r} x e^{-iz h_c} = V_r ((V_r* x V_c) o e^{iz(lam_ri - lam_cj)}) V_c*.
+
+    Entire in z and independent of the eigenbases chosen; e^{+-izh} is never
+    formed as a matrix, so nothing cancels between the factors.  The phases
+    are centred between the two spectra's midpoints (a common shift of h_r
+    and h_c changes nothing), keeping each within e^{|Im z| spread / 2}.
+    """
+    lam_r, lam_c = row.eigenvalues, col.eigenvalues
+    mid = 0.25 * (lam_r[0] + lam_r[-1] + lam_c[0] + lam_c[-1])
+    phase = np.outer(np.exp(1j * z * (lam_r - mid)), np.exp(-1j * z * (lam_c - mid)))
+    return row.basis @ ((row.basis.conj().T @ x @ col.basis) * phase) @ col.basis.conj().T
 
 
 def op_norm(x) -> float:

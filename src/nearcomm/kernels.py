@@ -91,11 +91,19 @@ def _autocorr(omega: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
+def _weighted_nodes(order: int, divisor: float):
+    """Gauss-Legendre nodes x on [0, 1/4] and weights times g(x) / divisor."""
+    x, w = gl_nodes(0.0, RAMP_HALF_WIDTH, order)
+    gw = _bump_quarter(x) * w / divisor
+    x.flags.writeable = gw.flags.writeable = False
+    return x, gw
+
+
 def _cosine_transform(t: np.ndarray, order: int, divisor: float) -> np.ndarray:
     """(1/pi) integral_0^{1/4} g(x) cos(xt) dx / divisor, g the quarter-bump."""
     t = np.asarray(t, dtype=float)
-    x, w = gl_nodes(0.0, RAMP_HALF_WIDTH, order)
-    gw = _bump_quarter(x) * w / divisor
+    x, gw = _weighted_nodes(order, divisor)
     flat = t.ravel()
     out = np.empty_like(flat)
     step = max(1, _CHUNK_ELEMENTS // order)

@@ -50,68 +50,23 @@ def _logsumexp(values: np.ndarray) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class KmsState:
-    """Gibbs state exp(-c h)/Z for the flow generated by h; log_z = log Z."""
+    """Positive functional x -> Tr(e^{-c h} x) / e^{log_z} of a generator h.
+
+    gibbs gives a state (weight 1); perturbed_functional keeps the state's
+    log_z, so weight = value(1) is the functional norm.  h = basis
+    diag(eigenvalues) basis*, and spectrum = exp(-c eigenvalues - log_z)
+    holds the density's eigenvalues, formed in the exponent so none loses
+    digits at large |c|.
+    """
 
     h: np.ndarray
     c: float
-    rho: np.ndarray
     log_z: float
-
-
-def _check_c(c: float) -> None:
-    if not (math.isfinite(c) and c != 0):
-        raise ValueError(f"c must be finite and nonzero, got {c}")
-
-
-def gibbs(h, c: float) -> KmsState:
-    """Gibbs state at inverse-temperature parameter c (either sign, nonzero)."""
-    _check_c(c)
-    hm = checked_hermitian(h)
-    lam, v = np.linalg.eigh(hm)
-    exponents = -c * lam
-    shift = float(np.max(exponents))
-    weights = np.exp(exponents - shift)
-    rho = hermitian_part((v * (weights / weights.sum())) @ v.conj().T)
-    return KmsState(h=hm, c=float(c), rho=rho, log_z=_logsumexp(exponents))
-
-
-def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
-    """max_t |F(t+ic) - Tr(rho alpha_t(y) x)| with F(z) = Tr(rho x alpha_z(y)).
-
-    Zero (to rounding) exactly when rho is the Gibbs density for (h, c);
-    arbitrary densities make this a negative control.  Because rho is
-    arbitrary it cannot be folded into the exponent: alpha_{t+ic}(y) has
-    entries up to e^{|c| spread(h)} |y|, so the rounding error of the
-    residual grows like 1e-16 e^{|c| spread(h)}, for the Gibbs density too.
-    """
-    dec = SpectralDecomposition(*np.linalg.eigh(checked_hermitian(h)))
-    xm, ym = as_array(x), as_array(y)
-    worst = 0.0
-    for t in t_samples:
-        lhs = np.trace(rho @ xm @ dec.evolve(t + 1j * c, ym))
-        rhs = np.trace(rho @ dec.evolve(float(t), ym) @ xm)
-        worst = max(worst, abs(complex(lhs - rhs)))
-    return worst
-
-
-def kms_verify(state: KmsState, x, y) -> float:
-    return boundary_residual(state.rho, state.h, state.c, x, y, (-1.0, 0.0, 1.0))
-
-
-@dataclasses.dataclass(frozen=True)
-class PerturbedFunctional:
-    """Positive functional with density exp(-c(h+b)) / Z of the base state.
-
-    Unnormalized on purpose: weight = value(1) is the functional norm, the
-    quantity the two-state inequality needs.  h+b = basis diag(mu) basis*,
-    and spectrum = exp(-c mu - log Z) holds the density's eigenvalues in that
-    basis, each formed in the exponent so none loses digits at large |c|.
-    """
-
-    density: np.ndarray
     weight: float
+    eigenvalues: np.ndarray
     basis: np.ndarray
     spectrum: np.ndarray
+    density: np.ndarray
 
     def value(self, x) -> complex:
         return complex(np.trace(self.density @ as_array(x)))
@@ -120,18 +75,72 @@ class PerturbedFunctional:
         return self.density / self.weight
 
 
-def perturbed_functional(state: KmsState, b) -> PerturbedFunctional:
-    c = state.c
-    mu, w = np.linalg.eigh(state.h + checked_hermitian(b))
-    log_weight = _logsumexp(-c * mu) - state.log_z
+def _check_c(c: float) -> None:
+    if not (math.isfinite(c) and c != 0):
+        raise ValueError(f"c must be finite and nonzero, got {c}")
+
+
+def _functional(k: np.ndarray, c: float, log_z: float | None) -> KmsState:
+    """The functional of the Hermitian generator k over log_z (None: its own)."""
+    lam, v = np.linalg.eigh(k)
+    log_zk = _logsumexp(-c * lam)
+    log_z = log_zk if log_z is None else log_z
     try:
-        weight = math.exp(log_weight)
+        weight = math.exp(log_zk - log_z)
     except OverflowError:
-        raise NearcommError(f"functional weight exp({log_weight:.6g}) is beyond "
+        raise NearcommError(f"functional weight exp({log_zk - log_z:.6g}) is beyond "
                             f"the float range at c = {c:g}") from None
-    spectrum = np.exp(-c * mu - state.log_z)
-    density = hermitian_part((w * spectrum) @ w.conj().T)
-    return PerturbedFunctional(density=density, weight=weight, basis=w, spectrum=spectrum)
+    spectrum = np.exp(-c * lam - log_z)
+    density = hermitian_part((v * spectrum) @ v.conj().T)
+    return KmsState(h=k, c=c, log_z=log_z, weight=weight, eigenvalues=lam, basis=v,
+                    spectrum=spectrum, density=density)
+
+
+def gibbs(h, c: float) -> KmsState:
+    """Gibbs state at inverse-temperature parameter c (either sign, nonzero)."""
+    _check_c(c)
+    return _functional(checked_hermitian(h), float(c), None)
+
+
+def perturbed_functional(state: KmsState, b) -> KmsState:
+    """The Araki-perturbed functional: density exp(-c(h+b)) / Z of the state."""
+    return _functional(hermitian_part(state.h + checked_hermitian(b)), state.c, state.log_z)
+
+
+def _eigenbasis_residual(rho, lam, v, c: float, x, y, t_samples) -> float:
+    """boundary_residual with rho given in the eigenbasis v of h = v diag(lam) v*,
+    where the flow is entrywise: alpha_z(y)_jk = e^{iz(lam_j - lam_k)} y_jk."""
+    x, y = (v.conj().T @ as_array(m) @ v for m in (x, y))
+    gap = lam[:, None] - lam[None, :]
+    rho_x = rho @ x
+    worst = 0.0
+    for t in t_samples:
+        lhs = np.sum(rho_x * (y * np.exp(1j * (t + 1j * c) * gap)).T)
+        rhs = np.sum((rho @ (y * np.exp(1j * t * gap))) * x.T)
+        worst = max(worst, abs(complex(lhs - rhs)))
+    return worst
+
+
+def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
+    """max_t |F(t+ic) - Tr(rho alpha_t(y) x)| with F(z) = Tr(rho x alpha_z(y)).
+
+    Zero (to rounding) exactly when rho is the Gibbs density for (h, c);
+    arbitrary densities make this a negative control.  In a fresh eigenbasis
+    of h, rho is dense to rounding and alpha_{t+ic}(y) has entries up to
+    e^{|c| spread(h)} |y|, so the rounding error of the residual grows like
+    1e-16 e^{|c| spread(h)}, for the Gibbs density too (not in kms_verify).
+    """
+    lam, v = np.linalg.eigh(checked_hermitian(h))
+    return _eigenbasis_residual(v.conj().T @ as_array(rho) @ v, lam, v, c, x, y, t_samples)
+
+
+def kms_verify(state: KmsState, x, y) -> float:
+    """boundary_residual of the state at t = -1, 0, 1 in its own eigenbasis,
+    where its density is the diagonal spectrum p: each term p_j e^{c(lam_j -
+    lam_k)} x_jk y_kj is p_k x_jk y_kj to a relative 1e-16 |c| spread(h),
+    at any |c| for which e^{|c| spread(h)} is a float."""
+    return _eigenbasis_residual(np.diag(state.spectrum), state.eigenvalues, state.basis,
+                                state.c, x, y, (-1.0, 0.0, 1.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,13 +169,13 @@ def symmetry_action(state: KmsState, w) -> SymmetryActionResult:
     n = wm.shape[0]
     if op_norm(wm.conj().T @ wm - np.eye(n)) > UNITARY_ATOL:
         raise ValueError("w is not unitary within 1e-10")
-    dec = SpectralDecomposition(*np.linalg.eigh(state.h))
+    dec = SpectralDecomposition(state.eigenvalues, state.basis)
     cocycle = dec.evolve(1j * state.c, wm) @ wm.conj().T
-    raw = cocycle @ wm @ state.rho @ wm.conj().T
+    raw = cocycle @ wm @ state.density @ wm.conj().T
     density = hermitian_part(raw)
     density = density / float(np.trace(density).real)
     return SymmetryActionResult(density=density,
-                                residual=trace_norm(density - state.rho))
+                                residual=trace_norm(density - state.density))
 
 
 def _taper_coeffs():
@@ -203,15 +212,15 @@ def taper(t) -> np.ndarray:
 def _poly_segment_transform(coeffs: np.ndarray, a: float, b: float,
                             t: np.ndarray) -> np.ndarray:
     """Exact integral of the cubic (power basis at a) against exp(-itx) on [a,b]."""
-    it = 1j * t
-    # g with (d/dx - it) g = p gives antiderivative e^(-itx) g(x)
+    u = 1.0 / (1j * t)
+    # g with (d/dx - it) g = p gives antiderivative e^(-itx) g(x), by Horner in u
     def g_at(x):
         d = x - a
         p = coeffs[0] + d * (coeffs[1] + d * (coeffs[2] + d * coeffs[3]))
         p1 = coeffs[1] + d * (2 * coeffs[2] + 3 * d * coeffs[3])
         p2 = 2 * coeffs[2] + 6 * d * coeffs[3]
         p3 = 6 * coeffs[3]
-        return -(p / it) - (p1 / it ** 2) - (p2 / it ** 3) - (p3 / it ** 4)
+        return -u * (p + u * (p1 + u * (p2 + u * p3)))
     return np.exp(-1j * t * b) * g_at(b) - np.exp(-1j * t * a) * g_at(a)
 
 
@@ -363,17 +372,15 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     hm, b1m, b2m = (checked_hermitian(m) for m in (h, b1, b2))
     e1m, e2m = as_array(e1), as_array(e2)
     n = hm.shape[0]
-    k1, k2 = hm + b1m, hm + b2m
-    scale = max(1.0, op_norm(k1), op_norm(k2))
-    for name, km, em in (("e1", k1, e1m), ("e2", k2, e2m)):
-        drift = op_norm(commutator(km, em))
+    base = gibbs(hm, c)
+    omega1, omega2 = perturbed_functional(base, b1m), perturbed_functional(base, b2m)
+    scale = max(1.0, *(float(np.max(np.abs(om.eigenvalues))) for om in (omega1, omega2)))
+    for name, om, em in (("e1", omega1, e1m), ("e2", omega2, e2m)):
+        drift = op_norm(commutator(om.h, em))
         if drift > INVARIANCE_ATOL * scale:
             raise ValueError(f"{name} is not flow-invariant: ||[h+b, e]|| = {drift:.3e}")
 
     corner = close_projection_isometry(e1m, e2m)[:n, n:]
-    base = gibbs(hm, c)
-    omega1 = perturbed_functional(base, b1m)
-    omega2 = perturbed_functional(base, b2m)
     f0 = float(omega1.spectrum @ np.sum(np.abs(omega1.basis.conj().T @ corner) ** 2, axis=1))
     fic = float(omega2.spectrum @ np.sum(np.abs(corner @ omega2.basis) ** 2, axis=0))
     m_norm = max(omega1.weight, omega2.weight)
@@ -387,7 +394,7 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     norm_b_diff = op_norm(b1m - b2m)
     return TheoremBResult(lhs=abs(fic - f0),
                           rhs=abs(c) * c_upper * m_norm * norm_b_diff,
-                          delta_v_norm=op_norm(k1 @ corner - corner @ k2),
+                          delta_v_norm=op_norm(omega1.h @ corner - corner @ omega2.h),
                           c_upper=c_upper, m_norm=m_norm,
                           norm_b_diff=norm_b_diff,
                           boundary_consistency=consistency)

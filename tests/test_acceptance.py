@@ -294,7 +294,7 @@ def test_5_kms_states():
                 worst_perturbed,
                 abs(pf.weight - z_ratio),
                 abs(pf.weight - weight_gns),
-                op_norm(pf.normalized_density() - closed.rho),
+                op_norm(pf.normalized_density() - closed.density),
                 max(abs(pf.value(x) - v) for x, v in zip(xs, vals_gns)))
 
     worst_symmetry = 0.0

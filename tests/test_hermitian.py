@@ -10,7 +10,7 @@ from nearcomm.hermitian import (SpectralDecomposition, as_array, checked_hermiti
                                 spectral_decomp)
 from nearcomm.jointdiag import commuting_approximation
 from nearcomm.kernels import band_smooth
-from nearcomm.kms import gibbs
+from nearcomm.kms import gibbs, perturbed_functional
 from nearcomm.serialize import hermitian_from_json
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -194,6 +194,8 @@ READ_ONLY_RESULTS = {
     "b1": lambda: commuting_approximation(SZ, SX).b1(),
     "hermitian_from_json": lambda: hermitian_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
     "gibbs_h": lambda: gibbs(SZ, 1.0).h,
+    "gibbs_density": lambda: gibbs(SZ, 1.0).density,
+    "perturbed_h": lambda: perturbed_functional(gibbs(SZ, 1.0), SX).h,
 }
 
 

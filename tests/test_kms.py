@@ -1,5 +1,6 @@
 """Gibbs states, KMS boundary identities, and the two-state comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,23 +39,23 @@ def random_unitary(n, rng):
 class TestGibbs:
     def test_single_spin_literal(self):
         state = gibbs(SZ, c=1.0)
-        assert np.trace(state.rho @ SZ).real == pytest.approx(-math.tanh(1.0), abs=1e-14)
-        assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(state.density @ SZ).real == pytest.approx(-math.tanh(1.0), abs=1e-14)
+        assert np.trace(state.density).real == pytest.approx(1.0, abs=1e-14)
 
     def test_density_properties(self):
         rng = np.random.default_rng(103)
         for c in (-2.0, -0.5, 0.5, 2.0):
             h = random_hermitian(5, 1.0, rng)
             state = gibbs(h, c)
-            assert np.min(np.linalg.eigvalsh(state.rho)) > 0
-            assert op_norm(commutator(h, state.rho)) < 1e-14
-            assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-12)
+            assert np.min(np.linalg.eigvalsh(state.density)) > 0
+            assert op_norm(commutator(h, state.density)) < 1e-14
+            assert np.trace(state.density).real == pytest.approx(1.0, abs=1e-12)
 
     def test_extreme_spectrum_no_overflow(self):
         # exponent shift keeps exp(-c h) finite for spread-out spectra
         h = np.diag([-300.0, 0.0, 300.0]).astype(complex)
         state = gibbs(h, c=2.0)
-        np.testing.assert_allclose(np.diag(state.rho).real, [1.0, 0.0, 0.0],
+        np.testing.assert_allclose(np.diag(state.density).real, [1.0, 0.0, 0.0],
                                    atol=1e-200)
         assert math.isfinite(state.log_z)
 
@@ -62,7 +63,7 @@ class TestGibbs:
         # Z = e^800 + 1 overflows a float; log Z does not
         state = gibbs(np.diag([-800.0, 0.0]), 1.0)
         assert state.log_z == pytest.approx(800.0, rel=1e-15)
-        np.testing.assert_allclose(np.diag(state.rho).real, [1.0, 0.0],
+        np.testing.assert_allclose(np.diag(state.density).real, [1.0, 0.0],
                                    atol=1e-300)
 
     def test_rejects_zero_c(self):
@@ -101,11 +102,25 @@ class TestBoundaryResidual:
         z = t + 1j * c
         e = scipy.linalg.expm(1j * z * h)
         e_inv = scipy.linalg.expm(-1j * z * h)
-        lhs = np.trace(state.rho @ x @ (e @ y @ e_inv))
+        lhs = np.trace(state.density @ x @ (e @ y @ e_inv))
         et = scipy.linalg.expm(1j * t * h)
-        rhs = np.trace(state.rho @ (et @ y @ et.conj().T) @ x)
+        rhs = np.trace(state.density @ (et @ y @ et.conj().T) @ x)
         assert abs(lhs - rhs) < 1e-12
-        assert boundary_residual(state.rho, h, c, x, y, (t,)) < 1e-12
+        assert boundary_residual(state.density, h, c, x, y, (t,)) < 1e-12
+
+    @pytest.mark.parametrize("c", (5.0, -5.0, 20.0))
+    def test_kms_verify_exact_at_large_c(self, c):
+        # spread(h) = 15, so alpha_{t+ic} has entries up to e^{15 |c|}; in the
+        # state's eigenbasis its density is diagonal and nothing cancels
+        rng = np.random.default_rng(179)
+        for _ in range(5):
+            h = random_hermitian(6, 1.0, rng)
+            lam = np.linalg.eigvalsh(h)
+            state = gibbs((h - lam[0] * np.eye(6)) * (15.0 / (lam[-1] - lam[0])), c)
+            x, y = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in "xy")
+            assert kms_verify(state, x, y) <= 1e-12
+            # control: the same density is not KMS at half its c
+            assert kms_verify(dataclasses.replace(state, c=c / 2), x, y) > 1e-3
 
     def test_wrong_state_fails_kms(self):
         # the maximally mixed state is KMS only for h proportional to 1
@@ -127,7 +142,7 @@ class TestPerturbedFunctional:
             b = random_hermitian(4, 0.3, rng)
             fn = perturbed_functional(gibbs(h, c), b)
             target = gibbs(h + b, c)
-            assert op_norm(fn.normalized_density() - target.rho) < 1e-12
+            assert op_norm(fn.normalized_density() - target.density) < 1e-12
             z_ratio = math.exp(target.log_z - gibbs(h, c).log_z)
             assert fn.weight == pytest.approx(z_ratio, rel=1e-12)
             assert complex(fn.value(np.eye(4))).real == pytest.approx(
@@ -171,8 +186,29 @@ class TestPerturbedFunctional:
     def test_zero_perturbation_is_identity(self):
         state = gibbs(SZ, 1.0)
         fn = perturbed_functional(state, np.zeros((2, 2)))
-        assert op_norm(fn.density - state.rho) < 1e-14
+        assert op_norm(fn.density - state.density) < 1e-14
         assert fn.weight == pytest.approx(1.0, abs=1e-14)
+
+
+class TestOneDecomposition:
+    def test_state_quantities_reuse_its_eigenbasis(self, monkeypatch):
+        # gibbs decomposes h once; verifying and acting on the state reuse
+        # that basis, and a perturbed functional decomposes only h + b
+        rng = np.random.default_rng(181)
+        state = gibbs(random_hermitian(4, 1.0, rng), 1.5)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            sizes.append(m.shape[0])
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        kms_verify(state, random_hermitian(4, 1.0, rng), random_hermitian(4, 1.0, rng))
+        symmetry_action(state, random_unitary(4, rng))
+        assert sizes == []
+        perturbed_functional(state, random_hermitian(4, 0.3, rng))
+        assert sizes == [4]
 
 
 class TestSymmetryAction:
@@ -196,7 +232,7 @@ class TestSymmetryAction:
         h = random_hermitian(3, 1.0, rng)
         state = gibbs(h, 1.0)
         w = random_unitary(3, rng)
-        assert trace_norm(w @ state.rho @ w.conj().T - state.rho) > 1e-2
+        assert trace_norm(w @ state.density @ w.conj().T - state.density) > 1e-2
 
 
 class TestTaper:
@@ -439,9 +475,22 @@ class TestTheoremB:
             sizes.append(m.shape[0])
             return eigh(m, *args, **kwargs)
 
+        # the generators' norms come from the functionals' eigenvalues: no
+        # eigvalsh repeats them; C is computed first, since a cold C makes
+        # two more eigvalsh calls for its Gauss-Legendre nodes
+        isometry_function_constant()
+        norm_sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_norms(m, *args, **kwargs):
+            norm_sizes.append(m.shape[0])
+            return eigvalsh(m, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_norms)
         two_state_instance(4, 1.0, np.random.default_rng(167))
         assert sizes == [4] * 6
+        assert norm_sizes == [4] * 5
 
     def test_inconsistent_endpoints_raise(self, monkeypatch):
         # a breakdown of the continuation is an error, never a "violation"
