@@ -10,9 +10,12 @@ Wick-form operator assembly, and residual-vector extraction.
 
 dGamma(H) commutes with the number operator, so it is block diagonal over
 the particle-number sectors (the basis indices with m bits set, m = 0..n).
-Flows are diagonalized and applied per sector, and the Wick unitarity
-defect is a norm over the groups of sectors that x*x - 1 couples; no
-2^n x 2^n eigensolver runs.
+A quasi-free flow is Ad Gamma(e^{itH}), and on sector m Gamma(W) acts as
+the exterior power Lambda^m W, so with H = W diag(eps) W* the sector block
+of dGamma(H) is Lambda^m W diag(subset sums of eps) (Lambda^m W)*: one
+n x n eigensolver diagonalizes every sector.  The Wick unitarity defect
+is a norm over the groups of sectors that x*x - 1 couples; no 2^n x 2^n
+eigensolver runs.
 
 Conventions, fixed once:
   - mode 1 occupies the most significant bit of the basis index, so the
@@ -82,12 +85,31 @@ class FockRep:
 @functools.lru_cache(maxsize=None)
 def _sectors(n: int) -> tuple:
     """(particle number of each basis index, the ascending basis indices of
-    each sector m = 0..n)."""
+    each sector m = 0..n, the position of each basis index in its sector)."""
     number = _popcount(np.arange(1 << n), n)
     sectors = tuple(np.flatnonzero(number == m) for m in range(n + 1))
-    for arr in (number, *sectors):
+    position = np.empty(1 << n, dtype=np.intp)
+    for idx in sectors:
+        position[idx] = np.arange(len(idx))
+    for arr in (number, position, *sectors):
         arr.flags.writeable = False     # shared by every caller through the cache
-    return number, sectors
+    return number, sectors, position
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_tables(n: int) -> tuple:
+    """Per sector m = 1..n, (modes, drop): row p of modes lists the occupied
+    modes of sector position p ascending, and drop[p, k] is the position in
+    sector m-1 of that mode list without modes[p, k]."""
+    _, sectors, position = _sectors(n)
+    bit = 1 << (n - 1 - np.arange(n))       # mode k+1 is bit n-1-k
+    tables = []
+    for idx in sectors[1:]:
+        modes = np.nonzero(idx[:, None] & bit)[1].reshape(len(idx), -1)
+        drop = position[idx[:, None] ^ bit[modes]]
+        modes.flags.writeable = drop.flags.writeable = False
+        tables.append((modes, drop))
+    return tuple(tables)
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,7 +125,9 @@ def a_star(rep: FockRep, xi) -> sparse.csr_matrix:
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.shape != (rep.modes,):
         raise ValueError(f"vector has shape {xi.shape}, expected ({rep.modes},)")
-    return rep.jw @ sparse.kron(xi[:, None], rep.identity(), format="csr")
+    jw, dim = rep.jw, rep.dim
+    return sparse.csr_matrix((jw.data * xi[jw.indices // dim], jw.indices % dim, jw.indptr),
+                             shape=(dim, dim))
 
 
 def annihilator(rep: FockRep, xi) -> sparse.csr_matrix:
@@ -119,12 +143,16 @@ def second_quantize(rep: FockRep, h_one) -> sparse.csr_matrix:
     i a*(H xi); with H = T of finite rank this is the inner perturbation
     that implements T on the one-particle space.
     """
+    lift = sparse.kron(_one_particle(rep, h_one), rep.identity(), format="csr")
+    return rep.jw @ lift @ rep.jw.conj().T
+
+
+def _one_particle(rep: FockRep, h_one) -> np.ndarray:
     hm = as_array(h_one)
     n = rep.modes
     if hm.shape != (n, n):
         raise ValueError(f"one-particle matrix has shape {hm.shape}, expected ({n}, {n})")
-    lift = sparse.kron(checked_hermitian(hm), rep.identity(), format="csr")
-    return rep.jw @ lift @ rep.jw.conj().T
+    return checked_hermitian(hm)
 
 
 def number_operator(rep: FockRep) -> sparse.csr_matrix:
@@ -139,21 +167,43 @@ def _check_operator(rep: FockRep, x) -> None:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class QuasiFreeFlow:
-    """Flow alpha_t = Ad exp(it dGamma(H)) induced by U_t = exp(itH).
+    """Flow alpha_t = Ad Gamma(U_t) of U_t = exp(itH), i.e. Ad exp(it dGamma(H)).
 
-    Each particle-number sector block of dGamma(H) is diagonalized once, on
-    the first evolve, so a flow that never evolves runs no eigensolver.
+    On sector m, Gamma(U_t) is the exterior power Lambda^m U_t, so every
+    sector is diagonalized from the one-particle eigenbasis of H, once, on
+    the first evolve; dGamma(H) itself is built only when read.
     """
 
     rep: FockRep
-    second_quantized: sparse.csr_matrix
+    h_one: np.ndarray
+
+    @functools.cached_property
+    def second_quantized(self) -> sparse.csr_matrix:
+        return second_quantize(self.rep, self.h_one)
 
     @functools.cached_property
     def _sector_spectra(self) -> tuple:
-        """(basis indices, SpectralDecomposition) of dGamma(H) per sector."""
-        d = self.second_quantized
-        return tuple((idx, SpectralDecomposition(*np.linalg.eigh(d[idx][:, idx].toarray())))
-                     for idx in _sectors(self.rep.modes)[1])
+        """SpectralDecomposition of dGamma(H) on each sector m = 0..n.
+
+        With H = W diag(eps) W*, the sector eigenbasis is Lambda^m W: entry
+        [p, q] is det W[I, J] for the ascending mode lists I, J of positions
+        p, q (a*(e_i1)..a*(e_im) Omega has Jordan-Wigner sign + for i1 < ..
+        < im), by Laplace expansion of the sector m-1 minors along the first
+        row.  Columns follow a stable ascending sort of the subset sums of eps.
+        """
+        eps, w = np.linalg.eigh(self.h_one)
+        minors = np.ones((1, 1), dtype=np.complex128)
+        spectra = [SpectralDecomposition(np.zeros(1), minors)]
+        for modes, drop in _minor_tables(self.rep.modes):
+            first, below = w[modes[:, 0]], minors[drop[:, 0]]
+            minors = np.zeros((len(modes), len(modes)), dtype=np.complex128)
+            for k in range(modes.shape[1]):
+                term = first[:, modes[:, k]] * below[:, drop[:, k]]
+                minors += term if k % 2 == 0 else -term
+            sums = eps[modes].sum(axis=1)
+            order = np.argsort(sums, kind="stable")
+            spectra.append(SpectralDecomposition(sums[order], minors[:, order]))
+        return tuple(spectra)
 
     def evolve(self, t: float, x) -> np.ndarray:
         """alpha_t(x) for real t, dense on the lexicographic basis.
@@ -164,20 +214,37 @@ class QuasiFreeFlow:
         _check_operator(self.rep, x)
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
-        is_sparse = sparse.issparse(x)
-        x = x.tocsr() if is_sparse else np.asarray(x)
+        sectors = _sectors(self.rep.modes)[1]
+        if sparse.issparse(x):
+            blocks = _sparse_sector_blocks(self.rep.modes, x)
+        else:
+            x = np.asarray(x)
+            blocks = {(r, c): x[np.ix_(ir, ic)] for r, ir in enumerate(sectors)
+                      for c, ic in enumerate(sectors)}
         out = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
-        for ir, dec_r in self._sector_spectra:
-            rows = x[ir].toarray() if is_sparse else x[ir]
-            for ic, dec_c in self._sector_spectra:
-                blk = rows[:, ic]
-                if blk.any():
-                    out[np.ix_(ir, ic)] = ad_evolve(t, blk, dec_r, dec_c)
+        spectra = self._sector_spectra
+        for (r, c), blk in blocks.items():
+            if blk.any():
+                out[np.ix_(sectors[r], sectors[c])] = ad_evolve(t, blk, spectra[r], spectra[c])
         return out
 
 
+def _sparse_sector_blocks(n: int, x) -> dict:
+    """{(r, c): dense block} of the sector pairs that hold entries of x."""
+    number, sectors, position = _sectors(n)
+    x = x.tocoo()
+    pair = number[x.row] * (n + 1) + number[x.col]
+    blocks = {}
+    for key in np.unique(pair):
+        r, c = divmod(int(key), n + 1)
+        sel = pair == key
+        blk = blocks[r, c] = np.zeros((len(sectors[r]), len(sectors[c])), dtype=np.complex128)
+        np.add.at(blk, (position[x.row[sel]], position[x.col[sel]]), x.data[sel])
+    return blocks
+
+
 def quasi_free_flow(rep: FockRep, h_one) -> QuasiFreeFlow:
-    return QuasiFreeFlow(rep=rep, second_quantized=second_quantize(rep, h_one))
+    return QuasiFreeFlow(rep=rep, h_one=_one_particle(rep, h_one))
 
 
 def quasi_free_generator(flow: QuasiFreeFlow, x):

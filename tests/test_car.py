@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
+from nearcomm import car
 from nearcomm.car import (MAX_MODES, a_star, annihilator, fock_rep,
                           number_operator, quasi_free_flow,
                           quasi_free_generator, rank_perturbation_norms,
@@ -145,6 +146,20 @@ class TestJordanWignerMap:
             assert (a_star(rep, xi) != ref).nnz == 0
             assert (annihilator(rep, xi) != ref.conj().T.tocsr()).nnz == 0
 
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_a_star_reads_the_map(self, n):
+        # a*(xi) scales each entry of J by its mode's xi_k and folds the
+        # column onto its source index: the sum of xi_k a*(e_k) exactly
+        rng = np.random.default_rng(810 + n)
+        rep = fock_rep(n)
+        sparse_xi = random_vector(n, rng)
+        sparse_xi[::2] = 0.0
+        for xi in (random_vector(n, rng), sparse_xi):
+            got = a_star(rep, xi)
+            ref = sum(xi[k] * rep.creators[k] for k in range(n))
+            assert got.shape == ref.shape and (got != ref).nnz == 0
+            np.testing.assert_array_equal(got.toarray(), ref.toarray())
+
     @pytest.mark.parametrize("n", [2, 5, 8, 12])
     def test_second_quantize_matches_pairwise_entrywise(self, n):
         # off-diagonal entries of dGamma(H) are single +-H_ij, the diagonal
@@ -222,6 +237,12 @@ class TestSecondQuantization:
         with pytest.raises(ValueError, match="self-adjoint"):
             quasi_free_flow(fock_rep(2), NON_HERMITIAN)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,)])
+    def test_flow_rejects_wrong_shape(self, shape):
+        # checked when the flow is built, though dGamma(H) is built later
+        with pytest.raises(ValueError, match="one-particle matrix has shape"):
+            quasi_free_flow(fock_rep(2), np.zeros(shape))
+
     def test_covariance_identity(self):
         # alpha_t(a*(xi)) = a*(exp(itH) xi)
         rng = np.random.default_rng(719)
@@ -251,6 +272,67 @@ def dense_evolve(flow, t, x):
     x = x.toarray() if sparse.issparse(x) else x
     phase = np.outer(np.exp(1j * t * lam), np.exp(-1j * t * lam))
     return v @ ((v.conj().T @ x @ v) * phase) @ v.conj().T
+
+
+def mode_lists(n, m):
+    """Ascending occupied modes of each sector-m basis index, in index order."""
+    return [[k for k in range(n) if (s >> (n - 1 - k)) & 1]
+            for s in range(1 << n) if bin(s).count("1") == m]
+
+
+class TestSectorBases:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_minors_match_determinants(self, n):
+        # entry [I, J] of Lambda^m W is det W[I, J], columns in the stable
+        # ascending order of their subset sums of eigenvalues
+        h = random_hermitian(n, np.random.default_rng(880 + n))
+        eps, w = np.linalg.eigh(h)
+        spectra = quasi_free_flow(fock_rep(n), h)._sector_spectra
+        assert len(spectra) == n + 1
+        np.testing.assert_array_equal(spectra[0].basis, [[1.0]])
+        for m in range(1, n + 1):
+            lists = mode_lists(n, m)
+            sums = np.array([eps[j].sum() for j in lists])
+            order = np.argsort(sums, kind="stable")
+            oracle = np.array([[np.linalg.det(w[np.ix_(i, lists[q])]) for q in order]
+                               for i in lists])
+            assert np.max(np.abs(spectra[m].basis - oracle)) < 1e-13
+            np.testing.assert_allclose(spectra[m].eigenvalues, sums[order], atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unitary_and_reconstructs_sector_blocks(self, n):
+        rng = np.random.default_rng(890 + n)
+        rep = fock_rep(n)
+        degenerate = np.diag(rng.integers(-1, 2, size=n)).astype(complex)
+        for h in (random_hermitian(n, rng), degenerate):
+            d = second_quantize(rep, h)
+            flow = quasi_free_flow(rep, h)
+            for idx, dec in zip(car._sectors(n)[1], flow._sector_spectra):
+                v = dec.basis
+                assert np.all(np.diff(dec.eigenvalues) >= 0)
+                assert np.max(np.abs(v.conj().T @ v - np.eye(len(idx)))) < 1e-12
+                block = d[idx][:, idx].toarray()
+                assert np.max(np.abs(dec.reconstruct() - block)) < 1e-12
+
+    def test_evolve_runs_one_n_by_n_eigh(self, monkeypatch):
+        # the flow diagonalizes H alone and never builds dGamma(H)
+        rng = np.random.default_rng(897)
+        rep = fock_rep(8)
+        h, xi = random_hermitian(8, rng), random_vector(8, rng)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            sizes.append(m.shape)
+            return eigh(m, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second_quantize was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(car, "second_quantize", forbidden)
+        quasi_free_flow(rep, h).evolve(0.6, a_star(rep, xi))
+        assert sizes == [(8, 8)]
 
 
 class TestSectorEvolve:

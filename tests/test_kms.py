@@ -476,8 +476,10 @@ class TestTheoremB:
             return eigh(m, *args, **kwargs)
 
         # the generators' norms come from the functionals' eigenvalues: no
-        # eigvalsh repeats them; C is computed first, since a cold C makes
-        # two more eigvalsh calls for its Gauss-Legendre nodes
+        # eigvalsh repeats them, and the projection and invariance checks
+        # are Frobenius norms, so only ||b1 - b2|| is an eigvalsh; C is
+        # computed first, since a cold C makes two more eigvalsh calls for
+        # its Gauss-Legendre nodes
         isometry_function_constant()
         norm_sizes = []
         eigvalsh = np.linalg.eigvalsh
@@ -490,7 +492,7 @@ class TestTheoremB:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_norms)
         two_state_instance(4, 1.0, np.random.default_rng(167))
         assert sizes == [4] * 6
-        assert norm_sizes == [4] * 5
+        assert norm_sizes == [4]
 
     def test_inconsistent_endpoints_raise(self, monkeypatch):
         # a breakdown of the continuation is an error, never a "violation"
