@@ -16,14 +16,12 @@ from .calibration import (
 from .car import (
     FockRep,
     QuasiFreeFlow,
-    ResidualVector,
     a_star,
     annihilator,
     fock_rep,
     quasi_free_flow,
     quasi_free_generator,
     rank_perturbation_norms,
-    residual_vector,
     second_quantize,
     wick_unitary,
 )

@@ -5,8 +5,8 @@ a*(e_n)] on the 2^n-dimensional occupation-number space (raising matrix at
 the mode position, parity signs from all lower mode indices).  Every CAR
 operator is a product with J: a*(xi) = J (xi (x) 1), a(xi) = a*(xi)*, and
 the second quantization dGamma(H) = J (H (x) 1) J* (for finite-rank H
-these are the inner perturbations).  On top sit quasi-free flows,
-Wick-form operator assembly, and residual-vector extraction.
+these are the inner perturbations).  On top sit quasi-free flows
+and Wick-form operator assembly.
 
 dGamma(H) commutes with the number operator, so it is block diagonal over
 the particle-number sectors (the basis indices with m bits set, m = 0..n).
@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 
 import numpy as np
 import scipy.sparse as sparse
@@ -283,12 +284,14 @@ def wick_unitary(rep: FockRep, coeffs, family=None) -> tuple[sparse.csr_matrix, 
     """Assemble x = sum coeffs[mu, nu] a*(f_mu1)..a*(f_mup) a(f_nu1)..a(f_nuq).
 
     mu and nu are strictly increasing mode-index tuples; family (columns =
-    orthonormal one-particle vectors) defaults to the standard basis.  A
-    unitary family V = [f_1 ... f_n] gives Gamma(V) x_e Gamma(V)*, with x_e
-    the standard-basis element: x depends on the family, its unitarity
-    defect does not.  Returns (x, ‖x*x - 1‖); the defect is a report, not an
+    orthonormal one-particle vectors, n x k with k <= n) defaults to the
+    standard basis.  Each term is coeff times its first factor, multiplied
+    by the rest in order, and x is the sum of the terms.  A unitary family
+    V = [f_1 ... f_n] gives Gamma(V) x_e Gamma(V)*, with x_e the
+    standard-basis element: x depends on the family, its unitarity defect
+    does not.  Returns (x, ‖x*x - 1‖); the defect is a report, not an
     error, and is measured on the groups of particle-number sectors that
-    x*x - 1 couples.
+    x*x - 1 couples, read off its sector blocks.
     """
     n = rep.modes
     if family is None:
@@ -300,17 +303,16 @@ def wick_unitary(rep: FockRep, coeffs, family=None) -> tuple[sparse.csr_matrix, 
         gram = fam.conj().T @ fam
         if op_norm(gram - np.eye(fam.shape[1])) > 1e-8:
             raise ValueError("family columns are not orthonormal within 1e-8")
-    x = sparse.csr_matrix((rep.dim, rep.dim), dtype=np.complex128)
+    terms = []
     for (mu, nu), coeff in coeffs.items():
         mu = _validate_indices("creation", mu, fam.shape[1])
         nu = _validate_indices("annihilation", nu, fam.shape[1])
-        term = coeff * rep.identity()
-        for i in mu:
-            term = term @ a_star(rep, fam[:, i])
-        for j in nu:
-            term = term @ annihilator(rep, fam[:, j])
-        x = x + term
-    return x.tocsr(), _sector_norm(rep, x.conj().T @ x - rep.identity())
+        factors = ([a_star(rep, fam[:, i]) for i in mu]
+                   + [annihilator(rep, fam[:, j]) for j in nu]) or [rep.identity()]
+        terms.append(functools.reduce(operator.matmul, factors[1:], coeff * factors[0]))
+    x = (sum(terms[1:], terms[0]) if terms
+         else sparse.csr_matrix((rep.dim, rep.dim), dtype=np.complex128))
+    return x, _sector_norm(rep, x.conj().T @ x - rep.identity())
 
 
 def _sector_norm(rep: FockRep, y: sparse.spmatrix) -> float:
@@ -318,41 +320,21 @@ def _sector_norm(rep: FockRep, y: sparse.spmatrix) -> float:
 
     Sectors joined by a nonzero block of y form one group, so y is block
     diagonal over the groups; groups without a nonzero entry add nothing.
+    Each group is assembled from y's sector blocks on its ascending basis
+    indices.
     """
-    number = _sectors(rep.modes)[0]
-    y = y.tocoo()
-    rows, cols = number[y.row], number[y.col]
+    blocks = _sparse_sector_blocks(rep.modes, y)
+    number, sectors, _ = _sectors(rep.modes)
     group = np.arange(rep.modes + 1)
-    for r, c in set(zip(rows.tolist(), cols.tolist())):
+    for r, c in blocks:
         group[group == group[c]] = group[r]
-    y, label = y.tocsr(), group[number]
-    norm = 0.0
-    for g in np.unique(group[rows]):
+    label, norm = group[number], 0.0
+    for g in np.unique(group[[r for r, _ in blocks]]):
         idx = np.flatnonzero(label == g)
-        norm = max(norm, op_norm(y[idx][:, idx].toarray()))
+        at = lambda m: np.searchsorted(idx, sectors[m])     # sector m's rows in the group
+        dense = np.zeros((len(idx), len(idx)), dtype=np.complex128)
+        for (r, c), blk in blocks.items():
+            if group[r] == g:
+                dense[np.ix_(at(r), at(c))] = blk
+        norm = max(norm, op_norm(dense))
     return norm
-
-
-@dataclasses.dataclass(frozen=True)
-class ResidualVector:
-    """Rayleigh decomposition H xi = c xi + eta_norm * eta_unit."""
-
-    c: float
-    eta_norm: float
-    eta_unit: np.ndarray
-
-
-def residual_vector(h, xi) -> ResidualVector:
-    """Split H xi into its xi-component c = (H xi | xi) and the orthogonal
-    remainder; eta_unit is the zero vector when the remainder is below 1e-12."""
-    hm = checked_hermitian(h)
-    xv = np.asarray(xi, dtype=np.complex128)
-    norm = float(np.linalg.norm(xv))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"xi must be a unit vector, got norm {norm}")
-    image = hm @ xv
-    c = float(np.vdot(xv, image).real)
-    eta = image - c * xv
-    eta_norm = float(np.linalg.norm(eta))
-    unit = eta / eta_norm if eta_norm >= 1e-12 else np.zeros_like(xv)
-    return ResidualVector(c=c, eta_norm=eta_norm, eta_unit=unit)

@@ -102,9 +102,16 @@ def gibbs(h, c: float) -> KmsState:
     return _functional(checked_hermitian(h), float(c), None)
 
 
+def _check_shape(name: str, m: np.ndarray, h: np.ndarray) -> None:
+    if m.shape != h.shape:
+        raise ValueError(f"{name} has shape {m.shape}, but h has shape {h.shape}")
+
+
 def perturbed_functional(state: KmsState, b) -> KmsState:
     """The Araki-perturbed functional: density exp(-c(h+b)) / Z of the state."""
-    return _functional(hermitian_part(state.h + checked_hermitian(b)), state.c, state.log_z)
+    bm = checked_hermitian(b)
+    _check_shape("b", bm, state.h)
+    return _functional(hermitian_part(state.h + bm), state.c, state.log_z)
 
 
 def _eigenbasis_residual(rho, lam, v, c: float, x, y, t_samples) -> float:
@@ -352,8 +359,9 @@ class TheoremBResult:
 def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     """Bound |omega_2(e2) - omega_1(e1)| by |c| C M ||b1 - b2||.
 
-    omega_i is the perturbed functional of b_i; e_i must commute with h+b_i
-    (the flow-invariance hypothesis).  The doubled flow beta_z = Ad e^{izK}
+    omega_i is the perturbed functional of b_i over log Z of h, built with
+    no Gibbs state; e_i must have h's shape and commute with h+b_i (the
+    flow-invariance hypothesis).  The doubled flow beta_z = Ad e^{izK}
     of K = (h+b1) (+) (h+b2) and the density of omega_1 (+) omega_2 meet v
     only on its one nonzero corner, v = [[0, X], [0, 0]], so with
     h+b_i = W_i diag(mu_i) W_i* and p_i = exp(-c mu_i - log Z_h) the
@@ -372,9 +380,11 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     _check_c(c)
     hm, b1m, b2m = (checked_hermitian(m) for m in (h, b1, b2))
     e1m, e2m = as_array(e1), as_array(e2)
+    for name, m in (("b1", b1m), ("b2", b2m), ("e1", e1m), ("e2", e2m)):
+        _check_shape(name, m, hm)
     n = hm.shape[0]
-    base = gibbs(hm, c)
-    omega1, omega2 = perturbed_functional(base, b1m), perturbed_functional(base, b2m)
+    log_z = _logsumexp(-c * np.linalg.eigh(hm)[0])     # gibbs(h, c).log_z
+    omega1, omega2 = (_functional(hermitian_part(hm + bm), c, log_z) for bm in (b1m, b2m))
     scale = max(1.0, *(float(np.max(np.abs(om.eigenvalues))) for om in (omega1, omega2)))
     for name, om, em in (("e1", omega1, e1m), ("e2", omega2, e2m)):
         drift = np.linalg.norm(commutator(om.h, em))    # Frobenius, >= operator norm

@@ -1,4 +1,4 @@
-"""CAR representation, quasi-free flows, Wick operators, residual vectors."""
+"""CAR representation, quasi-free flows, Wick operators."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from nearcomm import car
 from nearcomm.car import (MAX_MODES, a_star, annihilator, fock_rep,
                           number_operator, quasi_free_flow,
                           quasi_free_generator, rank_perturbation_norms,
-                          residual_vector, second_quantize, wick_unitary)
+                          second_quantize, wick_unitary)
 from nearcomm.hermitian import op_norm
 
 NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -491,6 +491,54 @@ class TestWickUnitary:
         assert defect > 0.1
         assert defect == pytest.approx(dense, abs=1e-13)
 
+    @pytest.mark.parametrize("coeffs", [
+        {((), ()): 1.0, ((2,), (2,)): np.exp(0.8j) - 1.0},
+        {((), ()): 0.5, ((0, 1), (0, 2)): 0.25 + 0.1j, ((2,), (1,)): -0.3, ((3,), ()): 0.2j},
+        {((0,), ()): 0.5, ((), (2,)): 0.3, ((1, 2, 3), (0,)): -0.2, ((), ()): 0.7},
+    ])
+    def test_standard_family_matches_identity_product_chain(self, coeffs):
+        # reference: each term as coeff * identity times its factors, summed
+        # into a zero matrix term by term
+        rep = fock_rep(4)
+        x, defect = wick_unitary(rep, coeffs)
+        ref = sparse.csr_matrix((rep.dim, rep.dim), dtype=np.complex128)
+        for (mu, nu), coeff in coeffs.items():
+            term = coeff * rep.identity()
+            for i in mu:
+                term = term @ rep.creators[i]
+            for j in nu:
+                term = term @ rep.creators[j].conj().T
+            ref = ref + term
+        assert x.toarray().tobytes() == ref.toarray().tobytes()
+        dense = op_norm((ref.conj().T @ ref).toarray() - np.eye(rep.dim))
+        assert defect == pytest.approx(dense, abs=1e-13)
+
+    def test_partial_family_defect_matches_dense_norm(self):
+        # k = 3 orthonormal vectors in 5 modes: indices run over the family
+        rep = fock_rep(5)
+        rng = np.random.default_rng(761)
+        fam = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0][:, :3]
+        coeffs = {((), ()): 0.8, ((0,), (2,)): 0.3j, ((1, 2), ()): -0.25, ((), (1,)): 0.1}
+        x, defect = wick_unitary(rep, coeffs, family=fam)
+        dense = op_norm((x.conj().T @ x).toarray() - np.eye(rep.dim))
+        assert defect > 0.1
+        assert defect == pytest.approx(dense, abs=1e-13)
+        with pytest.raises(ValueError, match="out of range"):
+            wick_unitary(rep, {((3,), ()): 1.0}, family=fam)
+
+    @pytest.mark.parametrize("coeffs", [
+        {((), ()): 1.0},
+        {((), ()): 1.0, ((1,), (1,)): -2.0},                  # 1 - 2 N_2, a reflection
+        # -(1 - 2 N_1)(1 - 2 N_3), with N_1 N_3 = -a*_1 a*_3 a_1 a_3
+        {((), ()): -1.0, ((0,), (0,)): 2.0, ((2,), (2,)): 2.0, ((0, 2), (0, 2)): 4.0},
+    ])
+    def test_exact_unitary_reports_zero(self, coeffs):
+        # x*x - 1 is exactly zero: no sector group holds an entry
+        rep = fock_rep(3)
+        x, defect = wick_unitary(rep, coeffs)
+        assert (x.conj().T @ x - rep.identity()).count_nonzero() == 0
+        assert defect == 0.0
+
     def test_rejects_bad_indices(self):
         rep = fock_rep(2)
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -503,37 +551,3 @@ class TestWickUnitary:
         fam = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="orthonormal"):
             wick_unitary(rep, {((), ()): 1.0}, family=fam)
-
-
-class TestResidualVector:
-    def test_pauli_x_literal(self):
-        h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        res = residual_vector(h, np.array([1.0, 0.0]))
-        assert res.c == pytest.approx(0.0, abs=1e-15)
-        assert res.eta_norm == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(res.eta_unit, [0.0, 1.0], atol=1e-15)
-
-    def test_reconstruction_and_orthogonality(self):
-        rng = np.random.default_rng(751)
-        for n in (2, 5):
-            h = random_hermitian(n, rng)
-            xi = random_vector(n, rng, unit=True)
-            res = residual_vector(h, xi)
-            rebuilt = res.c * xi + res.eta_norm * res.eta_unit
-            assert np.linalg.norm(h @ xi - rebuilt) < 1e-12
-            assert abs(np.vdot(xi, res.eta_unit)) < 1e-12
-
-    def test_eigenvector_gives_zero_residual(self):
-        h = np.diag([1.0, 2.0]).astype(complex)
-        res = residual_vector(h, np.array([0.0, 1.0]))
-        assert res.c == pytest.approx(2.0)
-        assert res.eta_norm < 1e-15
-        np.testing.assert_array_equal(res.eta_unit, np.zeros(2))
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="unit"):
-            residual_vector(np.eye(2), np.array([2.0, 0.0]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="self-adjoint"):
-            residual_vector(NON_HERMITIAN, np.array([1.0, 0.0]))

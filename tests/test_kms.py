@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,12 @@ class TestPerturbedFunctional:
     def test_rejects_non_self_adjoint_perturbation(self):
         with pytest.raises(ValueError, match="self-adjoint"):
             perturbed_functional(gibbs(SZ, 1.0), UPPER)
+
+    @pytest.mark.parametrize("b", ([[0.5]], np.zeros((2, 2)), np.zeros((4, 4))))
+    def test_rejects_perturbation_of_another_shape(self, b):
+        # a 1x1 b would broadcast over every entry of h
+        with pytest.raises(ValueError, match=r"b has shape \(\d, \d\), but h has shape \(3, 3\)"):
+            perturbed_functional(gibbs(np.diag([0.0, 1.0, 2.0]), 1.0), b)
 
     def test_zero_perturbation_is_identity(self):
         state = gibbs(SZ, 1.0)
@@ -533,6 +540,76 @@ class TestTheoremB:
         e = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="self-adjoint"):
             theorem_b_inequality(SZ, UPPER, UPPER, e, e, 1.0)
+
+    @staticmethod
+    def _instance(n=3, seed=191):
+        rng = np.random.default_rng(seed)
+        h = ensembles.random_hermitian(n, rng)
+        b1 = 0.2 * ensembles.random_hermitian(n, rng)
+        b2 = b1 + 0.05 * ensembles.random_hermitian(n, rng)
+        k = max(1, n // 2)
+        return [h, b1, b2, kms._bottom_projection(h + b1, k), kms._bottom_projection(h + b2, k)]
+
+    @pytest.mark.parametrize("position", (0, 1, 2))
+    @pytest.mark.parametrize("bad, message", (
+        (UPPER, r"matrix is not self-adjoint: max \|A - A\*\| entry = 1\.000e\+00"),
+        (np.diag([np.nan, 0.0]), r"matrix has non-finite entries \(NaN or inf\)"),
+        (np.diag([np.inf, 0.0]), r"matrix has non-finite entries \(NaN or inf\)"),
+    ), ids=("non_self_adjoint", "nan", "inf"))
+    def test_each_generator_input_is_checked(self, position, bad, message):
+        # h, b1 and b2 are checked once, at the entry, with the messages of
+        # checked_hermitian
+        args = self._instance(n=2)
+        args[position] = bad
+        with pytest.raises(ValueError, match=message):
+            theorem_b_inequality(*args, 1.0)
+
+    @pytest.mark.parametrize("position, name", ((1, "b1"), (2, "b2"), (3, "e1"), (4, "e2")))
+    @pytest.mark.parametrize("shape", ((1, 1), (4, 4)))
+    def test_rejects_inputs_of_another_shape(self, position, name, shape):
+        args = self._instance()
+        args[position] = np.full(shape, 0.5)
+        message = f"{name} has shape {shape}, but h has shape (3, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            theorem_b_inequality(*args, 1.0)
+
+    def test_checks_each_generator_input_once(self, monkeypatch):
+        # h, b1 and b2 are checked at the entry and passed inward checked
+        calls = []
+        checked = kms.checked_hermitian
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return checked(m)
+
+        monkeypatch.setattr(kms, "checked_hermitian", counting)
+        theorem_b_inequality(*self._instance(n=4), 1.0)
+        assert calls == [(4, 4)] * 3
+
+    @pytest.mark.parametrize("c", (1.0, -1.0, 5.0, -5.0))
+    def test_matches_public_functionals_bit_for_bit(self, c):
+        # reference: the comparison composed from the public gibbs and
+        # perturbed_functional entries, each checking its own inputs
+        for trial in range(8):
+            h, b1, b2, e1, e2 = self._instance(n=2 + trial % 7, seed=trial)
+            res = theorem_b_inequality(h, b1, b2, e1, e2, c)
+            base = gibbs(h, c)
+            om1, om2 = perturbed_functional(base, b1), perturbed_functional(base, b2)
+            corner = close_projection_isometry(e1, e2)[:len(h), len(h):]
+            f0 = float(om1.spectrum @ np.sum(np.abs(om1.basis.conj().T @ corner) ** 2, axis=1))
+            fic = float(om2.spectrum @ np.sum(np.abs(corner @ om2.basis) ** 2, axis=0))
+            m_norm = max(om1.weight, om2.weight)
+            norm_b_diff = op_norm(b1 - b2)
+            expected = kms.TheoremBResult(
+                lhs=abs(fic - f0),
+                rhs=abs(c) * isometry_function_constant() * m_norm * norm_b_diff,
+                delta_v_norm=op_norm(om1.h @ corner - corner @ om2.h),
+                c_upper=isometry_function_constant(), m_norm=m_norm, norm_b_diff=norm_b_diff,
+                boundary_consistency=float(np.max(np.abs(
+                    [f0 - om1.value(e1), fic - om2.value(e2)]))))
+            for field in dataclasses.fields(expected):
+                got, want = getattr(res, field.name), getattr(expected, field.name)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), field.name
 
 
 class TestKmsExperiment:

@@ -67,3 +67,16 @@ def test_traced_edges_name_their_cut_points(core_op_spans):
     for ts in by_partition.values():
         assert all(isinstance(t, float) and t == int(t) for t in ts)
         assert all(lo < hi for lo, hi in zip(ts, ts[1:]))
+
+
+def test_traced_labs_op_records_kms_and_wick_spans():
+    # the labs per-layer metrics read these spans; a call that bypasses the
+    # module attribute would read zero
+    workloads = load_perfbench("workloads")
+    work = workloads.make_workload("labs", True, ROOT)
+    inp = work.make_input(np.random.default_rng([7, 0]))
+    with load_perfbench("tracing").Tracer() as tracer:
+        work.run(inp)
+    names = [s[0] for s in tracer.spans]
+    assert names.count("kms.theorem_b_inequality") == len(inp.kms_instances)
+    assert names.count("car.wick_unitary") == 1
