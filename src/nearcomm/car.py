@@ -82,6 +82,14 @@ class FockRep:
     def identity(self) -> sparse.csr_matrix:
         return sparse.identity(self.dim, dtype=np.complex128, format="csr")
 
+    @functools.cached_property
+    def _adjoint_pattern(self) -> tuple:
+        """a(xi)'s CSR pattern and, per entry, its position in a*(xi)'s data."""
+        jw, dim = self.jw, self.dim
+        t = sparse.csr_matrix((np.arange(1.0, jw.nnz + 1), jw.indices % dim, jw.indptr),
+                              shape=(dim, dim)).T.tocsr()
+        return t.data.astype(np.intp) - 1, t.indices, t.indptr
+
 
 @functools.lru_cache(maxsize=None)
 def _sectors(n: int) -> tuple:
@@ -132,8 +140,10 @@ def a_star(rep: FockRep, xi) -> sparse.csr_matrix:
 
 
 def annihilator(rep: FockRep, xi) -> sparse.csr_matrix:
-    """a(xi) = a*(xi)*, antilinear in xi."""
-    return a_star(rep, xi).conj().T.tocsr()
+    """a(xi) = a*(xi)*, antilinear in xi: a*(xi)'s entries, conjugated and transposed."""
+    order, indices, indptr = rep._adjoint_pattern
+    return sparse.csr_matrix((a_star(rep, xi).data[order].conj(), indices, indptr),
+                             shape=(rep.dim, rep.dim), copy=True)
 
 
 def second_quantize(rep: FockRep, h_one) -> sparse.csr_matrix:

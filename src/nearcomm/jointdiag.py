@@ -7,11 +7,12 @@ off-diagonal energy.  For two matrices the angle needs no eigensolver: the
 3x3 matrix it maximizes over has rank <= 2, so its top eigenvector follows
 from one 2x2 arctangent (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl.
 17, 1996), with exact ties broken toward the smaller rotation.  Pairs are
-visited in a fixed round-robin schedule; within one round the pairs are
-disjoint, so their rotations commute and the round is applied as one
-batched 2x2 mix over its active pairs only: pairs already aligned are frozen
-at the identity and never touched.  The sweep order is deterministic and the
-joint off-diagonal energy is nonincreasing from sweep to sweep.
+visited in a fixed round-robin schedule of disjoint pairs, so a round's
+rotations commute.  a, b and u are the slabs of one work array: a round reads
+its 2x2 blocks with one take, freezes aligned pairs at the identity, and mixes
+the columns of all three slabs, then the rows of a and b, in one pass each.
+The sweep order is deterministic and the joint off-diagonal energy is
+nonincreasing from sweep to sweep.
 """
 
 from __future__ import annotations
@@ -68,17 +69,23 @@ class CommutingPair:
 
 @functools.lru_cache(maxsize=None)
 def _schedule(n: int):
-    """Round-robin tournament pairing of {0..n-1}: n-1 rounds of disjoint pairs."""
+    """Round-robin pairing of {0..n-1}: n-1 rounds of (i's then j's, `_entry_index`)."""
     players = list(range(n)) + ([-1] if n % 2 else [])
     m = len(players)
     rounds = []
     for _ in range(m - 1):
         pairs = [(players[k], players[m - 1 - k]) for k in range(m // 2)]
         pairs = [(min(i, j), max(i, j)) for i, j in pairs if -1 not in (i, j)]
-        idx_i, idx_j = zip(*sorted(pairs))
-        rounds.append((np.array(idx_i), np.array(idx_j)))
+        idx_i, idx_j = map(np.array, zip(*sorted(pairs)))
+        rounds.append((np.concatenate([idx_i, idx_j]), _entry_index(n, idx_i, idx_j)))
         players = [players[0], players[-1]] + players[1:-1]
     return tuple(rounds)
+
+
+def _entry_index(n: int, idx_i: np.ndarray, idx_j: np.ndarray) -> np.ndarray:
+    """Flat indices of the (i,i), (j,j), (i,j) entries of slabs a, a, b, b of the work array."""
+    entries = np.stack([idx_i * (n + 1), idx_j * (n + 1), idx_i * n + idx_j])
+    return (entries[:, None] + n * n * np.array([[0], [0], [1], [1]])).ravel()
 
 
 def _off_energy(stack: np.ndarray) -> float:
@@ -88,7 +95,7 @@ def _off_energy(stack: np.ndarray) -> float:
     return total
 
 
-def _round_rotations(stack: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray):
+def _round_rotations(work: np.ndarray, pairs: np.ndarray, entries: np.ndarray):
     """Closed-form optimal rotations for one round of disjoint pairs.
 
     Each Hermitian 2x2 principal block maps to the real 3-vector
@@ -100,19 +107,20 @@ def _round_rotations(stack: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray):
     t = atan2(2 g_ab, g_aa - g_bb) / 2.  On an exact tie (g_aa = g_bb,
     g_ab = 0) v is the unit vector of span(w_a, w_b) with the largest first,
     then second, component: ties break toward the smaller rotation angle.
-    v's first nonzero component is made positive, and pairs with
-    |s| < 1e-15 are frozen at c=1, s=0.
+    v's first nonzero component is made positive.  The blocks come from one
+    take of `entries`; rows (a, a, b) times rows (a, b, b) give the g's.  Pairs
+    with |s| < 1e-15 stay at the identity: returns (idx, c, s) for the others.
     """
-    diag = stack.diagonal(axis1=1, axis2=2)
-    d = (diag[:, idx_i] - diag[:, idx_j]).real
-    q = stack[:, idx_i, idx_j]
-    g = d * d + 4.0 * (q * q.conj()).real
-    g_ab = d[0] * d[1] + 4.0 * (q[0] * q[1].conj()).real
-    t = 0.5 * np.arctan2(2.0 * g_ab, g[0] - g[1])
+    ii, jj, q = work.take(entries).reshape(3, 4, -1)
+    d = (ii - jj).real
+    g_aa, g_ab, g_bb = d[:3] * d[1:] + 4.0 * (q[:3] * q[1:].conj()).real
+    d, q = d[::2], q[::2]
+    t = 0.5 * np.arctan2(2.0 * g_ab, g_aa - g_bb)
     k0, k1 = np.cos(t), np.sin(t)
-    tie = (g[0] == g[1]) & (g_ab == 0.0)
-    if tie.any():
+    tie = g_ab == 0.0
+    if np.count_nonzero(tie):
         # project e_0 onto span(w_a, w_b), or e_1 where e_0 is orthogonal to it
+        tie &= g_aa == g_bb
         first = (d[0] != 0.0) | (d[1] != 0.0)
         k0 = np.where(tie, np.where(first, d[0], 2.0 * q[0].real), k0)
         k1 = np.where(tie, np.where(first, d[1], 2.0 * q[1].real), k1)
@@ -120,44 +128,39 @@ def _round_rotations(stack: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray):
     vx = k0 * d[0] + k1 * d[1]
     z = k0 * q[0] + k1 * q[1]
     r = np.sqrt(vx * vx + 4.0 * (z * z.conj()).real)
-    r = np.where(r > 0.0, r, 1.0)
-    sign = np.sign(np.where(vx != 0.0, vx, np.where(z.real != 0.0, z.real, -z.imag)))
+    if np.count_nonzero(r > 0.0) < len(r):
+        r = np.where(r > 0.0, r, 1.0)
+    lead = vx if np.count_nonzero(vx) == len(vx) else np.where(
+        vx != 0.0, vx, np.where(z.real != 0.0, z.real, -z.imag))
     # with x = sign vx / r the first component of v: c = sqrt((1 + x) / 2)
     # and s = (v_1 + i v_2) / sqrt(2 (1 + x)), written without cancellation
     h = r + np.abs(vx)
     c = np.sqrt(h / (2.0 * r))
-    s = (2.0 * sign) * z.conj() / np.sqrt(2.0 * r * h)
-    # freeze already-aligned pairs so `_apply_round` leaves them untouched
-    idle = np.abs(s) < 1e-15
-    c = np.where(idle, 1.0, c)
-    s = np.where(idle, 0.0, s)
-    return c, s
+    s = (2.0 * np.sign(lead)) * z.conj() / np.sqrt(2.0 * r * h)
+    keep = ~(np.abs(s) < 1e-15)
+    if np.count_nonzero(keep) == len(s):
+        return pairs, c, s
+    return pairs.reshape(2, -1)[:, keep].ravel(), c[keep], s[keep]
 
 
-def _apply_round(stack, u, idx_i, idx_j, c, s) -> int:
-    """Rotate the active pairs (s != 0) of one round in place; return how many.
+def _apply_round(work: np.ndarray, idx: np.ndarray, c, s) -> int:
+    """Rotate one round's active pairs in place; return how many.
 
-    A frozen pair would only compute x*1 + y*0, so it is skipped.  With the
-    active i's and j's gathered side by side, the swap permutation reverses
-    the halves, and each side (columns and rows of the stack, columns of u)
-    takes one gather, one 2x2 mix and one scatter: columns mix as
-    x [c, c] + x_swapped [s, -conj(s)], rows with the conjugate [conj(s), -s].
+    idx lists their i's, then their j's, so the swap reverses the halves.
+    The columns of a, b and u (the slabs of work) take one gather, mix
+    x [c, c] + x_swapped [s, -conj(s)] and scatter; the rows of a and b
+    mix the same way with the conjugate [conj(s), -s].
     """
-    active = s != 0
-    k = int(np.count_nonzero(active))
+    k = len(s)
     if k == 0:
         return 0
-    idx = np.concatenate([idx_i[active], idx_j[active]])
-    c, s = c[active], s[active]
     col_mix = np.concatenate([s, -s.conj()]).reshape(2, k)
     row_mix = col_mix.conj()[:, :, None]
-    n = u.shape[0]
-    x = stack.take(idx, axis=2).reshape(2, n, 2, k)
-    stack[:, :, idx] = (x * c + x[:, :, ::-1] * col_mix).reshape(2, n, 2 * k)
-    x = stack.take(idx, axis=1).reshape(2, 2, k, n)
-    stack[:, idx, :] = (x * c[:, None] + x[:, ::-1] * row_mix).reshape(2, 2 * k, n)
-    x = u.take(idx, axis=1).reshape(n, 2, k)
-    u[:, idx] = (x * c + x[:, ::-1] * col_mix).reshape(n, 2 * k)
+    n = work.shape[1]
+    x = work.take(idx, axis=2).reshape(3, n, 2, k)
+    work[:, :, idx] = (x * c + x[:, :, ::-1] * col_mix).reshape(3, n, 2 * k)
+    x = work[:2].take(idx, axis=1).reshape(2, 2, k, n)
+    work[:2, idx, :] = (x * c[:, None] + x[:, ::-1] * row_mix).reshape(2, 2 * k, n)
     return k
 
 
@@ -173,8 +176,9 @@ def joint_diagonalize(a, b):
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
     n = am.shape[0]
-    stack = np.stack([am, bm]).astype(np.complex128)
-    u = np.eye(n, dtype=np.complex128)
+    work = np.empty((3, n, n), dtype=np.complex128)
+    work[0], work[1], work[2] = am, bm, np.eye(n)
+    stack = work[:2]                # a and b; u is the third slab
 
     frob2 = float(np.sum(np.abs(stack) ** 2))
     floor = (1e-15 * max(1.0, np.sqrt(frob2))) ** 2
@@ -185,9 +189,8 @@ def joint_diagonalize(a, b):
     rounds = _schedule(n) if n > 1 else ()
 
     while not converged and sweeps < DEFAULT_MAX_SWEEPS:
-        for idx_i, idx_j in rounds:
-            c, s = _round_rotations(stack, idx_i, idx_j)
-            rotations += _apply_round(stack, u, idx_i, idx_j, c, s)
+        for pairs, entries in rounds:
+            rotations += _apply_round(work, *_round_rotations(work, pairs, entries))
         sweeps += 1
         prev, energy = energy, _off_energy(stack)
         trace.append(energy)
@@ -196,7 +199,7 @@ def joint_diagonalize(a, b):
 
     report = SolverReport(sweeps=sweeps, rotations=rotations, offdiag_energy=energy,
                           converged=converged, trace=tuple(trace))
-    return u, report
+    return work[2].copy(), report
 
 
 def commuting_approximation(a, b) -> CommutingPair:

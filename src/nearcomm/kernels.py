@@ -129,13 +129,18 @@ class MollifierKernel:
     unit_mass_check: float
 
     def multiplier(self, omega) -> np.ndarray:
-        """Transfer function F(omega); exactly 0.0 for |omega| >= 1/2.
-
-        The zero outside the band is assigned, not computed, so banding
-        statements hold structurally.
+        """Transfer function F(omega); exactly 0.0 for |omega| >= 1/2, assigned,
+        not computed, so banding statements hold structurally.  F is even: on a
+        square omega with |omega| symmetric, such as the eigenvalue differences
+        l_i - l_j, it runs one quadrature per unordered pair and mirrors it.
         """
-        om = np.asarray(omega, dtype=float)
-        return _autocorr(om) / _bump_moment(2)
+        om = np.abs(np.asarray(omega, dtype=float))
+        if om.ndim != 2 or not np.array_equal(om, om.T):
+            return _autocorr(om) / _bump_moment(2)
+        rows, cols = np.triu_indices(len(om))
+        out = np.empty_like(om)
+        out[rows, cols] = out[cols, rows] = _autocorr(om[rows, cols]) / _bump_moment(2)
+        return out
 
     def time_profile(self, t) -> np.ndarray:
         """The mollifier f(t) itself (unit mass, nonnegative)."""
@@ -256,9 +261,9 @@ def build_step() -> StepKernel:
 def band_smooth(a, b) -> np.ndarray:
     """Average b over the spectral flow of a, band-limiting it to |dl| < 1/2.
 
-    In the eigenbasis of a the result is entrywise b_ij * F(l_i - l_j);
-    entries with |l_i - l_j| >= 1/2 are exactly zero.  Guarantees
-    ||b - b1|| <= k1 * ||[a, b]|| and ||[a, b1]|| <= ||[a, b]||.
+    In the eigenbasis of a the result is entrywise b_ij * F(l_i - l_j), one
+    quadrature per unordered pair and exactly zero for |l_i - l_j| >= 1/2.
+    Guarantees ||b - b1|| <= k1 * ||[a, b]|| and ||[a, b1]|| <= ||[a, b]||.
     """
     dec = spectral_decomp(a)
     v = dec.basis

@@ -174,8 +174,10 @@ def theorem_c_correct(a, b, eps: float, *,
             raise BlockNormViolation(
                 f"block k={k}: rescaled a-block norm {norm_scaled:.8f} exceeds 1 "
                 "(partition sandwich must have failed)")
-        inner = commuting_approximation(a_scaled, hermitian_part(b_blk))
-        cols.append(q @ inner.basis)
+        dec_blk = spectral_decomp(a_scaled)     # the solve starts diagonal in a
+        b_eig = hermitian_part(dec_blk.basis.conj().T @ b_blk @ dec_blk.basis)
+        inner = commuting_approximation(np.diag(dec_blk.eigenvalues), b_eig)
+        cols.append(q @ (dec_blk.basis @ inner.basis))
         diag_a_parts.append(inner.diag_a / BLOCK_SCALE + (k + BLOCK_SHIFT))
         diag_b_parts.append(inner.diag_b)
     compress_defect_a = op_norm(a_diag - compress_a)

@@ -146,6 +146,20 @@ class TestJordanWignerMap:
             assert (a_star(rep, xi) != ref).nnz == 0
             assert (annihilator(rep, xi) != ref.conj().T.tocsr()).nnz == 0
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_annihilator_is_the_transposed_creator_bit_for_bit(self, n):
+        # a(xi) is read off the transposed pattern, not built by conjugating
+        # and converting a*(xi): the same entries in the same order
+        rng = np.random.default_rng(810 + n)
+        sparse_xi = random_vector(n, rng)
+        sparse_xi[::2] = 0.0
+        rep = fock_rep(n)
+        for xi in (random_vector(n, rng), sparse_xi):
+            got, want = annihilator(rep, xi), a_star(rep, xi).conj().T.tocsr()
+            assert got.data.tobytes() == want.data.tobytes()
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_a_star_reads_the_map(self, n):
         # a*(xi) scales each entry of J by its mode's xi_k and folds the

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from nearcomm.hermitian import commutator, op_norm
-from nearcomm.jointdiag import (_apply_round, _round_rotations, _schedule,
-                                commuting_approximation, joint_diagonalize)
+from nearcomm.hermitian import as_array, commutator, op_norm
+from nearcomm.jointdiag import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, _apply_round,
+                                _entry_index, _off_energy, _round_rotations,
+                                _schedule, commuting_approximation,
+                                joint_diagonalize)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -36,6 +38,106 @@ def all_pairs_round(stack, u, idx_i, idx_j, c, s):
     ui, uj = u[:, idx_i], u[:, idx_j]
     u[:, idx_i] = ui * c + uj * s
     u[:, idx_j] = uj * c - ui * sc
+
+
+def frozen_rotations(stack, idx_i, idx_j):
+    """`_round_rotations` for every pair of a round of the (2, n, n) stack,
+    with the pairs it drops frozen at c=1, s=0."""
+    n = stack.shape[1]
+    work = np.concatenate([stack, np.eye(n, dtype=complex)[None]])
+    idx, c, s = _round_rotations(work, np.concatenate([idx_i, idx_j]),
+                                 _entry_index(n, idx_i, idx_j))
+    active = np.isin(idx_i, idx[:len(s)])
+    c_all, s_all = np.ones(len(idx_i)), np.zeros(len(idx_i), dtype=complex)
+    c_all[active], s_all[active] = c, s
+    return c_all, s_all
+
+
+def reference_round_rotations(stack, idx_i, idx_j):
+    """The per-round angle code the work-array kernel replaced, kept as its
+    reference: full-length c, s with aligned pairs frozen at c=1, s=0."""
+    diag = stack.diagonal(axis1=1, axis2=2)
+    d = (diag[:, idx_i] - diag[:, idx_j]).real
+    q = stack[:, idx_i, idx_j]
+    g = d * d + 4.0 * (q * q.conj()).real
+    g_ab = d[0] * d[1] + 4.0 * (q[0] * q[1].conj()).real
+    t = 0.5 * np.arctan2(2.0 * g_ab, g[0] - g[1])
+    k0, k1 = np.cos(t), np.sin(t)
+    tie = (g[0] == g[1]) & (g_ab == 0.0)
+    if tie.any():
+        first = (d[0] != 0.0) | (d[1] != 0.0)
+        k0 = np.where(tie, np.where(first, d[0], 2.0 * q[0].real), k0)
+        k1 = np.where(tie, np.where(first, d[1], 2.0 * q[1].real), k1)
+    vx = k0 * d[0] + k1 * d[1]
+    z = k0 * q[0] + k1 * q[1]
+    r = np.sqrt(vx * vx + 4.0 * (z * z.conj()).real)
+    r = np.where(r > 0.0, r, 1.0)
+    sign = np.sign(np.where(vx != 0.0, vx, np.where(z.real != 0.0, z.real, -z.imag)))
+    h = r + np.abs(vx)
+    c = np.sqrt(h / (2.0 * r))
+    s = (2.0 * sign) * z.conj() / np.sqrt(2.0 * r * h)
+    idle = np.abs(s) < 1e-15
+    c = np.where(idle, 1.0, c)
+    s = np.where(idle, 0.0, s)
+    return c, s
+
+
+def reference_apply_round(stack, u, idx_i, idx_j, c, s) -> int:
+    """The per-round update the work-array kernel replaced: the active
+    pairs of the stack and of u, mixed in three separate passes."""
+    active = s != 0
+    k = int(np.count_nonzero(active))
+    if k == 0:
+        return 0
+    idx = np.concatenate([idx_i[active], idx_j[active]])
+    c, s = c[active], s[active]
+    col_mix = np.concatenate([s, -s.conj()]).reshape(2, k)
+    row_mix = col_mix.conj()[:, :, None]
+    n = u.shape[0]
+    x = stack.take(idx, axis=2).reshape(2, n, 2, k)
+    stack[:, :, idx] = (x * c + x[:, :, ::-1] * col_mix).reshape(2, n, 2 * k)
+    x = stack.take(idx, axis=1).reshape(2, 2, k, n)
+    stack[:, idx, :] = (x * c[:, None] + x[:, ::-1] * row_mix).reshape(2, 2 * k, n)
+    x = u.take(idx, axis=1).reshape(n, 2, k)
+    u[:, idx] = (x * c + x[:, ::-1] * col_mix).reshape(n, 2 * k)
+    return k
+
+
+def reference_joint_diagonalize(a, b):
+    """The sweep loop over a separate stack and u, with the reference round."""
+    stack = np.stack([as_array(a), as_array(b)]).astype(np.complex128)
+    n = stack.shape[1]
+    u = np.eye(n, dtype=np.complex128)
+    frob2 = float(np.sum(np.abs(stack) ** 2))
+    floor = (1e-15 * max(1.0, np.sqrt(frob2))) ** 2
+    energy = _off_energy(stack)
+    trace = [energy]
+    converged = energy <= floor or n == 1
+    sweeps = rotations = 0
+    rounds = [pairs.reshape(2, -1) for pairs, _ in _schedule(n)] if n > 1 else ()
+    while not converged and sweeps < DEFAULT_MAX_SWEEPS:
+        for idx_i, idx_j in rounds:
+            c, s = reference_round_rotations(stack, idx_i, idx_j)
+            rotations += reference_apply_round(stack, u, idx_i, idx_j, c, s)
+        sweeps += 1
+        prev, energy = energy, _off_energy(stack)
+        trace.append(energy)
+        if energy <= floor or (prev - energy) <= DEFAULT_TOL * max(prev, floor):
+            converged = True
+    return u, tuple(trace), sweeps, rotations
+
+
+def zero_block_pair(rng):
+    """n=7 pair whose (3, 4) block has d = 0 in both matrices and q != 0 in
+    a only (the vx = 0 fix-up), and whose (5, 6) blocks are exactly zero in
+    both (the tie with r = 0)."""
+    a = np.zeros((7, 7), dtype=complex)
+    b = np.zeros((7, 7), dtype=complex)
+    a[:3, :3], b[:3, :3] = random_hermitian(3, rng), random_hermitian(3, rng)
+    a[3:5, 3:5] = [[0.4, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]]
+    b[3:5, 3:5] = np.diag([-0.2, -0.2])
+    a[5:, 5:], b[5:, 5:] = np.diag([1.5, 1.5]), np.diag([0.7, 0.7])
+    return a, b
 
 
 def blocks_from_vectors(w):
@@ -72,7 +174,9 @@ class TestSchedule:
     def test_round_robin_covers_all_pairs(self, n):
         rounds = _schedule(n)
         seen = set()
-        for idx_i, idx_j in rounds:
+        for pairs, entries in rounds:
+            idx_i, idx_j = pairs.reshape(2, -1)
+            np.testing.assert_array_equal(entries, _entry_index(n, idx_i, idx_j))
             # pairs within one round are disjoint
             touched = list(idx_i) + list(idx_j)
             assert len(touched) == len(set(touched))
@@ -86,23 +190,26 @@ class TestRoundKernels:
         rng = np.random.default_rng(71 + n)
         a, b = banded_pair(n, rng, width=2)
         a = a + 1e-3 * random_hermitian(n, rng)
-        stack = np.stack([a, b])
         u = np.eye(n, dtype=complex) + 1e-2 * random_hermitian(n, rng)
-        ref_stack, ref_u = stack.copy(), u.copy()
+        work = np.stack([a, b, u])
+        ref_stack, ref_u = work[:2].copy(), u.copy()
         idle_rounds = 0
         for sweep in range(2):
-            for idx_i, idx_j in _schedule(n):
-                c, s = _round_rotations(stack, idx_i, idx_j)
+            for pairs, _ in _schedule(n):
+                idx_i, idx_j = pairs.reshape(2, -1)
+                c, s = frozen_rotations(work[:2], idx_i, idx_j)
                 if sweep == 0:
                     # idle some pairs by hand as well
                     drop = rng.random(len(s)) < 0.3
                     c, s = np.where(drop, 1.0, c), np.where(drop, 0.0, s)
                 idle_rounds += bool(np.any(s == 0))
-                applied = _apply_round(stack, u, idx_i, idx_j, c, s)
+                active = s != 0
+                applied = _apply_round(work, np.concatenate([idx_i[active], idx_j[active]]),
+                                       c[active], s[active])
                 all_pairs_round(ref_stack, ref_u, idx_i, idx_j, c, s)
                 assert applied == np.count_nonzero(s)
-                np.testing.assert_array_equal(stack, ref_stack)
-                np.testing.assert_array_equal(u, ref_u)
+                np.testing.assert_array_equal(work[:2], ref_stack)
+                np.testing.assert_array_equal(work[2], ref_u)
         assert idle_rounds > 0
 
     def test_closed_form_axis_matches_eigh(self):
@@ -110,7 +217,7 @@ class TestRoundKernels:
         for _ in range(10):
             w = rng.normal(size=(2, 100, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 100, 1))
             stack, idx_i, idx_j = blocks_from_vectors(w)
-            v = rotation_axis(*_round_rotations(stack, idx_i, idx_j))
+            v = rotation_axis(*frozen_rotations(stack, idx_i, idx_j))
             g = np.einsum("mpi,mpj->pij", w, w)
             top = np.linalg.eigh(g)[1][:, :, 2]
             err = np.minimum(np.linalg.norm(v - top, axis=1), np.linalg.norm(v + top, axis=1))
@@ -128,11 +235,53 @@ class TestRoundKernels:
     def test_closed_form_special_cases(self, w0, w1, expected):
         w = np.array([[w0], [w1]], dtype=float)
         stack, idx_i, idx_j = blocks_from_vectors(w)
-        c, s = _round_rotations(stack, idx_i, idx_j)
+        c, s = frozen_rotations(stack, idx_i, idx_j)
         expected = np.asarray(expected, dtype=float) / np.linalg.norm(expected)
         np.testing.assert_allclose(rotation_axis(c, s)[0], expected, rtol=0, atol=1e-13)
         if expected[0] == 1.0:
             assert c[0] == 1.0 and s[0] == 0.0
+
+
+class TestReferenceKernel:
+    """The work-array round is the same float operation on every element as
+    the reference loop above, so every result matches it bit for bit."""
+
+    @staticmethod
+    def assert_same_run(a, b):
+        u, report = joint_diagonalize(a, b)
+        ref_u, trace, sweeps, rotations = reference_joint_diagonalize(a, b)
+        assert u.tobytes() == ref_u.tobytes()
+        assert report.trace == trace
+        assert (report.sweeps, report.rotations) == (sweeps, rotations)
+        return report
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 23, 40])
+    def test_almost_commuting(self, n):
+        a, b = almost_commuting_pair(n, 0.05, np.random.default_rng(90 + n))
+        assert self.assert_same_run(a, b).rotations > 0
+
+    def test_banded_pair_with_idle_pairs(self):
+        a, b = banded_pair(64, np.random.default_rng(61))
+        report = self.assert_same_run(a, b)
+        assert 0 < report.rotations < report.sweeps * 64 * 63 // 2
+
+    @pytest.mark.parametrize("pair", [(SX, SZ), (SZ, SX)], ids=["x-z", "z-x"])
+    def test_exact_ties(self, pair):
+        self.assert_same_run(*pair)
+
+    def test_zero_blocks_take_the_fix_ups(self):
+        a, b = zero_block_pair(np.random.default_rng(97))
+        # the blocks never couple, so (3, 4) is still untouched when its
+        # round comes and (5, 6) stays exactly zero: rotated, then dropped
+        for pairs, _ in _schedule(7):
+            idx_i, idx_j = pairs.reshape(2, -1)
+            c, s = frozen_rotations(np.stack([a, b]), idx_i, idx_j)
+            for i, j, c_ij, s_ij in zip(idx_i, idx_j, c, s):
+                if (i, j) == (3, 4):
+                    assert s_ij != 0
+                elif (i, j) == (5, 6):
+                    assert (c_ij, s_ij) == (1.0, 0.0)
+        self.assert_same_run(a, b)
 
 
 class TestJointDiagonalize:

@@ -9,9 +9,10 @@ import scipy.optimize
 from nearcomm import kernels
 from nearcomm.errors import QuadratureError
 from nearcomm.kernels import (BAND_HALF_WIDTH, RAMP_HALF_WIDTH, _FREQ_CUTOFF,
-                              _abs_transform_integral, _sign_cuts,
-                              _slope_transform, band_smooth, build_mollifier,
-                              build_step, lipschitz_commutator_check)
+                              _abs_transform_integral, _autocorr, _bump_moment,
+                              _sign_cuts, _slope_transform, band_smooth,
+                              build_mollifier, build_step,
+                              lipschitz_commutator_check)
 from nearcomm.hermitian import commutator, op_norm, spectral_decomp
 from nearcomm.kms import isometry_function_constant
 
@@ -88,6 +89,31 @@ class TestMollifierShape:
         kern = build_mollifier()
         omega = np.linspace(-0.49, 0.49, 99)
         assert np.all(kern.multiplier(omega) > 0)
+
+    def test_eigenvalue_differences_mirror_one_triangle(self):
+        # a square delta = l_i - l_j takes one quadrature per unordered pair
+        lam = np.sort(np.random.default_rng(83).uniform(0.0, 3.0, 64))
+        delta = lam[:, None] - lam[None, :]
+        mult = build_mollifier().multiplier(delta)
+        np.testing.assert_array_equal(mult, mult.T)
+        assert np.all(mult[np.abs(delta) >= 0.5] == 0.0)
+        # all-entries evaluation: the rows group differently in BLAS, so
+        # entries may move by an ulp or two but no further
+        full = _autocorr(delta) / _bump_moment(2)
+        np.testing.assert_allclose(mult, full, rtol=4.5e-16, atol=0)
+
+    def test_band_smooth_peak_memory(self):
+        rng = np.random.default_rng(83)
+        a = np.diag(np.sort(rng.uniform(0.0, 3.0, 64))).astype(complex)
+        b = random_hermitian(64, rng)
+        band_smooth(a, b)       # builds the cached kernel outside the trace
+        tracemalloc.start()
+        try:
+            band_smooth(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
     def test_time_profile_nonnegative(self):
         kern = build_mollifier()

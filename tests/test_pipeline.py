@@ -203,6 +203,29 @@ class TestEigenbasisCore:
             mean[label] = float(np.mean(sweeps))
         assert mean["rotated"] <= mean["diagonal"] + 1.0, mean
 
+    def test_block_solves_start_diagonal_in_a(self, monkeypatch):
+        """Each block solve receives its a-block as a real ascending diagonal.
+        On the rotated n=64, ||a|| = 3 instance of seed 25 the block solves
+        then take 9 sweeps in all, against 14 when each block started in
+        the basis that the partition hands over."""
+        seen = []
+        original = pipeline.commuting_approximation
+
+        def record(a, b):
+            pair = original(a, b)
+            seen.append((np.array(a), pair.report.sweeps))
+            return pair
+
+        monkeypatch.setattr(pipeline, "commuting_approximation", record)
+        _, (a, b) = _rotated_instance(64, 3.0, 25)
+        theorem_c_correct(a, b, eps=0.1)
+        assert seen
+        for a_blk, _ in seen:
+            assert np.isrealobj(a_blk)
+            np.testing.assert_array_equal(a_blk, np.diag(np.diag(a_blk)))
+            assert np.all(np.diff(np.diag(a_blk)) >= 0.0)
+        assert sum(sweeps for _, sweeps in seen) < 14
+
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("a_norm", [3.0, 100.0])
     def test_unitary_covariance(self, n, a_norm):
