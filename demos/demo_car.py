@@ -12,8 +12,7 @@ import scipy.linalg
 
 from nearcomm import (a_star, annihilator, commutator, fock_rep,
                       hermitian_part, op_norm, quasi_free_flow,
-                      quasi_free_generator, rank_perturbation_norms,
-                      second_quantize, wick_unitary)
+                      quasi_free_generator, second_quantize, wick_unitary)
 from nearcomm.car import number_operator
 
 rng = np.random.default_rng(20240915)
@@ -45,12 +44,13 @@ print(f"\nquasi-free covariance at t={t}: "
 gen = quasi_free_generator(flow, x)
 print(f"generator identity: {op_norm(gen - 1j * a_star(rep, h_one @ xi).toarray()):.2e}")
 
-# rank perturbations: the norm of b depends on the signs of the eigenvalues
+# rank perturbations: b = dGamma(T) has the subset sums of T's eigenvalues
+# as spectrum, so its norm depends on their signs, not only on Tr|T|
 t_matrix = np.diag([0.7, -0.4, 0.0, 0.0]).astype(np.complex128)
-b_norm, tr_abs = rank_perturbation_norms(t_matrix)
-print(f"\nrank-2 perturbation with eigenvalues (0.7, -0.4): "
-      f"||b|| = {b_norm:.2f}, Tr|T| = {tr_abs:.2f}")
 pert = second_quantize(rep, t_matrix)
+print(f"\nrank-2 perturbation with eigenvalues (0.7, -0.4): "
+      f"||b|| = {op_norm(pert.toarray()):.2f}, "
+      f"Tr|T| = {np.sum(np.abs(np.linalg.eigvalsh(t_matrix))):.2f}")
 cov = op_norm(commutator(1j * pert.toarray(), x.toarray())
               - 1j * a_star(rep, t_matrix @ xi).toarray())
 print(f"inner-perturbation covariance [ib, a*(xi)] = i a*(T xi): {cov:.2e}")

@@ -27,12 +27,14 @@ print(f"\nstage 1  band-smooth: ||b - b'|| = {op_norm(b - smoothed):.3e}, "
       f"||[a, b']|| = {op_norm(commutator(a, smoothed)):.3e}")
 
 part = partition(a, smoothed, EPS)
-print(f"stage 2  partition: {len(part.blocks)} nonempty windows, "
-      f"sum residual {part.sum_residual():.1e}, "
+windows = [(blk.k, blk.q @ blk.q.conj().T) for blk in part.blocks]
+print(f"stage 2  partition: {len(windows)} nonempty windows, "
+      f"sum residual {op_norm(sum(p for _, p in windows) - np.eye(12)):.1e}, "
       f"chain residual {part.chain_residual:.1e}")
-for blk in part.blocks:
-    print(f"         window {blk.k:+d}: rank {blk.q.shape[1]:2d},  ||[a,p]|| = {blk.comm_a:.2e},"
-          f"  ||[b',p]|| = {blk.comm_b:.2e}   (budget {EPS})")
+for k, p in windows:
+    print(f"         window {k:+d}: rank {round(np.trace(p).real):2d},  "
+          f"||[a,p]|| = {op_norm(commutator(a, p)):.2e},"
+          f"  ||[b',p]|| = {op_norm(commutator(smoothed, p)):.2e}   (budget {EPS})")
 
 res = theorem_c_correct(a, b, EPS)
 print("stage 3  per-block solve and reassembly")

@@ -21,7 +21,6 @@ from .car import (
     fock_rep,
     quasi_free_flow,
     quasi_free_generator,
-    rank_perturbation_norms,
     second_quantize,
     wick_unitary,
 )

@@ -268,19 +268,6 @@ def quasi_free_generator(flow: QuasiFreeFlow, x):
     return 1j * (d @ x - x @ d)
 
 
-def rank_perturbation_norms(t_matrix) -> tuple[float, float]:
-    """(‖b‖, Tr|T|) for b = second_quantize(fock_rep(n), T).
-
-    b is diagonal in the zeta-occupation basis with spectrum the subset sums
-    of the eigenvalues, so ‖b‖ = max(sum of positive, -sum of negative);
-    equality with Tr|T| holds exactly when the eigenvalues share a sign.
-    """
-    lam = np.linalg.eigvalsh(checked_hermitian(t_matrix))
-    positive = float(np.sum(lam[lam > 0]))
-    negative = float(-np.sum(lam[lam < 0]))
-    return max(positive, negative), positive + negative
-
-
 def _validate_indices(label: str, idx, n: int) -> tuple:
     idx = tuple(int(i) for i in idx)
     if any(i < 0 or i >= n for i in idx):

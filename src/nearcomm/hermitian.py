@@ -69,11 +69,6 @@ class SpectralDecomposition:
         v = self.basis
         return (v * self.eigenvalues) @ v.conj().T
 
-    def evolve(self, z: complex, x) -> np.ndarray:
-        """Ad e^{izh}(x) = e^{izh} x e^{-izh} for complex z, h the decomposed
-        matrix; see ad_evolve."""
-        return ad_evolve(z, as_array(x), self, self)
-
 
 def ad_evolve(z: complex, x: np.ndarray, row: SpectralDecomposition,
               col: SpectralDecomposition) -> np.ndarray:

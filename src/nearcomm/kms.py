@@ -26,8 +26,8 @@ import numpy as np
 from ._quad import gl_nodes
 from .ensembles import random_hermitian
 from .errors import NearcommError, QuadratureError, SpectralGapMissing
-from .hermitian import (SpectralDecomposition, as_array, checked_hermitian, commutator,
-                        hermitian_part, op_norm)
+from .hermitian import (SpectralDecomposition, ad_evolve, as_array, checked_hermitian,
+                        commutator, hermitian_part, op_norm)
 from .serialize import csv_text, fmt_float
 
 PROJECTION_ATOL = 1e-10
@@ -107,6 +107,13 @@ def _check_shape(name: str, m: np.ndarray, h: np.ndarray) -> None:
         raise ValueError(f"{name} has shape {m.shape}, but h has shape {h.shape}")
 
 
+def _check_finite(name: str, m: np.ndarray) -> None:
+    """Reject NaN and inf by name: max(worst, nan) keeps worst, so a NaN
+    would read as a perfect residual, and op_norm's SVD fails on one."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries (NaN or inf)")
+
+
 def perturbed_functional(state: KmsState, b) -> KmsState:
     """The Araki-perturbed functional: density exp(-c(h+b)) / Z of the state."""
     bm = checked_hermitian(b)
@@ -116,8 +123,12 @@ def perturbed_functional(state: KmsState, b) -> KmsState:
 
 def _eigenbasis_residual(rho, lam, v, c: float, x, y, t_samples) -> float:
     """boundary_residual with rho given in the eigenbasis v of h = v diag(lam) v*,
-    where the flow is entrywise: alpha_z(y)_jk = e^{iz(lam_j - lam_k)} y_jk."""
-    x, y = (v.conj().T @ as_array(m) @ v for m in (x, y))
+    where the flow is entrywise: alpha_z(y)_jk = e^{iz(lam_j - lam_k)} y_jk.
+    A NaN or inf in x or y raises ValueError: it would read as residual 0."""
+    x, y = as_array(x), as_array(y)
+    _check_finite("x", x)
+    _check_finite("y", y)
+    x, y = (v.conj().T @ m @ v for m in (x, y))
     gap = lam[:, None] - lam[None, :]
     rho_x = rho @ x
     worst = 0.0
@@ -173,11 +184,12 @@ def symmetry_action(state: KmsState, w) -> SymmetryActionResult:
     grows like 1e-16 e^{|c| spread(h)}.
     """
     wm = as_array(w)
+    _check_finite("w", wm)
     n = wm.shape[0]
     if op_norm(wm.conj().T @ wm - np.eye(n)) > UNITARY_ATOL:
         raise ValueError("w is not unitary within 1e-10")
     dec = SpectralDecomposition(state.eigenvalues, state.basis)
-    cocycle = dec.evolve(1j * state.c, wm) @ wm.conj().T
+    cocycle = ad_evolve(1j * state.c, wm, dec, dec) @ wm.conj().T
     raw = cocycle @ wm @ state.density @ wm.conj().T
     density = hermitian_part(raw)
     density = density / float(np.trace(density).real)
@@ -320,8 +332,10 @@ def close_projection_isometry(e1, e2) -> np.ndarray:
     e1m, e2m = as_array(e1), as_array(e2)
     n = e1m.shape[0]
     for name, em in (("e1", e1m), ("e2", e2m)):
-        # Frobenius norms bound the operator norm, so these checks are the stricter
-        if max(np.linalg.norm(em @ em - em), np.linalg.norm(em - em.conj().T)) > PROJECTION_ATOL:
+        # Frobenius norms bound the operator norm, so these checks are the
+        # stricter; a NaN entry makes the first norm NaN, which fails the test
+        defect = max(np.linalg.norm(em @ em - em), np.linalg.norm(em - em.conj().T))
+        if not defect <= PROJECTION_ATOL:
             raise ValueError(f"{name} is not an orthogonal projection within 1e-10")
     prod = e1m @ e2m
     gram = hermitian_part(prod.conj().T @ prod)    # e2 e1 e2
@@ -388,7 +402,7 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     scale = max(1.0, *(float(np.max(np.abs(om.eigenvalues))) for om in (omega1, omega2)))
     for name, om, em in (("e1", omega1, e1m), ("e2", omega2, e2m)):
         drift = np.linalg.norm(commutator(om.h, em))    # Frobenius, >= operator norm
-        if drift > INVARIANCE_ATOL * scale:
+        if not drift <= INVARIANCE_ATOL * scale:      # a NaN e fails here
             raise ValueError(f"{name} is not flow-invariant: ||[h+b, e]|| = {drift:.3e}")
 
     corner = close_projection_isometry(e1m, e2m)[:n, n:]

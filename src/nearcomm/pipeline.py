@@ -117,16 +117,15 @@ def _orthonormalize(w: np.ndarray) -> np.ndarray:
     return w @ inv_root
 
 
-def theorem_c_correct(a, b, eps: float, *,
-                      table=None) -> CorrectionResult:
+def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
     """Replace an almost-commuting pair by a nearby exactly commuting one.
 
     eps is the per-window commutator budget for the partition stage.  The
     measured input commutator is compared against the calibrated admissible
-    value for eps (table, or else the calibration fixture, which must
-    exist); larger inputs still run but the result is flagged
-    out_of_regime.  If ||b|| > 1 the input is rescaled to the unit ball,
-    processed, and scaled back, with distances reported in original units.
+    value for eps (the calibration fixture, which must exist); larger inputs
+    still run but the result is flagged out_of_regime.  If ||b|| > 1 the
+    input is rescaled to the unit ball, processed, and scaled back, with
+    distances reported in original units.
 
     a is decomposed once, a = V diag(lambda) V*, and smoothing, partition,
     the tridiagonal check and the block solves all run on the pair
@@ -144,9 +143,7 @@ def theorem_c_correct(a, b, eps: float, *,
         bm = bm_orig / b_rescale
     nu_unit = nu_input / b_rescale
 
-    if table is None:
-        table = load_calibration()
-    out_of_regime = nu_unit > table.admissible_nu(eps)
+    out_of_regime = nu_unit > load_calibration().admissible_nu(eps)
 
     # in the eigenbasis of a every spectral window is a set of coordinates
     dec = spectral_decomp(am)
@@ -169,12 +166,12 @@ def theorem_c_correct(a, b, eps: float, *,
         compress_b += q @ b_blk @ q.conj().T
         block_comms.append(op_norm(commutator(a_blk, b_blk)))
         a_scaled = hermitian_part((a_blk - (k + BLOCK_SHIFT) * np.eye(rank)) * BLOCK_SCALE)
-        norm_scaled = op_norm(a_scaled)
+        dec_blk = spectral_decomp(a_scaled)     # the solve starts diagonal in a
+        norm_scaled = float(np.max(np.abs(dec_blk.eigenvalues)))
         if norm_scaled > 1.0 + BLOCK_NORM_SLACK:
             raise BlockNormViolation(
                 f"block k={k}: rescaled a-block norm {norm_scaled:.8f} exceeds 1 "
                 "(partition sandwich must have failed)")
-        dec_blk = spectral_decomp(a_scaled)     # the solve starts diagonal in a
         b_eig = hermitian_part(dec_blk.basis.conj().T @ b_blk @ dec_blk.basis)
         inner = commuting_approximation(np.diag(dec_blk.eigenvalues), b_eig)
         cols.append(q @ (dec_blk.basis @ inner.basis))
@@ -243,7 +240,7 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
         try:
             inst = pair_instance(n, nu, rng)
             eps_used, forced = (eps, False) if eps is not None else _auto_eps(nu, table)
-            result = theorem_c_correct(inst.a, inst.b, eps_used, table=table)
+            result = theorem_c_correct(inst.a, inst.b, eps_used)
             flag = "out-of-regime" if (result.out_of_regime or forced) else ""
             row = SweepRow(n=n, nu_target=nu, nu_measured=inst.nu_measured,
                            dist_a=result.pair.dist_a, dist_b=result.pair.dist_b,

@@ -8,8 +8,7 @@ import scipy.sparse as sparse
 from nearcomm import car
 from nearcomm.car import (MAX_MODES, a_star, annihilator, fock_rep,
                           number_operator, quasi_free_flow,
-                          quasi_free_generator, rank_perturbation_norms,
-                          second_quantize, wick_unitary)
+                          quasi_free_generator, second_quantize, wick_unitary)
 from nearcomm.hermitian import op_norm
 
 NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -414,30 +413,24 @@ class TestInnerPerturbation:
         # T = |e1><e1|: b is the mode-1 number operator with norm 1
         t_mat = np.diag([1.0, 0.0]).astype(complex)
         b = second_quantize(fock_rep(2), t_mat)
-        norm_b, tr_abs = rank_perturbation_norms(t_mat)
-        assert norm_b == pytest.approx(1.0) and tr_abs == pytest.approx(1.0)
         assert op_norm(b.toarray()) == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_formula_matches_operator_norm(self):
+        # dGamma(T) has the subset sums of T's eigenvalues as spectrum, so
+        # ||b|| = max(sum of positive, -sum of negative) <= Tr|T|
         rng = np.random.default_rng(733)
         for n in (2, 3, 4):
             t_mat = random_hermitian(n, rng)
-            norm_b, tr_abs = rank_perturbation_norms(t_mat)
+            lam = np.linalg.eigvalsh(t_mat)
+            norm_b = max(np.sum(lam[lam > 0]), -np.sum(lam[lam < 0]))
             b = second_quantize(fock_rep(n), t_mat)
             assert norm_b == pytest.approx(op_norm(b.toarray()), abs=1e-10)
-            assert norm_b <= tr_abs + 1e-12
-            lam = np.linalg.eigvalsh(t_mat)
-            assert tr_abs == pytest.approx(float(np.sum(np.abs(lam))), abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="self-adjoint"):
-            rank_perturbation_norms(NON_HERMITIAN)
+            assert norm_b <= np.sum(np.abs(lam)) + 1e-12
 
     def test_mixed_signs_below_trace_norm(self):
-        t_mat = np.diag([1.0, -1.0]).astype(complex)
-        norm_b, tr_abs = rank_perturbation_norms(t_mat)
-        assert norm_b == pytest.approx(1.0)
-        assert tr_abs == pytest.approx(2.0)
+        # eigenvalues (1, -1): ||b|| = 1, half of Tr|T| = 2
+        b = second_quantize(fock_rep(2), np.diag([1.0, -1.0]).astype(complex))
+        assert op_norm(b.toarray()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWickUnitary:

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 
 from nearcomm.errors import FunctionDomainError
-from nearcomm.hermitian import (SpectralDecomposition, as_array, checked_hermitian,
-                                commutator, func_calc, hermitian_part, op_norm,
-                                spectral_decomp)
+from nearcomm.hermitian import (SpectralDecomposition, ad_evolve, as_array,
+                                checked_hermitian, commutator, func_calc, hermitian_part,
+                                op_norm, spectral_decomp)
 from nearcomm.jointdiag import commuting_approximation
 from nearcomm.kernels import band_smooth
 from nearcomm.kms import gibbs, perturbed_functional
@@ -152,7 +152,7 @@ class TestSpectralDecomp:
             for z in (0.0, 1.3, -2.0, 0.4 + 1j, -0.7 - 0.5j, 1j, -1j):
                 oracle = (scipy.linalg.expm(1j * z * h) @ x
                           @ scipy.linalg.expm(-1j * z * h))
-                error = op_norm(dec.evolve(z, x) - oracle)
+                error = op_norm(ad_evolve(z, x, dec, dec) - oracle)
                 assert error < 1e-12 * op_norm(oracle)
 
 

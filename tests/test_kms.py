@@ -11,7 +11,7 @@ import scipy.optimize
 
 from nearcomm import ensembles, kms
 from nearcomm.errors import NearcommError, QuadratureError, SpectralGapMissing
-from nearcomm.hermitian import SpectralDecomposition, commutator, op_norm
+from nearcomm.hermitian import SpectralDecomposition, ad_evolve, commutator, op_norm
 from nearcomm.kms import (DEFAULT_KMS_DIMS, KMS_HEADER, _PERIOD, _taper_sup,
                           _taper_transform,
                           boundary_residual, close_projection_isometry,
@@ -134,6 +134,25 @@ class TestBoundaryResidual:
         with pytest.raises(ValueError, match="self-adjoint"):
             boundary_residual(rho, UPPER, 1.0, SZ, SZ, (0.0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_kms_verify_rejects_non_finite_operands(self, name, bad):
+        # max(worst, nan) keeps worst, so a NaN would read as residual 0.0
+        state = gibbs(np.diag([0.0, 1.0, 2.0]), 1.0)
+        ops = {"x": np.ones((3, 3), dtype=complex), "y": np.eye(3, dtype=complex)}
+        ops[name][0, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+            kms_verify(state, ops["x"], ops["y"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_boundary_residual_rejects_non_finite_operands(self, name, bad):
+        state = gibbs(SZ, 1.0)
+        ops = {"x": UPPER.copy(), "y": UPPER.T.copy()}
+        ops[name][1, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+            boundary_residual(state.density, SZ, 1.0, ops["x"], ops["y"], (0.0, 1.0))
+
 
 class TestPerturbedFunctional:
     def test_matches_gibbs_closed_form(self):
@@ -232,6 +251,14 @@ class TestSymmetryAction:
         state = gibbs(SZ, 1.0)
         with pytest.raises(ValueError, match="unitary"):
             symmetry_action(state, np.diag([2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_w(self, bad):
+        # not numpy's LinAlgError from the unitarity norm's SVD
+        w = np.eye(2, dtype=complex)
+        w[0, 1] = bad
+        with pytest.raises(ValueError, match="^w has non-finite"):
+            symmetry_action(gibbs(SZ, 1.0), w)
 
     def test_uncorrected_action_moves_the_state(self):
         # control: plain w rho w* differs, the cocycle is doing real work
@@ -374,6 +401,14 @@ class TestCloseProjectionIsometry:
         with pytest.raises(ValueError, match="projection"):
             close_projection_isometry(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("name", ["e1", "e2"])
+    def test_rejects_nan_projection(self, name):
+        # NaN > tol is False, so the gate is written to fail on NaN
+        es = {key: np.diag([1.0, 0.0]).astype(complex) for key in ("e1", "e2")}
+        es[name][1, 1] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} is not an orthogonal projection"):
+            close_projection_isometry(es["e1"], es["e2"])
+
 
 class TestTheoremB:
     def test_equal_perturbations_flat(self):
@@ -417,7 +452,7 @@ class TestTheoremB:
         base = gibbs(h, c)
         rho = scipy.linalg.block_diag(perturbed_functional(base, b1).density,
                                       perturbed_functional(base, b2).density)
-        f = lambda z: abs(np.trace(rho @ v @ flow.evolve(z, v.conj().T)))
+        f = lambda z: abs(np.trace(rho @ v @ ad_evolve(z, v.conj().T, flow, flow)))
         ts = np.linspace(-1.0, 1.0, 9)
         ss = np.linspace(0.0, c, 9)
         interior = max(f(t + 1j * s) for t in ts[1:-1] for s in ss[1:-1])
@@ -524,6 +559,19 @@ class TestTheoremB:
         e_bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="flow-invariant"):
             theorem_b_inequality(h, b, b, e_bad, e_bad, 1.0)
+
+    def test_rejects_nan_projection_by_name(self):
+        # a NaN e1 fails the invariance gate by name; it never reaches the
+        # endpoint check as a disagreement "by nan"
+        rng = np.random.default_rng(157)
+        h = random_hermitian(4, 1.0, rng)
+        b = random_hermitian(4, 0.2, rng)
+        e = np.linalg.eigh(h + b)[1][:, :2]
+        e = e @ e.conj().T
+        e_bad = e.copy()
+        e_bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="^e1 is not flow-invariant"):
+            theorem_b_inequality(h, b, b, e_bad, e, 1.0)
 
     def test_rejects_zero_c(self):
         rng = np.random.default_rng(163)

@@ -89,12 +89,12 @@ class TestTheoremCCorrect:
         assert res.pair.dist_b < 5.0 * 0.05
 
     def test_out_of_regime_flag(self):
-        table = load_calibration()
         inst = pair_instance(8, 0.5, instance_rng(7, 0, 0, 0))
-        res = theorem_c_correct(inst.a, inst.b, eps=0.05, table=table)
+        res = theorem_c_correct(inst.a, inst.b, eps=0.05)
         assert res.out_of_regime
+        assert inst.nu_measured > load_calibration().admissible_nu(0.05)
         ok = pair_instance(8, 1e-3, instance_rng(7, 0, 0, 1))
-        assert not theorem_c_correct(ok.a, ok.b, eps=0.05, table=table).out_of_regime
+        assert not theorem_c_correct(ok.a, ok.b, eps=0.05).out_of_regime
 
     def test_rejects_bad_eps(self):
         inst = pair_instance(4, 0.0, instance_rng(8, 0, 0, 0))
@@ -320,6 +320,47 @@ class TestTridiagonalCheck:
 
 
 class TestSolverWork:
+    def test_each_block_makes_one_eigensolve(self, monkeypatch):
+        # per block: one spectral_decomp of the rescaled a-block, whose
+        # eigenvalues also give the norm gate, and one op_norm, of the block
+        # commutator; the other six op_norm calls are of n x n arrays (nu,
+        # ||b||, two compression defects, dist_a, dist_b), and this
+        # partition's tridiagonal check skips every block pair
+        decomps = []
+
+        def counted(x):
+            decomps.append(x.shape)
+            return spectral_decomp(x)
+
+        monkeypatch.setattr(pipeline, "spectral_decomp", counted)
+        norms = counting_op_norm(monkeypatch)
+        _, (a, b) = _rotated_instance(32, 3.0, 31)
+        res = theorem_c_correct(a, b, eps=0.1)
+        assert res.block_count > 1
+        assert decomps[0] == (32, 32) and len(decomps) == 1 + res.block_count
+        assert len(norms) == 6 + res.block_count
+        assert sum(shape == (32, 32) for shape in norms) == 6
+
+    def test_block_norm_gate_reads_the_block_spectrum(self, monkeypatch):
+        # the gate's norm is max |eigenvalue| of the block decomposition
+        # that the solve starts from: pushing those eigenvalues past 1
+        # raises, and the message carries the norm read
+        calls = []
+
+        def shifted(x):
+            dec = spectral_decomp(x)
+            calls.append(x.shape)
+            if len(calls) == 1:         # the decomposition of a itself
+                return dec
+            return dataclasses.replace(dec, eigenvalues=dec.eigenvalues + 2.0)
+
+        inst = pair_instance(8, 1e-3, instance_rng(7, 0, 0, 1))
+        assert theorem_c_correct(inst.a, inst.b, eps=0.05).block_count > 0
+        monkeypatch.setattr(pipeline, "spectral_decomp", shifted)
+        with pytest.raises(BlockNormViolation, match=r"norm [2-3]\.\d{8} exceeds 1"):
+            theorem_c_correct(inst.a, inst.b, eps=0.05)
+        assert len(calls) == 2
+
     def test_payload_carries_no_solver_report(self):
         # rotation and sweep counts are for inspection only: the payload
         # keeps exactly its fields, so its bytes do not depend on them
