@@ -31,11 +31,16 @@ import dataclasses
 import functools
 import math
 import operator
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .hermitian import SpectralDecomposition, ad_evolve, as_array, checked_hermitian, op_norm
+
+# scipy.sparse is imported inside each function that uses it, so a process
+# that never builds a FockRep, the core's among them, never loads it
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 MAX_MODES = 12
 
@@ -49,6 +54,7 @@ def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
 
 def _jordan_wigner(n: int) -> sparse.csr_matrix:
     """J = [a*(e_1) ... a*(e_n)], dim x n*dim; mode k+1 is bit n-1-k."""
+    import scipy.sparse as sparse
     dim = 1 << n
     pos = n - 1 - np.arange(n)
     k, src = np.nonzero((np.arange(dim) >> pos[:, None]) & 1 == 0)
@@ -80,11 +86,13 @@ class FockRep:
         return tuple(self.jw[:, k * d:(k + 1) * d] for k in range(self.modes))
 
     def identity(self) -> sparse.csr_matrix:
+        import scipy.sparse as sparse
         return sparse.identity(self.dim, dtype=np.complex128, format="csr")
 
     @functools.cached_property
     def _adjoint_pattern(self) -> tuple:
         """a(xi)'s CSR pattern and, per entry, its position in a*(xi)'s data."""
+        import scipy.sparse as sparse
         jw, dim = self.jw, self.dim
         t = sparse.csr_matrix((np.arange(1.0, jw.nnz + 1), jw.indices % dim, jw.indptr),
                               shape=(dim, dim)).T.tocsr()
@@ -131,6 +139,7 @@ def fock_rep(n: int) -> FockRep:
 def a_star(rep: FockRep, xi) -> sparse.csr_matrix:
     """Creation operator a*(xi) = sum_k xi_k a*(e_k) = J (xi (x) 1), linear
     in xi; each entry is a single +-xi_k."""
+    import scipy.sparse as sparse
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.shape != (rep.modes,):
         raise ValueError(f"vector has shape {xi.shape}, expected ({rep.modes},)")
@@ -141,6 +150,7 @@ def a_star(rep: FockRep, xi) -> sparse.csr_matrix:
 
 def annihilator(rep: FockRep, xi) -> sparse.csr_matrix:
     """a(xi) = a*(xi)*, antilinear in xi: a*(xi)'s entries, conjugated and transposed."""
+    import scipy.sparse as sparse
     order, indices, indptr = rep._adjoint_pattern
     return sparse.csr_matrix((a_star(rep, xi).data[order].conj(), indices, indptr),
                              shape=(rep.dim, rep.dim), copy=True)
@@ -154,6 +164,7 @@ def second_quantize(rep: FockRep, h_one) -> sparse.csr_matrix:
     i a*(H xi); with H = T of finite rank this is the inner perturbation
     that implements T on the one-particle space.
     """
+    import scipy.sparse as sparse
     lift = sparse.kron(_one_particle(rep, h_one), rep.identity(), format="csr")
     return rep.jw @ lift @ rep.jw.conj().T
 
@@ -171,7 +182,7 @@ def number_operator(rep: FockRep) -> sparse.csr_matrix:
 
 
 def _check_operator(rep: FockRep, x) -> None:
-    shape = x.shape if sparse.issparse(x) else np.shape(x)
+    shape = np.shape(x)     # reads .shape first, so a sparse x is not densified
     if shape != (rep.dim, rep.dim):
         raise ValueError(f"operator has shape {shape}, expected ({rep.dim}, {rep.dim})")
 
@@ -222,6 +233,7 @@ class QuasiFreeFlow:
         Each nonzero sector block x_rc becomes ad_evolve(t, x_rc) between
         the two sectors' decompositions; zero blocks stay zero.
         """
+        import scipy.sparse as sparse
         _check_operator(self.rep, x)
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
@@ -290,6 +302,7 @@ def wick_unitary(rep: FockRep, coeffs, family=None) -> tuple[sparse.csr_matrix, 
     error, and is measured on the groups of particle-number sectors that
     x*x - 1 couples, read off its sector blocks.
     """
+    import scipy.sparse as sparse
     n = rep.modes
     if family is None:
         fam = np.eye(n, dtype=np.complex128)

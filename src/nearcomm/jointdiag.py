@@ -44,6 +44,10 @@ class SolverReport:
                 f"converged={self.converged})")
 
 
+_SCALAR_REPORT = SolverReport(sweeps=0, rotations=0, offdiag_energy=0.0,
+                              converged=True, trace=(0.0,))
+
+
 @dataclasses.dataclass(frozen=True)
 class CommutingPair:
     """Exactly commuting pair stored as one basis plus two real diagonals."""
@@ -206,14 +210,22 @@ def commuting_approximation(a, b) -> CommutingPair:
     """Exactly commuting pair near (a, b), by joint diagonalization.
 
     The returned pair shares one eigenbasis, so it commutes structurally;
-    dist_a and dist_b are the operator-norm distances to the inputs.
+    dist_a and dist_b are the operator-norm distances to the inputs.  A 1x1
+    pair runs no Jacobi sweep.
     """
     am, bm = as_array(a), as_array(b)
-    u, report = joint_diagonalize(am, bm)
-    diag_a = np.real(np.diagonal(u.conj().T @ am @ u)).copy()
-    diag_b = np.real(np.diagonal(u.conj().T @ bm @ u)).copy()
-    dist_a = op_norm(am - (u * diag_a) @ u.conj().T)
-    dist_b = op_norm(bm - (u * diag_b) @ u.conj().T)
+    if am.shape == bm.shape == (1, 1):
+        # already diagonal: basis [[1]] and no Jacobi sweep; adding 0.0 turns
+        # -0.0 into 0.0, as the product u* a u below does
+        u, report = np.ones((1, 1), dtype=np.complex128), _SCALAR_REPORT
+        diag_a, diag_b = am.real[0] + 0.0, bm.real[0] + 0.0
+        dist_a, dist_b = float(abs(am.imag[0, 0])), float(abs(bm.imag[0, 0]))
+    else:
+        u, report = joint_diagonalize(am, bm)
+        diag_a = np.real(np.diagonal(u.conj().T @ am @ u)).copy()
+        diag_b = np.real(np.diagonal(u.conj().T @ bm @ u)).copy()
+        dist_a = op_norm(am - (u * diag_a) @ u.conj().T)
+        dist_b = op_norm(bm - (u * diag_b) @ u.conj().T)
     diag_a.flags.writeable = False
     diag_b.flags.writeable = False
     return CommutingPair(basis=u, diag_a=diag_a, diag_b=diag_b,

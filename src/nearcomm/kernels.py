@@ -20,6 +20,9 @@ hard-codes them.  k1 (with the unit-mass check) sums Gauss-Legendre panels
 and is checked against the same panels at twice the order; c_const integrates
 |slope transform| between its zeros (>= 12.98 apart), bisecting the brackets
 of a step-2 scan, checked against a step-1 scan; cos matrices stay <= 2 MB.
+The transfer function of the mollifier takes its quadrature in panels of 64
+differences (node arrays of 100 KB), so band_smooth holds O(n^2) floats plus
+one panel however dense the spectrum of a is.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ _FREQ_CUTOFF = 1000.0          # |slope transform| ~ 2e-9 here, tail ~ 1e-7
 _K1_PANELS = 32                # Gauss-Legendre panels (16 nodes) for k1
 _BISECTIONS = 45               # halvings of a <= 2 scan bracket: width < 6e-14
 _CHUNK_ELEMENTS = 1 << 18      # entries per cos matrix (2 MB) in _cosine_transform
+_PANEL_ROWS = 64               # omega per _autocorr panel: 64 x 200 nodes, 100 KB per array
 _C_CONST_RULES = ((2.0, 24, 256), (1.0, 48, 384))  # (scan step, gl, transform order)
 
 
@@ -73,21 +77,31 @@ def _autocorr(omega: np.ndarray) -> np.ndarray:
     """A(omega) = integral g(y) g(y + omega) dy for the quarter-bump g.
 
     Supported in (-1/2, 1/2); evaluated by Gauss-Legendre on the overlap
-    interval, vectorized over omega.
+    interval, _PANEL_ROWS values of omega at a time, so the node arrays stay
+    one panel in size however many omega are live.  Each row goes through
+    the same float operations as in one single-threaded batch: elementwise
+    work does not see the panels, panels of a multiple of 16 rows keep
+    BLAS's gemv grouping of the rows, and a last row left alone joins the
+    panel before it, since numpy takes a one-row product as a dot, not gemv.
+    OpenBLAS runs a panel's gemv on one thread, so A does not depend on the
+    BLAS thread count either.
     """
     om = np.abs(np.asarray(omega, dtype=float))
     out = np.zeros_like(om)
     live = om < 2.0 * RAMP_HALF_WIDTH
-    if not np.any(live):
-        return out
     omv = om[live]
+    vals = np.empty_like(omv)
     lo = -RAMP_HALF_WIDTH
-    hi = RAMP_HALF_WIDTH - omv                      # overlap upper edge
     base, wts = _leggauss(200)
-    half = 0.5 * (hi - lo)
-    nodes = lo + half[:, None] * (base[None, :] + 1.0)
-    vals = _bump_quarter(nodes) * _bump_quarter(nodes + omv[:, None])
-    out[live] = (vals @ wts) * half
+    shifted = base + 1.0
+    cuts = [0, *range(_PANEL_ROWS, len(omv) - 1, _PANEL_ROWS), len(omv)]
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        panel = omv[start:stop]
+        half = 0.5 * ((RAMP_HALF_WIDTH - panel) - lo)   # overlap is [lo, 1/4 - omega]
+        nodes = lo + half[:, None] * shifted
+        prod = _bump_quarter(nodes) * _bump_quarter(nodes + panel[:, None])
+        vals[start:stop] = (prod @ wts) * half
+    out[live] = vals
     return out
 
 
@@ -263,6 +277,8 @@ def band_smooth(a, b) -> np.ndarray:
 
     In the eigenbasis of a the result is entrywise b_ij * F(l_i - l_j), one
     quadrature per unordered pair and exactly zero for |l_i - l_j| >= 1/2.
+    The quadratures run a panel of pairs at a time, so memory is O(n^2)
+    plus one panel, not O(pairs x nodes).
     Guarantees ||b - b1|| <= k1 * ||[a, b]|| and ||[a, b1]|| <= ||[a, b]||.
     """
     dec = spectral_decomp(a)

@@ -109,7 +109,8 @@ def _check_shape(name: str, m: np.ndarray, h: np.ndarray) -> None:
 
 def _check_finite(name: str, m: np.ndarray) -> None:
     """Reject NaN and inf by name: max(worst, nan) keeps worst, so a NaN
-    would read as a perfect residual, and op_norm's SVD fails on one."""
+    would read as a perfect residual, op_norm's SVD fails on one, and an inf
+    in a projection makes its first product warn (inf * 0) before any gate."""
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries (NaN or inf)")
 
@@ -327,13 +328,14 @@ def close_projection_isometry(e1, e2) -> np.ndarray:
 
     Built as v = x f(x*x) from the corner placement of e1 e2; requires the
     spectrum of e2 e1 e2 to split into {0} and a cluster above 3/4, which
-    holds whenever ||e1 - e2|| < 1/2.
+    holds whenever ||e1 - e2|| < 1/2.  A NaN or inf in e1 or e2 raises a
+    ValueError that names it.
     """
     e1m, e2m = as_array(e1), as_array(e2)
     n = e1m.shape[0]
     for name, em in (("e1", e1m), ("e2", e2m)):
-        # Frobenius norms bound the operator norm, so these checks are the
-        # stricter; a NaN entry makes the first norm NaN, which fails the test
+        _check_finite(name, em)     # before any product: inf * 0 would warn first
+        # Frobenius norms bound the operator norm, so these checks are the stricter
         defect = max(np.linalg.norm(em @ em - em), np.linalg.norm(em - em.conj().T))
         if not defect <= PROJECTION_ATOL:
             raise ValueError(f"{name} is not an orthogonal projection within 1e-10")
@@ -374,8 +376,8 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     """Bound |omega_2(e2) - omega_1(e1)| by |c| C M ||b1 - b2||.
 
     omega_i is the perturbed functional of b_i over log Z of h, built with
-    no Gibbs state; e_i must have h's shape and commute with h+b_i (the
-    flow-invariance hypothesis).  The doubled flow beta_z = Ad e^{izK}
+    no Gibbs state; e_i must be finite, have h's shape and commute with h+b_i
+    (the flow-invariance hypothesis).  The doubled flow beta_z = Ad e^{izK}
     of K = (h+b1) (+) (h+b2) and the density of omega_1 (+) omega_2 meet v
     only on its one nonzero corner, v = [[0, X], [0, 0]], so with
     h+b_i = W_i diag(mu_i) W_i* and p_i = exp(-c mu_i - log Z_h) the
@@ -401,8 +403,9 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     omega1, omega2 = (_functional(hermitian_part(hm + bm), c, log_z) for bm in (b1m, b2m))
     scale = max(1.0, *(float(np.max(np.abs(om.eigenvalues))) for om in (omega1, omega2)))
     for name, om, em in (("e1", omega1, e1m), ("e2", omega2, e2m)):
+        _check_finite(name, em)
         drift = np.linalg.norm(commutator(om.h, em))    # Frobenius, >= operator norm
-        if not drift <= INVARIANCE_ATOL * scale:      # a NaN e fails here
+        if not drift <= INVARIANCE_ATOL * scale:
             raise ValueError(f"{name} is not flow-invariant: ||[h+b, e]|| = {drift:.3e}")
 
     corner = close_projection_isometry(e1m, e2m)[:n, n:]

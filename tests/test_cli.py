@@ -446,12 +446,30 @@ class TestModuleEntryPoint:
         assert out.exists()
 
     def test_import_loads_no_unused_scipy(self):
-        # scipy.sparse is used throughout car; the other scipy submodules
-        # are imported only inside the functions that call them
+        # every scipy submodule is imported only inside the functions that
+        # call it
         code = ("import sys, nearcomm.cli; "
                 "print(sorted(m for m in ('scipy.optimize', 'scipy.special', "
-                "'scipy.linalg', 'scipy.sparse.csgraph') if m in sys.modules))")
+                "'scipy.linalg', 'scipy.sparse', 'scipy.sparse.csgraph') "
+                "if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_core_correction_loads_no_scipy_sparse(self):
+        # a fresh process, since this one loaded scipy.sparse long ago: the
+        # core never touches it, and the CAR lab still loads it on first use
+        code = (
+            "import sys, numpy as np, nearcomm\n"
+            "a = np.diag([0.0, 0.5, 1.0, 1.5])\n"
+            "b = np.diag([0.3, -0.2, 0.1, 0.4]) + 1e-3 * (np.eye(4, k=1) + np.eye(4, k=-1))\n"
+            "nearcomm.theorem_c_correct(a, b, 0.1)\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "from nearcomm import a_star, fock_rep\n"
+            "x = a_star(fock_rep(2), [1, 0])\n"
+            "print('scipy.sparse' in sys.modules, x.shape, np.count_nonzero(x.toarray()))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "True (4, 4) 2"]

@@ -1,13 +1,16 @@
 """Joint Jacobi diagonalization: optimality, monotonicity, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
+from nearcomm import jointdiag
 from nearcomm.hermitian import as_array, commutator, op_norm
-from nearcomm.jointdiag import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, _apply_round,
-                                _entry_index, _off_energy, _round_rotations,
-                                _schedule, commuting_approximation,
-                                joint_diagonalize)
+from nearcomm.jointdiag import (DEFAULT_MAX_SWEEPS, DEFAULT_TOL, SolverReport,
+                                _apply_round, _entry_index, _off_energy,
+                                _round_rotations, _schedule,
+                                commuting_approximation, joint_diagonalize)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -369,6 +372,30 @@ class TestJointDiagonalize:
 
 
 class TestCommutingApproximation:
+    def test_scalar_pair_runs_no_sweep(self, monkeypatch):
+        def no_solver(*args):
+            raise AssertionError("a 1x1 pair ran the Jacobi solver")
+
+        monkeypatch.setattr(jointdiag, "joint_diagonalize", no_solver)
+        pair = commuting_approximation([[2.5 + 1e-3j]], [[-0.0]])
+        assert pair.basis.dtype == np.complex128 and pair.basis.tolist() == [[1]]
+        assert pair.diag_a.tolist() == [2.5] and pair.diag_b.tolist() == [0.0]
+        assert math.copysign(1.0, pair.diag_b[0]) == 1.0     # as u* b u gives
+        assert (pair.dist_a, pair.dist_b) == (1e-3, 0.0)
+        assert not pair.diag_a.flags.writeable and not pair.diag_b.flags.writeable
+        assert pair.report == SolverReport(sweeps=0, rotations=0, offdiag_energy=0.0,
+                                           converged=True, trace=(0.0,))
+
+    @pytest.mark.parametrize("a, b", [(-1.75, 0.3), (0.0, -2e-17), (1e3, -0.0)])
+    def test_scalar_pair_matches_the_solver(self, a, b):
+        am, bm = np.array([[a]], dtype=complex), np.array([[b]], dtype=complex)
+        u, report = joint_diagonalize(am, bm)
+        pair = commuting_approximation(am, bm)
+        assert pair.report == report and pair.basis.tobytes() == u.tobytes()
+        for got, m in ((pair.diag_a, am), (pair.diag_b, bm)):
+            assert got.tobytes() == np.real(np.diagonal(u.conj().T @ m @ u)).tobytes()
+        assert pair.dist_a == op_norm(am - pair.a1()) and pair.dist_b == op_norm(bm - pair.b1())
+
     def test_result_commutes_structurally(self):
         rng = np.random.default_rng(53)
         for n in (3, 6):

@@ -102,18 +102,55 @@ class TestMollifierShape:
         full = _autocorr(delta) / _bump_moment(2)
         np.testing.assert_allclose(mult, full, rtol=4.5e-16, atol=0)
 
-    def test_band_smooth_peak_memory(self):
-        rng = np.random.default_rng(83)
-        a = np.diag(np.sort(rng.uniform(0.0, 3.0, 64))).astype(complex)
-        b = random_hermitian(64, rng)
+    @staticmethod
+    def one_batch_autocorr(omega):
+        """_autocorr's quadrature with every live omega in one batch: the
+        oracle that the panels must reproduce bit for bit."""
+        om = np.abs(np.asarray(omega, dtype=float))
+        out = np.zeros_like(om)
+        live = om < 2.0 * RAMP_HALF_WIDTH
+        omv = om[live]
+        lo, hi = -RAMP_HALF_WIDTH, RAMP_HALF_WIDTH - omv
+        base, wts = np.polynomial.legendre.leggauss(200)
+        half = 0.5 * (hi - lo)
+        nodes = lo + half[:, None] * (base[None, :] + 1.0)
+        vals = kernels._bump_quarter(nodes) * kernels._bump_quarter(nodes + omv[:, None])
+        out[live] = (vals @ wts) * half
+        return out
+
+    @pytest.mark.parametrize("count", [1000, 960])
+    def test_panels_match_one_batch_bitwise(self, count):
+        # count + 1 live omega: 15 full panels and a remainder of 41 rows, or
+        # of a single row, which must join the panel before it; 0.5 and 0.7
+        # lie outside the band.  A batch this small runs gemv on one thread.
+        omega = np.concatenate([np.random.default_rng(count).uniform(0.0, 0.5, count),
+                                [0.0, 0.5, 0.7]])
+        assert (count + 1) // kernels._PANEL_ROWS == 15
+        got, want = _autocorr(omega), self.one_batch_autocorr(omega)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[-2:] == 0.0)
+
+    @staticmethod
+    def band_smooth_peak(n, seed):
+        """tracemalloc peak of band_smooth on a = diag(uniform [0, 3]), n x n."""
+        rng = np.random.default_rng(seed)
+        a = np.diag(np.sort(rng.uniform(0.0, 3.0, n))).astype(complex)
+        b = random_hermitian(n, rng)
         band_smooth(a, b)       # builds the cached kernel outside the trace
         tracemalloc.start()
         try:
             band_smooth(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2 ** 20
+
+    def test_band_smooth_peak_memory(self):
+        assert self.band_smooth_peak(64, 83) < 12 * 2 ** 20
+
+    def test_band_smooth_peak_memory_dense_spectrum(self):
+        # ~10^4 live pairs: all their quadrature nodes at once peaked near
+        # 130 MB; the panels leave the O(n^2) arrays (about 6 MB)
+        assert self.band_smooth_peak(256, 89) < 16 * 2 ** 20
 
     def test_time_profile_nonnegative(self):
         kern = build_mollifier()

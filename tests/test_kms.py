@@ -401,13 +401,24 @@ class TestCloseProjectionIsometry:
         with pytest.raises(ValueError, match="projection"):
             close_projection_isometry(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
 
+    @staticmethod
+    def _with_entry(name, bad):
+        es = {key: np.diag([1.0, 0.0]).astype(complex) for key in ("e1", "e2")}
+        es[name][1, 1] = bad
+        return es["e1"], es["e2"]
+
     @pytest.mark.parametrize("name", ["e1", "e2"])
     def test_rejects_nan_projection(self, name):
-        # NaN > tol is False, so the gate is written to fail on NaN
-        es = {key: np.diag([1.0, 0.0]).astype(complex) for key in ("e1", "e2")}
-        es[name][1, 1] = np.nan
-        with pytest.raises(ValueError, match=f"^{name} is not an orthogonal projection"):
-            close_projection_isometry(es["e1"], es["e2"])
+        # NaN > tol is False: the entries are checked by name before any gate
+        with pytest.raises(ValueError, match=rf"^{name} has non-finite entries \(NaN or inf\)"):
+            close_projection_isometry(*self._with_entry(name, np.nan))
+
+    @pytest.mark.parametrize("name", ["e1", "e2"])
+    def test_rejects_inf_projection(self, name):
+        # inf * 0 in e @ e would warn first; under the suite's warning filter
+        # only a check before the first product surfaces the named error
+        with pytest.raises(ValueError, match=rf"^{name} has non-finite entries \(NaN or inf\)"):
+            close_projection_isometry(*self._with_entry(name, np.inf))
 
 
 class TestTheoremB:
@@ -560,18 +571,31 @@ class TestTheoremB:
         with pytest.raises(ValueError, match="flow-invariant"):
             theorem_b_inequality(h, b, b, e_bad, e_bad, 1.0)
 
-    def test_rejects_nan_projection_by_name(self):
-        # a NaN e1 fails the invariance gate by name; it never reaches the
-        # endpoint check as a disagreement "by nan"
+    @staticmethod
+    def _invariant_projections(name, bad):
+        """(h, b, e1, e2) with e1 = e2 invariant under h + b, then entry [0, 0]
+        of the one called name set to bad."""
         rng = np.random.default_rng(157)
         h = random_hermitian(4, 1.0, rng)
         b = random_hermitian(4, 0.2, rng)
         e = np.linalg.eigh(h + b)[1][:, :2]
-        e = e @ e.conj().T
-        e_bad = e.copy()
-        e_bad[0, 0] = np.nan
-        with pytest.raises(ValueError, match="^e1 is not flow-invariant"):
-            theorem_b_inequality(h, b, b, e_bad, e, 1.0)
+        es = {key: e @ e.conj().T for key in ("e1", "e2")}
+        es[name][0, 0] = bad
+        return h, b, es["e1"], es["e2"]
+
+    def test_rejects_nan_projection_by_name(self):
+        # a NaN e1 is rejected by name before the invariance gate; it never
+        # reaches the endpoint check as a disagreement "by nan"
+        h, b, e1, e2 = self._invariant_projections("e1", np.nan)
+        with pytest.raises(ValueError, match=r"^e1 has non-finite entries \(NaN or inf\)"):
+            theorem_b_inequality(h, b, b, e1, e2, 1.0)
+
+    @pytest.mark.parametrize("name", ["e1", "e2"])
+    def test_rejects_inf_projection_by_name(self, name):
+        # inf * 0 in [h+b, e] would warn first under the suite's warning filter
+        h, b, e1, e2 = self._invariant_projections(name, np.inf)
+        with pytest.raises(ValueError, match=rf"^{name} has non-finite entries \(NaN or inf\)"):
+            theorem_b_inequality(h, b, b, e1, e2, 1.0)
 
     def test_rejects_zero_c(self):
         rng = np.random.default_rng(163)
