@@ -173,8 +173,8 @@ def _one_particle(rep: FockRep, h_one) -> np.ndarray:
     hm = as_array(h_one)
     n = rep.modes
     if hm.shape != (n, n):
-        raise ValueError(f"one-particle matrix has shape {hm.shape}, expected ({n}, {n})")
-    return checked_hermitian(hm)
+        raise ValueError(f"h_one has shape {hm.shape}, expected ({n}, {n})")
+    return checked_hermitian(hm, "h_one")
 
 
 def number_operator(rep: FockRep) -> sparse.csr_matrix:

@@ -21,7 +21,7 @@ import sys
 from . import calibration, kms, measurepath, pipeline
 from .errors import DegenerateMeasure, NearcommError
 from .kernels import build_mollifier, build_step
-from .serialize import csv_text, dump_json, fmt_float, hermitian_from_json, load_json
+from .serialize import csv_text, dump_json, fmt_float, load_json, matrix_from_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -57,8 +57,7 @@ def cmd_correct(ns: argparse.Namespace) -> int:
     for field in ("a", "b"):
         if field not in payload:
             raise ValueError(f"input JSON is missing field '{field}'")
-    a = hermitian_from_json(payload["a"], "a")
-    b = hermitian_from_json(payload["b"], "b")
+    a, b = (matrix_from_json(payload[field], field) for field in ("a", "b"))
     result = pipeline.theorem_c_correct(a, b, ns.eps)
     dump_json(ns.output, {
         "config": _run_config(ns),

@@ -1,8 +1,9 @@
 """Hermitian matrices as plain arrays: checks, decompositions, functional
 calculus, norms.
 
-Matrices go in and come out as complex128 arrays; checked_hermitian
-validates an input, and every Hermitian result is read-only.
+Matrices go in and come out as complex128 arrays; checked_hermitian and
+checked_finite are the only checks of an array argument, and each message
+starts with the argument's name.  Every Hermitian result is read-only.
 
 Tolerances are relative: HERMITICITY_RTOL to max(1, max|A_ij|), op_norm's
 Hermitian test to max|A_ij| with no floor, CLUSTER_RTOL to max(1, ||A||).
@@ -27,34 +28,42 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.complex128)
 
 
-def _square(x) -> np.ndarray:
+def _square(x, name: str) -> np.ndarray:
     arr = as_array(x)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
     return arr
 
 
 def hermitian_part(m) -> np.ndarray:
     """(m + m*) / 2 for a square array, exactly self-adjoint and read-only."""
-    arr = _square(m)
+    arr = _square(m, "m")
     out = 0.5 * (arr + arr.conj().T)
     out.flags.writeable = False
     return out
 
 
-def checked_hermitian(x) -> np.ndarray:
+def checked_finite(x, name: str) -> np.ndarray:
+    """x as an array of its own dtype, after a ValueError naming it if an
+    entry is NaN or inf.  Checked before any product: a NaN would read as a
+    perfect residual (max(worst, nan) keeps worst), and inf * 0 warns."""
+    arr = np.asarray(x)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries (NaN or inf)")
+    return arr
+
+
+def checked_hermitian(x, name: str) -> np.ndarray:
     """x as a Hermitian array: its symmetrized entries, read-only.
 
     Verifies a square shape, finite entries and self-adjointness entrywise
     to HERMITICITY_RTOL max(1, max|A_ij|), since the rounding of u a u*
-    grows with the entries.
+    grows with the entries; a failure is a ValueError that starts with name.
     """
-    arr = _square(x)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix has non-finite entries (NaN or inf)")
+    arr = checked_finite(_square(x, name), name)
     asym = np.max(np.abs(arr - arr.conj().T), initial=0.0)
     if asym > HERMITICITY_RTOL * max(1.0, np.max(np.abs(arr), initial=0.0)):
-        raise ValueError(f"matrix is not self-adjoint: max |A - A*| entry = {asym:.3e}")
+        raise ValueError(f"{name} is not self-adjoint: max |A - A*| entry = {asym:.3e}")
     return hermitian_part(arr)
 
 

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
-from .hermitian import as_array, commutator, hermitian_part, op_norm
+from .hermitian import as_array, checked_finite, commutator, hermitian_part, op_norm
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 200
+ROTATION_HEADROOM = 8.0     # a round's products (2 r h) reach 8x the summed squares of a, b
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,6 +99,17 @@ def _off_energy(stack: np.ndarray) -> float:
     for m in stack:
         total += float(np.sum(np.abs(m) ** 2) - np.sum(np.abs(np.diagonal(m)) ** 2))
     return total
+
+
+def _check_scale(frob2: float, am: np.ndarray, bm: np.ndarray) -> None:
+    """ValueError naming a or b (the larger, if only their sum overflows) when
+    frob2, their summed squared moduli, is NaN or inf within ROTATION_HEADROOM."""
+    if not math.isfinite(ROTATION_HEADROOM * frob2):
+        checked_finite(am, "a")
+        checked_finite(bm, "b")
+        big, name = max((float(np.max(np.abs(m))), name) for name, m in (("a", am), ("b", bm)))
+        raise ValueError(f"{name} has entries too large to rotate: {ROTATION_HEADROOM:g}x the "
+                         f"sum of squares of a and b overflows (max |{name}_ij| = {big:.3e})")
 
 
 def _round_rotations(work: np.ndarray, pairs: np.ndarray, entries: np.ndarray):
@@ -174,7 +187,7 @@ def joint_diagonalize(a, b):
     Returns (U, SolverReport).  Stops when the relative off-diagonal energy
     decrease over a sweep falls below DEFAULT_TOL (or the energy hits the
     floating point floor); non-convergence within DEFAULT_MAX_SWEEPS is
-    reported, not raised.
+    reported, not raised.  A non-finite or too large entry raises ValueError.
     """
     am, bm = as_array(a), as_array(b)
     if am.shape != bm.shape:
@@ -184,7 +197,9 @@ def joint_diagonalize(a, b):
     work[0], work[1], work[2] = am, bm, np.eye(n)
     stack = work[:2]                # a and b; u is the third slab
 
-    frob2 = float(np.sum(np.abs(stack) ** 2))
+    with np.errstate(over="ignore"):
+        frob2 = float(np.sum(np.abs(stack) ** 2))
+    _check_scale(frob2, am, bm)
     floor = (1e-15 * max(1.0, np.sqrt(frob2))) ** 2
     energy = _off_energy(stack)
     trace = [energy]
@@ -211,10 +226,13 @@ def commuting_approximation(a, b) -> CommutingPair:
 
     The returned pair shares one eigenbasis, so it commutes structurally;
     dist_a and dist_b are the operator-norm distances to the inputs.  A 1x1
-    pair runs no Jacobi sweep.
+    pair runs no Jacobi sweep.  Entries that joint_diagonalize would reject
+    are rejected at every size.
     """
     am, bm = as_array(a), as_array(b)
     if am.shape == bm.shape == (1, 1):
+        x, y = abs(complex(am[0, 0])), abs(complex(bm[0, 0]))
+        _check_scale(x * x + y * y, am, bm)     # float products overflow to inf quietly
         # already diagonal: basis [[1]] and no Jacobi sweep; adding 0.0 turns
         # -0.0 into 0.0, as the product u* a u below does
         u, report = np.ones((1, 1), dtype=np.complex128), _SCALAR_REPORT

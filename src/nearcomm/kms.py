@@ -26,8 +26,8 @@ import numpy as np
 from ._quad import gl_nodes
 from .ensembles import random_hermitian
 from .errors import NearcommError, QuadratureError, SpectralGapMissing
-from .hermitian import (SpectralDecomposition, ad_evolve, as_array, checked_hermitian,
-                        commutator, hermitian_part, op_norm)
+from .hermitian import (SpectralDecomposition, ad_evolve, as_array, checked_finite,
+                        checked_hermitian, commutator, hermitian_part, op_norm)
 from .serialize import csv_text, fmt_float
 
 PROJECTION_ATOL = 1e-10
@@ -99,7 +99,7 @@ def _functional(k: np.ndarray, c: float, log_z: float | None) -> KmsState:
 def gibbs(h, c: float) -> KmsState:
     """Gibbs state at inverse-temperature parameter c (either sign, nonzero)."""
     _check_c(c)
-    return _functional(checked_hermitian(h), float(c), None)
+    return _functional(checked_hermitian(h, "h"), float(c), None)
 
 
 def _check_shape(name: str, m: np.ndarray, h: np.ndarray) -> None:
@@ -107,29 +107,18 @@ def _check_shape(name: str, m: np.ndarray, h: np.ndarray) -> None:
         raise ValueError(f"{name} has shape {m.shape}, but h has shape {h.shape}")
 
 
-def _check_finite(name: str, m: np.ndarray) -> None:
-    """Reject NaN and inf by name: max(worst, nan) keeps worst, so a NaN
-    would read as a perfect residual, op_norm's SVD fails on one, and an inf
-    in a projection makes its first product warn (inf * 0) before any gate."""
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries (NaN or inf)")
-
-
 def perturbed_functional(state: KmsState, b) -> KmsState:
     """The Araki-perturbed functional: density exp(-c(h+b)) / Z of the state."""
-    bm = checked_hermitian(b)
+    bm = checked_hermitian(b, "b")
     _check_shape("b", bm, state.h)
     return _functional(hermitian_part(state.h + bm), state.c, state.log_z)
 
 
 def _eigenbasis_residual(rho, lam, v, c: float, x, y, t_samples) -> float:
     """boundary_residual with rho given in the eigenbasis v of h = v diag(lam) v*,
-    where the flow is entrywise: alpha_z(y)_jk = e^{iz(lam_j - lam_k)} y_jk.
-    A NaN or inf in x or y raises ValueError: it would read as residual 0."""
-    x, y = as_array(x), as_array(y)
-    _check_finite("x", x)
-    _check_finite("y", y)
-    x, y = (v.conj().T @ m @ v for m in (x, y))
+    where the flow is entrywise: alpha_z(y)_jk = e^{iz(lam_j - lam_k)} y_jk."""
+    x, y = (v.conj().T @ as_array(checked_finite(m, name)) @ v
+            for name, m in (("x", x), ("y", y)))
     gap = lam[:, None] - lam[None, :]
     rho_x = rho @ x
     worst = 0.0
@@ -149,8 +138,9 @@ def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
     e^{|c| spread(h)} |y|, so the rounding error of the residual grows like
     1e-16 e^{|c| spread(h)}, for the Gibbs density too (not in kms_verify).
     """
-    lam, v = np.linalg.eigh(checked_hermitian(h))
-    return _eigenbasis_residual(v.conj().T @ as_array(rho) @ v, lam, v, c, x, y, t_samples)
+    lam, v = np.linalg.eigh(checked_hermitian(h, "h"))
+    rho = as_array(checked_finite(rho, "rho"))
+    return _eigenbasis_residual(v.conj().T @ rho @ v, lam, v, c, x, y, t_samples)
 
 
 def kms_verify(state: KmsState, x, y) -> float:
@@ -184,8 +174,7 @@ def symmetry_action(state: KmsState, w) -> SymmetryActionResult:
     entries up to e^{|c| spread(h)}, so the rounding error of the residual
     grows like 1e-16 e^{|c| spread(h)}.
     """
-    wm = as_array(w)
-    _check_finite("w", wm)
+    wm = as_array(checked_finite(w, "w"))
     n = wm.shape[0]
     if op_norm(wm.conj().T @ wm - np.eye(n)) > UNITARY_ATOL:
         raise ValueError("w is not unitary within 1e-10")
@@ -328,13 +317,11 @@ def close_projection_isometry(e1, e2) -> np.ndarray:
 
     Built as v = x f(x*x) from the corner placement of e1 e2; requires the
     spectrum of e2 e1 e2 to split into {0} and a cluster above 3/4, which
-    holds whenever ||e1 - e2|| < 1/2.  A NaN or inf in e1 or e2 raises a
-    ValueError that names it.
+    holds whenever ||e1 - e2|| < 1/2.  A NaN or inf in e1 or e2 is named.
     """
-    e1m, e2m = as_array(e1), as_array(e2)
+    e1m, e2m = (as_array(checked_finite(e, name)) for name, e in (("e1", e1), ("e2", e2)))
     n = e1m.shape[0]
     for name, em in (("e1", e1m), ("e2", e2m)):
-        _check_finite(name, em)     # before any product: inf * 0 would warn first
         # Frobenius norms bound the operator norm, so these checks are the stricter
         defect = max(np.linalg.norm(em @ em - em), np.linalg.norm(em - em.conj().T))
         if not defect <= PROJECTION_ATOL:
@@ -394,21 +381,20 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     numerical breakdown, not a violation, and raises NearcommError.
     """
     _check_c(c)
-    hm, b1m, b2m = (checked_hermitian(m) for m in (h, b1, b2))
+    hm, b1m, b2m = (checked_hermitian(m, name) for name, m in (("h", h), ("b1", b1), ("b2", b2)))
     e1m, e2m = as_array(e1), as_array(e2)
     for name, m in (("b1", b1m), ("b2", b2m), ("e1", e1m), ("e2", e2m)):
         _check_shape(name, m, hm)
     n = hm.shape[0]
+    corner = close_projection_isometry(e1m, e2m)[:n, n:]    # checks e1 and e2 first
     log_z = _logsumexp(-c * np.linalg.eigh(hm)[0])     # gibbs(h, c).log_z
     omega1, omega2 = (_functional(hermitian_part(hm + bm), c, log_z) for bm in (b1m, b2m))
     scale = max(1.0, *(float(np.max(np.abs(om.eigenvalues))) for om in (omega1, omega2)))
     for name, om, em in (("e1", omega1, e1m), ("e2", omega2, e2m)):
-        _check_finite(name, em)
         drift = np.linalg.norm(commutator(om.h, em))    # Frobenius, >= operator norm
         if not drift <= INVARIANCE_ATOL * scale:
             raise ValueError(f"{name} is not flow-invariant: ||[h+b, e]|| = {drift:.3e}")
 
-    corner = close_projection_isometry(e1m, e2m)[:n, n:]
     f0 = float(omega1.spectrum @ np.sum(np.abs(omega1.basis.conj().T @ corner) ** 2, axis=1))
     fic = float(omega2.spectrum @ np.sum(np.abs(corner @ omega2.basis) ** 2, axis=0))
     m_norm = max(omega1.weight, omega2.weight)

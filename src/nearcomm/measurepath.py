@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DegenerateMeasure, MomentInfeasible
+from .hermitian import checked_finite
 from .serialize import load_json
 
 NORM_ATOL = 1e-12
@@ -56,16 +57,13 @@ class DiscreteMeasureState:
 
 
 def discrete_measure_state(atoms, weights, amplitude) -> DiscreteMeasureState:
-    atoms = np.asarray(atoms, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    amplitude = np.asarray(amplitude, dtype=np.complex128)
+    atoms = checked_finite(np.asarray(atoms, dtype=np.float64), "atoms")
+    weights = checked_finite(np.asarray(weights, dtype=np.float64), "weights")
+    amplitude = checked_finite(np.asarray(amplitude, dtype=np.complex128), "amplitude")
     if atoms.ndim != 1 or atoms.size == 0:
         raise ValueError("atoms must be a nonempty 1-d sequence")
     if weights.shape != atoms.shape or amplitude.shape != atoms.shape:
         raise ValueError("atoms, weights, and amplitude must have equal length")
-    for name, arr in (("atoms", atoms), ("weights", weights), ("amplitude", amplitude)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite")
     if np.any(np.diff(atoms) <= 0):
         raise ValueError("atoms must be strictly ascending")
     if np.any(weights <= 0):
@@ -284,9 +282,7 @@ def measure_from_json(obj: dict) -> DiscreteMeasureState:
     for field in ("atoms", "weights", "xi_re", "xi_im"):
         if field not in obj:
             raise ValueError(f"measure JSON is missing field '{field}'")
-        fields[field] = np.asarray(obj[field], dtype=np.float64)
-        if not np.all(np.isfinite(fields[field])):
-            raise ValueError(f"measure JSON field '{field}' has non-finite entries")
+        fields[field] = checked_finite(np.asarray(obj[field], dtype=np.float64), field)
     atoms, weights = fields["atoms"], fields["weights"]
     amp = fields["xi_re"] + 1j * fields["xi_im"]
     w_sum = float(np.sum(weights))

@@ -26,13 +26,13 @@ from .ensembles import instance_rng, pair_instance
 from .errors import BlockNormViolation, NearcommError
 from .hermitian import as_array, commutator, hermitian_part, op_norm, spectral_decomp
 from .jointdiag import CommutingPair, commuting_approximation
-from .kernels import band_smooth
+from .kernels import RAMP_HALF_WIDTH, band_smooth
 from .projections import ProjectionPartition, checked_pair, partition
 from .serialize import csv_text, fmt_float, matrix_to_json
 
 BLOCK_NORM_SLACK = 1e-6
-BLOCK_SHIFT = 0.5          # block spectrum sits in (k - 1/4, k + 5/4)
-BLOCK_SCALE = 4.0 / 3.0    # maps the +-3/4 window onto the unit interval
+BLOCK_SHIFT = 0.5                           # block spectrum sits in (k - R, k + 1 + R),
+BLOCK_SCALE = 1.0 / (0.5 + RAMP_HALF_WIDTH)  # R = RAMP_HALF_WIDTH: mapped onto (-1, 1)
 GRAM_TOL = 1e-8            # largest |Gram eigenvalue - 1| the polar step accepts
 
 

@@ -176,7 +176,7 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
 
 def checked_pair(a, b, eps: float):
     """a and b as Hermitian arrays of one shape, n >= 1; eps > 0 or inf."""
-    am, bm = checked_hermitian(a), checked_hermitian(b)
+    am, bm = checked_hermitian(a, "a"), checked_hermitian(b, "b")
     if bm.shape != am.shape or not am.size:
         raise ValueError(f"expected a and b of one shape, n >= 1: {am.shape}, {bm.shape}")
     if not eps > 0:

@@ -2,7 +2,7 @@
 
 Matrix object: {"n": int, "re": [[float...]], "im": [[float...]]}.  Writers
 emit exactly symmetrized entries for Hermitian payloads; "im" may be omitted
-for real matrices on input.
+for real matrices on input; readers check the layout, not the entries.
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ import json
 
 import numpy as np
 
-from .hermitian import as_array, hermitian_part
+from .hermitian import _square
 
 
 def matrix_to_json(m) -> dict:
-    arr = as_array(m)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    arr = _square(m, "m")
     return {"n": int(arr.shape[0]),
             "re": arr.real.tolist(),
             "im": arr.imag.tolist()}
@@ -37,16 +35,6 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"field '{field}': 're'/'im' must be {n}x{n} arrays")
     return re + 1j * im
-
-
-def hermitian_from_json(obj, field: str = "matrix") -> np.ndarray:
-    arr = matrix_from_json(obj, field)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"field '{field}' has non-finite entries (NaN or inf)")
-    asym = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-    if asym > 1e-9 * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0):
-        raise ValueError(f"field '{field}' is not Hermitian (asymmetry {asym:.3e})")
-    return hermitian_part(arr)
 
 
 def fmt_float(x) -> str:

@@ -11,7 +11,6 @@ from nearcomm.hermitian import (SpectralDecomposition, ad_evolve, as_array,
 from nearcomm.jointdiag import commuting_approximation
 from nearcomm.kernels import band_smooth
 from nearcomm.kms import gibbs, perturbed_functional
-from nearcomm.serialize import hermitian_from_json
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -25,36 +24,36 @@ def random_hermitian(n, rng):
 
 class TestCheckedHermitian:
     def test_symmetrizes(self):
-        m = checked_hermitian([[1.0, 2.0], [2.0, 3.0]])
+        m = checked_hermitian([[1.0, 2.0], [2.0, 3.0]], "m")
         assert m.shape == (2, 2)
         np.testing.assert_array_equal(m, m.conj().T)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            checked_hermitian(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"^m must be a square matrix, got shape \(2, 3\)"):
+            checked_hermitian(np.zeros((2, 3)), "m")
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="self-adjoint"):
-            checked_hermitian([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="^m is not self-adjoint"):
+            checked_hermitian([[0.0, 1.0], [0.0, 0.0]], "m")
 
     def test_tolerance_scales_with_entries(self):
         # 1e-12 times max(1, max|A_ij|): rounding at large norms passes,
         # the same defect at unit scale does not
-        checked_hermitian([[1e6, 1e6 + 5e-7], [1e6, 0.0]])
+        checked_hermitian([[1e6, 1e6 + 5e-7], [1e6, 0.0]], "m")
         with pytest.raises(ValueError, match="self-adjoint"):
-            checked_hermitian([[1.0, 1.0 + 5e-12], [1.0, 0.0]])
-        assert checked_hermitian(np.zeros((0, 0))).shape == (0, 0)
+            checked_hermitian([[1.0, 1.0 + 5e-12], [1.0, 0.0]], "m")
+        assert checked_hermitian(np.zeros((0, 0)), "m").shape == (0, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            checked_hermitian([[0.0, bad], [bad, 0.0]])
-        with pytest.raises(ValueError, match="non-finite"):
-            checked_hermitian([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^m has non-finite"):
+            checked_hermitian([[0.0, bad], [bad, 0.0]], "m")
+        with pytest.raises(ValueError, match="^m has non-finite"):
+            checked_hermitian([[bad, 0.0], [0.0, 1.0]], "m")
 
     def test_immutable(self):
         src = SZ.copy()
-        m = checked_hermitian(src)
+        m = checked_hermitian(src, "m")
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 7.0
         src[0, 0] = 7.0     # the result does not alias its input
@@ -69,7 +68,7 @@ class TestCheckedHermitian:
         np.testing.assert_array_equal(m, m.conj().T)
 
     def test_as_array_passthrough(self):
-        m = checked_hermitian(SX)
+        m = checked_hermitian(SX, "m")
         assert as_array(m) is m
         arr = as_array([[1.0, 0.0], [0.0, 2.0]])
         assert arr.dtype == np.complex128
@@ -186,13 +185,12 @@ class TestFuncCalc:
 
 
 READ_ONLY_RESULTS = {
-    "checked_hermitian": lambda: checked_hermitian(SX),
+    "checked_hermitian": lambda: checked_hermitian(SX, "m"),
     "hermitian_part": lambda: hermitian_part(SX + 1e-3 * SY),
     "func_calc": lambda: func_calc(SZ, np.exp),
     "band_smooth": lambda: band_smooth(SZ, SX),
     "a1": lambda: commuting_approximation(SZ, SX).a1(),
     "b1": lambda: commuting_approximation(SZ, SX).b1(),
-    "hermitian_from_json": lambda: hermitian_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
     "gibbs_h": lambda: gibbs(SZ, 1.0).h,
     "gibbs_density": lambda: gibbs(SZ, 1.0).density,
     "perturbed_h": lambda: perturbed_functional(gibbs(SZ, 1.0), SX).h,

@@ -1,6 +1,7 @@
 """Joint Jacobi diagonalization: optimality, monotonicity, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,34 @@ class TestJointDiagonalize:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             joint_diagonalize(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("solve", [joint_diagonalize, commuting_approximation])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, r"has non-finite entries \(NaN or inf\)"),
+        (np.inf, r"has non-finite entries \(NaN or inf\)"),
+        (2e154, r"has entries too large to rotate: .* \(max \|[ab]_ij\| = 2\.000e\+154\)"),
+    ], ids=["nan", "inf", "square_overflows"])
+    def test_rejects_unusable_entries_by_name(self, solve, n, name, bad, message):
+        # checked before the first sweep: at the parent a square above the
+        # float range ran 200 sweeps to offdiag_energy=nan, warning each round
+        pair = {"a": np.diag(np.arange(n, dtype=float)), "b": 0.1 * np.ones((n, n))}
+        pair[name][0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} {message}"):
+                solve(pair["a"], pair["b"])
+
+    def test_rotation_headroom(self):
+        # every square is finite at 3e153, but a round's 2 r h would overflow
+        # (a RuntimeWarning at the parent); at 1e153 the pair solves cleanly
+        pair = np.array([[1.0, 2 / 3], [2 / 3, -1.0]]), np.array([[0.0, 1 / 6], [1 / 6, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^a has entries too large to rotate"):
+                joint_diagonalize(*(3e153 * m for m in pair))
+            assert joint_diagonalize(*(1e153 * m for m in pair))[1].converged
 
 
 class TestCommutingApproximation:

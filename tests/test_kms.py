@@ -624,16 +624,17 @@ class TestTheoremB:
 
     @pytest.mark.parametrize("position", (0, 1, 2))
     @pytest.mark.parametrize("bad, message", (
-        (UPPER, r"matrix is not self-adjoint: max \|A - A\*\| entry = 1\.000e\+00"),
-        (np.diag([np.nan, 0.0]), r"matrix has non-finite entries \(NaN or inf\)"),
-        (np.diag([np.inf, 0.0]), r"matrix has non-finite entries \(NaN or inf\)"),
+        (UPPER, r"is not self-adjoint: max \|A - A\*\| entry = 1\.000e\+00"),
+        (np.diag([np.nan, 0.0]), r"has non-finite entries \(NaN or inf\)"),
+        (np.diag([np.inf, 0.0]), r"has non-finite entries \(NaN or inf\)"),
     ), ids=("non_self_adjoint", "nan", "inf"))
     def test_each_generator_input_is_checked(self, position, bad, message):
         # h, b1 and b2 are checked once, at the entry, with the messages of
-        # checked_hermitian
+        # checked_hermitian under their own names
         args = self._instance(n=2)
         args[position] = bad
-        with pytest.raises(ValueError, match=message):
+        name = ("h", "b1", "b2")[position]
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
             theorem_b_inequality(*args, 1.0)
 
     @pytest.mark.parametrize("position, name", ((1, "b1"), (2, "b2"), (3, "e1"), (4, "e2")))
@@ -650,13 +651,13 @@ class TestTheoremB:
         calls = []
         checked = kms.checked_hermitian
 
-        def counting(m):
-            calls.append(np.shape(m))
-            return checked(m)
+        def counting(m, name):
+            calls.append((name, np.shape(m)))
+            return checked(m, name)
 
         monkeypatch.setattr(kms, "checked_hermitian", counting)
         theorem_b_inequality(*self._instance(n=4), 1.0)
-        assert calls == [(4, 4)] * 3
+        assert calls == [("h", (4, 4)), ("b1", (4, 4)), ("b2", (4, 4))]
 
     @pytest.mark.parametrize("c", (1.0, -1.0, 5.0, -5.0))
     def test_matches_public_functionals_bit_for_bit(self, c):

@@ -10,11 +10,10 @@ import pytest
 from nearcomm.calibration import (DATA_ENV_VAR, CalibrationTable,
                                   build_calibration, fixture_path,
                                   load_calibration, save_calibration)
-from nearcomm.hermitian import op_norm
+from nearcomm.hermitian import checked_hermitian
 from nearcomm.kms import kms_rows_to_csv
 from nearcomm.pipeline import SweepRow, sweep_rows_to_csv
-from nearcomm.serialize import (dump_json, fmt_float, hermitian_from_json,
-                                load_json, matrix_from_json, matrix_to_json)
+from nearcomm.serialize import dump_json, fmt_float, load_json, matrix_from_json, matrix_to_json
 
 
 class TestMatrixJson:
@@ -38,17 +37,21 @@ class TestMatrixJson:
             matrix_from_json({"n": 2, "re": [[1.0]]})
 
     def test_hermitian_check(self):
+        # the reader checks the layout only; the entries are checked, under the
+        # field's name, by the function that takes the matrix
         obj = {"n": 2, "re": [[0.0, 1.0], [0.0, 0.0]]}
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_from_json(obj, field="b")
-        ok = hermitian_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]})
-        assert op_norm(ok - np.array([[0, 1], [1, 0]])) < 1e-15
+        m = matrix_from_json(obj, field="b")
+        np.testing.assert_array_equal(m, [[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="^b is not self-adjoint"):
+            checked_hermitian(m, "b")
+        ok = matrix_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]})
+        np.testing.assert_array_equal(checked_hermitian(ok, "b"), [[0, 1], [1, 0]])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rejected_with_field(self, bad):
-        obj = {"n": 2, "re": [[0.0, 1.0], [1.0, bad]]}
-        with pytest.raises(ValueError, match="'b' has non-finite"):
-            hermitian_from_json(obj, field="b")
+        m = matrix_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, bad]]}, field="b")
+        with pytest.raises(ValueError, match=r"^b has non-finite entries \(NaN or inf\)"):
+            checked_hermitian(m, "b")
 
     def test_fmt_float_round_trips(self):
         for x in (0.1, 1e-17, 5.389243043554071, -3.0, 0.0):
