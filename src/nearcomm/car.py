@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hermitian import SpectralDecomposition, ad_evolve, as_array, checked_hermitian, op_norm
+from .hermitian import (SpectralDecomposition, ad_evolve, as_array, checked_finite,
+                        checked_hermitian, op_norm)
 
 # scipy.sparse is imported inside each function that uses it, so a process
 # that never builds a FockRep, the core's among them, never loads it
@@ -140,7 +141,7 @@ def a_star(rep: FockRep, xi) -> sparse.csr_matrix:
     """Creation operator a*(xi) = sum_k xi_k a*(e_k) = J (xi (x) 1), linear
     in xi; each entry is a single +-xi_k."""
     import scipy.sparse as sparse
-    xi = np.asarray(xi, dtype=np.complex128)
+    xi = checked_finite(np.asarray(xi, dtype=np.complex128), "xi")
     if xi.shape != (rep.modes,):
         raise ValueError(f"vector has shape {xi.shape}, expected ({rep.modes},)")
     jw, dim = rep.jw, rep.dim
@@ -239,9 +240,10 @@ class QuasiFreeFlow:
             raise ValueError(f"time must be finite, got {t}")
         sectors = _sectors(self.rep.modes)[1]
         if sparse.issparse(x):
+            checked_finite(x.data, "x")
             blocks = _sparse_sector_blocks(self.rep.modes, x)
         else:
-            x = np.asarray(x)
+            x = checked_finite(x, "x")
             blocks = {(r, c): x[np.ix_(ir, ic)] for r, ir in enumerate(sectors)
                       for c, ic in enumerate(sectors)}
         out = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)

@@ -137,8 +137,9 @@ def spectral_decomp(a) -> SpectralDecomposition:
     Within each near-degenerate cluster the LAPACK eigenvectors are replaced
     by a pivoted-QR basis of the cluster's spectral projection, which depends
     only on the subspace (and the input ordering), not on solver internals.
+    a is checked as a Hermitian argument named "a" (checked_hermitian).
     """
-    arr = as_array(a)
+    arr = checked_hermitian(a, "a")
     try:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:

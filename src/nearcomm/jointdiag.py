@@ -139,8 +139,13 @@ def _round_rotations(work: np.ndarray, pairs: np.ndarray, entries: np.ndarray):
         # project e_0 onto span(w_a, w_b), or e_1 where e_0 is orthogonal to it
         tie &= g_aa == g_bb
         first = (d[0] != 0.0) | (d[1] != 0.0)
-        k0 = np.where(tie, np.where(first, d[0], 2.0 * q[0].real), k0)
-        k1 = np.where(tie, np.where(first, d[1], 2.0 * q[1].real), k1)
+        t0 = np.where(first, d[0], 2.0 * q[0].real)
+        t1 = np.where(first, d[1], 2.0 * q[1].real)
+        # scaled by a power of two to order 1, so that vx * vx neither
+        # overflows nor underflows; c and s are unchanged where it did neither
+        e = np.frexp(np.maximum(np.abs(t0), np.abs(t1)))[1]
+        k0 = np.where(tie, np.ldexp(t0, -e), k0)
+        k1 = np.where(tie, np.ldexp(t1, -e), k1)
     # v = W k = (vx, 2 Re z, -2 Im z) / r
     vx = k0 * d[0] + k1 * d[1]
     z = k0 * q[0] + k1 * q[1]

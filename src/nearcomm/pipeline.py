@@ -24,10 +24,10 @@ import numpy as np
 from .calibration import load_calibration
 from .ensembles import instance_rng, pair_instance
 from .errors import BlockNormViolation, NearcommError
-from .hermitian import as_array, commutator, hermitian_part, op_norm, spectral_decomp
+from .hermitian import commutator, hermitian_part, op_norm, spectral_decomp
 from .jointdiag import CommutingPair, commuting_approximation
 from .kernels import RAMP_HALF_WIDTH, band_smooth
-from .projections import ProjectionPartition, checked_pair, partition
+from .projections import checked_pair, partition
 from .serialize import csv_text, fmt_float, matrix_to_json
 
 BLOCK_NORM_SLACK = 1e-6
@@ -82,26 +82,15 @@ class SweepRow:
     flag: str = ""
 
 
-def tridiagonal_check(part: ProjectionPartition, a, b_smoothed) -> float:
-    """max ||p_i x p_j|| over blocks with k_j - k_i > 1 and x in {a, smoothed b}.
-
-    Banding plus the sandwich certificates force these blocks to vanish; the
-    measured value certifies it at run time.  ||p_i x p_j|| = ||q_i^* x q_j||,
-    and empty windows contribute nothing.  A pair is measured only if a or
-    b has a nonzero entry between the row supports of q_i and q_j; any
-    other pair's product is exactly zero, so the value is the all-pairs one.
-    """
-    am, bm = as_array(a), as_array(b_smoothed)
-    blocks = part.blocks
-    nonzero = (am != 0) | (bm != 0)
-    supports = [np.flatnonzero(np.any(blk.q != 0, axis=1)) for blk in blocks]
-    worst = 0.0
-    for ii, bi in enumerate(blocks):
-        qi = bi.q.conj().T
-        for bj, supp_j in zip(blocks[ii + 1:], supports[ii + 1:]):
-            if bj.k - bi.k > 1 and np.any(nonzero[np.ix_(supports[ii], supp_j)]):
-                worst = max(worst, op_norm(qi @ am @ bj.q), op_norm(qi @ bm @ bj.q))
-    return worst
+def tridiagonal_check(ks, a_q, b_q) -> float:
+    """max ||x_far|| over x in {a_q, b_q}, the pair in the block basis; ks[i]
+    is the k of column i's block, and x_far keeps the entries between columns
+    whose ks differ by more than 1.  It bounds every far ||p_i x p_j||, the
+    banding and sandwich certificates make it vanish, and an exactly zero
+    far part costs no norm."""
+    far = np.abs(ks[:, None] - ks[None, :]) > 1
+    far_parts = [np.where(far, x, 0.0) for x in (a_q, b_q)]
+    return max((op_norm(x) for x in far_parts if np.any(x)), default=0.0)
 
 
 def _orthonormalize(w: np.ndarray) -> np.ndarray:
@@ -152,20 +141,28 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
     smoothed = band_smooth(a_diag, v.conj().T @ bm @ v)
     part = partition(a_diag, smoothed, eps)
 
+    # one conjugation into the block basis Q = [q_1 ... q_m] gives every block;
+    # with Q unitary, ||x - sum_k p_k x p_k|| is the norm of x_q off the blocks
     n = am.shape[0]
-    tridiag_residual = tridiagonal_check(part, a_diag, smoothed)
-    compress_a = np.zeros_like(am)
-    compress_b = np.zeros_like(am)
+    q_all = np.concatenate([blk.q for blk in part.blocks], axis=1)
+    if q_all.shape[1] != n:
+        raise BlockNormViolation(f"block ranks sum to {q_all.shape[1]}, expected {n}: "
+                                 "partition incomplete")
+    ranks = [blk.q.shape[1] for blk in part.blocks]
+    ks = np.repeat([blk.k for blk in part.blocks], ranks)
+    a_q = hermitian_part(q_all.conj().T @ (lam[:, None] * q_all))
+    b_q = hermitian_part(q_all.conj().T @ smoothed @ q_all)
+    tridiag_residual = tridiagonal_check(ks, a_q, b_q)
+    off_block = ks[:, None] != ks[None, :]
+    compress_defect_a = op_norm(np.where(off_block, a_q, 0.0))
+    compress_defect_b = op_norm(np.where(off_block, b_q, 0.0))
     cols, diag_a_parts, diag_b_parts, block_comms = [], [], [], []
-    for blk in part.blocks:
+    for blk, stop in zip(part.blocks, np.cumsum(ranks)):
         k, q = blk.k, blk.q
-        rank = q.shape[1]
-        a_blk = (q.conj().T * lam) @ q
-        b_blk = q.conj().T @ smoothed @ q
-        compress_a += q @ a_blk @ q.conj().T
-        compress_b += q @ b_blk @ q.conj().T
+        sl = slice(stop - q.shape[1], stop)
+        a_blk, b_blk = a_q[sl, sl], b_q[sl, sl]
         block_comms.append(op_norm(commutator(a_blk, b_blk)))
-        a_scaled = hermitian_part((a_blk - (k + BLOCK_SHIFT) * np.eye(rank)) * BLOCK_SCALE)
+        a_scaled = (a_blk - (k + BLOCK_SHIFT) * np.eye(q.shape[1])) * BLOCK_SCALE
         dec_blk = spectral_decomp(a_scaled)     # the solve starts diagonal in a
         norm_scaled = float(np.max(np.abs(dec_blk.eigenvalues)))
         if norm_scaled > 1.0 + BLOCK_NORM_SLACK:
@@ -177,13 +174,6 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
         cols.append(q @ (dec_blk.basis @ inner.basis))
         diag_a_parts.append(inner.diag_a / BLOCK_SCALE + (k + BLOCK_SHIFT))
         diag_b_parts.append(inner.diag_b)
-    compress_defect_a = op_norm(a_diag - compress_a)
-    compress_defect_b = op_norm(smoothed - compress_b)
-
-    total_rank = sum(c.shape[1] for c in cols)
-    if total_rank != n:
-        raise BlockNormViolation(
-            f"block ranks sum to {total_rank}, expected {n}: partition incomplete")
 
     w = v @ _orthonormalize(np.concatenate(cols, axis=1))
     diag_a = np.concatenate(diag_a_parts)

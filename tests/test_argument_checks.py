@@ -7,17 +7,21 @@ import warnings
 import numpy as np
 import pytest
 
-from nearcomm import (boundary_residual, close_projection_isometry, commuting_approximation,
-                      discrete_measure_state, fock_rep, gibbs, joint_diagonalize, kms_verify,
-                      partition, perturbed_functional, quasi_free_flow, second_quantize,
-                      symmetry_action, theorem_b_inequality, theorem_c_correct,
-                      window_projection)
+import scipy.sparse
+
+from nearcomm import (a_star, annihilator, band_smooth, boundary_residual,
+                      close_projection_isometry, commuting_approximation,
+                      discrete_measure_state, fock_rep, func_calc, gibbs, joint_diagonalize,
+                      kms_verify, partition, perturbed_functional, quasi_free_flow,
+                      second_quantize, spectral_decomp, symmetry_action, theorem_b_inequality,
+                      theorem_c_correct, window_projection)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 E = np.diag([1.0, 0.0]).astype(complex)
 STATE = gibbs(SZ, 1.0)
 PAIR = {"a": np.diag([0.0, 1.0]), "b": 0.01 * SX}
+FLOW = quasi_free_flow(fock_rep(2), SX)
 
 # (function, valid keyword arguments, checked finite only, checked as Hermitian);
 # e1 and e2 are checked as projections, and so self-adjoint, to 1e-10
@@ -38,6 +42,12 @@ TABLE = (
     (symmetry_action, {"state": STATE, "w": SZ}, ("w",), ()),
     (quasi_free_flow, {"rep": fock_rep(2), "h_one": SX}, (), ("h_one",)),
     (second_quantize, {"rep": fock_rep(2), "h_one": SX}, (), ("h_one",)),
+    (spectral_decomp, {"a": SZ}, (), ("a",)),
+    (func_calc, {"a": SZ, "f": np.abs}, (), ("a",)),
+    (band_smooth, PAIR, (), ("a",)),        # b waits until the pipeline stops re-checking it
+    (a_star, {"rep": fock_rep(2), "xi": [1.0, 0.5j]}, ("xi",), ()),
+    (annihilator, {"rep": fock_rep(2), "xi": [1.0, 0.5j]}, ("xi",), ()),
+    (FLOW.evolve, {"t": 0.5, "x": np.kron(SX, SZ)}, ("x",), ()),
     (discrete_measure_state, {"atoms": [0.0, 0.5, 1.0], "weights": [0.25, 0.5, 0.25],
                               "amplitude": [1.0, 1.0, 1.0]}, ("atoms", "weights", "amplitude"),
      ()),
@@ -68,3 +78,13 @@ def test_table_inputs_are_valid():
     # each row's own arguments pass, so every rejection above is the bad one's
     for func, kwargs, _, _ in TABLE:
         func(**kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_sparse_operator_is_checked_through_its_entries(value):
+    x = scipy.sparse.csr_matrix(np.kron(SX, SZ))
+    x.data[1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^x has non-finite entries \(NaN or inf\)$"):
+            FLOW.evolve(0.5, x)

@@ -235,7 +235,8 @@ class TestRoundKernels:
         ((0, 2, 0), (2, 0, 0), (1, 0, 0)),                       # (sigma_x, sigma_z)
         ((1, 2, 2), (2, 1, -2), (5, 4, -2)),                     # tie: project e_0
         ((0, 0, -3), (0, 3, 0), (0, 1, 0)),                      # tie orthogonal to e_0
-    ], ids=["zero", "rank-one", "collinear", "pauli-tie", "tie", "tie-e1"])
+        ((1e-100, 2e-100, 2e-100), (2e-100, 1e-100, -2e-100), (5, 4, -2)),  # tie, no underflow
+    ], ids=["zero", "rank-one", "collinear", "pauli-tie", "tie", "tie-e1", "tie-tiny"])
     def test_closed_form_special_cases(self, w0, w1, expected):
         w = np.array([[w0], [w1]], dtype=float)
         stack, idx_i, idx_j = blocks_from_vectors(w)
@@ -358,6 +359,16 @@ class TestJointDiagonalize:
         u, report = joint_diagonalize(*pair)
         np.testing.assert_array_equal(u, np.eye(2))
         assert report.offdiag_energy == 2.0
+
+    @pytest.mark.parametrize("scale", [1e77, 1e150])
+    @pytest.mark.parametrize("pair", [(SX, SZ), (SZ, SX)], ids=["x-z", "z-x"])
+    def test_exact_tie_at_large_scale(self, pair, scale):
+        # the tie's k = (d_a, d_b) is brought to order 1 before vx * vx,
+        # which overflowed from 1e77 on when k was taken unnormalized
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, _ = joint_diagonalize(*(scale * m for m in pair))
+        np.testing.assert_array_equal(u, np.eye(2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(47)

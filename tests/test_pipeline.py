@@ -10,7 +10,7 @@ from nearcomm import pipeline, projections
 from nearcomm.calibration import load_calibration
 from nearcomm.ensembles import haar_unitary, instance_rng, pair_instance
 from nearcomm.errors import BlockNormViolation
-from nearcomm.hermitian import commutator, op_norm, spectral_decomp
+from nearcomm.hermitian import commutator, hermitian_part, op_norm, spectral_decomp
 from nearcomm.pipeline import (SWEEP_HEADER, modulus_sweep, sweep_medians,
                                sweep_rows_to_csv, theorem_c_correct,
                                tridiagonal_check)
@@ -142,9 +142,13 @@ class TestTheoremCCorrect:
         b[0, 2] = b[2, 0] = 0.5
         smoothed = band_smooth(a, b)
         part = partition(a, smoothed, eps=0.5)
-        assert tridiagonal_check(part, a, smoothed) < 1e-12
+        value = tridiagonal_check(*block_frame(part, a, smoothed))
+        assert value == pytest.approx(far_part_norm(part, a, smoothed), abs=1e-12)
+        assert value < 1e-12
         # control: the unsmoothed b keeps the far entry
-        assert tridiagonal_check(part, a, b) > 0.4
+        value = tridiagonal_check(*block_frame(part, a, b))
+        assert value == pytest.approx(far_part_norm(part, a, b), abs=1e-12)
+        assert value > 0.4
 
 
 def _rotated(a, b, u):
@@ -262,6 +266,23 @@ class TestEigenbasisCore:
         np.testing.assert_allclose(rotated.block_comms, plain.block_comms, rtol=0, atol=tol)
 
 
+def block_frame(part, a, b):
+    """(ks, Q* a Q, Q* b Q) for the block basis Q = [q_1 ... q_m], with ks
+    the k of each column's block, as theorem_c_correct forms them."""
+    q = np.concatenate([blk.q for blk in part.blocks], axis=1)
+    ks = np.repeat([blk.k for blk in part.blocks], [blk.q.shape[1] for blk in part.blocks])
+    return ks, hermitian_part(q.conj().T @ a @ q), hermitian_part(q.conj().T @ b @ q)
+
+
+def far_part_norm(part, a, b):
+    """The n x n definition: max over x in {a, b} of the norm of the sum of
+    p_i x p_j over block pairs with |k_i - k_j| > 1, where p_i = q_i q_i*."""
+    projs = [(blk.k, blk.q @ blk.q.conj().T) for blk in part.blocks]
+    return max(op_norm(sum((pi @ x @ pj for ki, pi in projs for kj, pj in projs
+                            if abs(kj - ki) > 1), np.zeros_like(x)))
+               for x in (a, b))
+
+
 def all_pairs_tridiagonal(part, a, b):
     """max ||q_i^* x q_j|| over every block pair with k_j - k_i > 1."""
     return max((op_norm(bi.q.conj().T @ x @ bj.q)
@@ -291,32 +312,60 @@ def counting_op_norm(monkeypatch):
 
 
 class TestTridiagonalCheck:
-    """Block pairs whose supports meet no nonzero entry are skipped, and the
-    value equals the all-pairs one."""
+    """The far part of the pair in the block basis: the n x n far-part norm,
+    exactly zero on pipeline partitions, where it costs no norm."""
 
     @pytest.mark.parametrize("n, a_norm, haar", [(16, 100.0, False), (64, 30.0, False),
                                                  (32, 3.0, True)])
     def test_pipeline_partition_skips_every_pair(self, n, a_norm, haar, monkeypatch):
         a, b, part = eigenbasis_partition(n, a_norm, haar, 31)
         assert any(bj.k - bi.k > 1 for bi in part.blocks for bj in part.blocks)
-        expected = all_pairs_tridiagonal(part, a, b)
+        expected = far_part_norm(part, a, b)
+        frame = block_frame(part, a, b)
         calls = counting_op_norm(monkeypatch)
-        assert tridiagonal_check(part, a, b) == expected == 0.0
+        assert tridiagonal_check(*frame) == expected == 0.0
         assert calls == []
 
     def test_rotated_blocks_measure_every_pair(self, monkeypatch):
-        # blocks rotated by a Haar unitary have full supports: nothing is
-        # skipped and the far products are no longer zero
+        # blocks rotated by a Haar unitary have full supports: the far part
+        # is no longer zero, and its norm bounds every single block pair's
         a, b, part = eigenbasis_partition(16, 100.0, False, 31)
         u = haar_unitary(16, np.random.default_rng(37))
         part = dataclasses.replace(part, blocks=tuple(
             dataclasses.replace(blk, q=u @ blk.q) for blk in part.blocks))
-        far = sum(bj.k - bi.k > 1 for bi in part.blocks for bj in part.blocks)
-        expected = all_pairs_tridiagonal(part, a, b)
+        expected = far_part_norm(part, a, b)
+        frame = block_frame(part, a, b)
         calls = counting_op_norm(monkeypatch)
-        assert tridiagonal_check(part, a, b) == expected
-        assert expected > 1e-3
-        assert len(calls) == 2 * far
+        value = tridiagonal_check(*frame)
+        assert abs(value - expected) <= 1e-12 * max(1.0, op_norm(a))
+        assert value >= all_pairs_tridiagonal(part, a, b) > 1e-3
+        assert len(calls) == 2
+
+
+class TestCompressionDefects:
+    """compress_defect_x equals ||x - sum_k p_k x p_k||, formed n x n from
+    the blocks, in the eigenbasis of a where the blocks live."""
+
+    @pytest.mark.parametrize("n, a_norm, haar", [(16, 100.0, False), (32, 3.0, True)])
+    def test_defects_match_the_n_by_n_oracle(self, n, a_norm, haar, monkeypatch):
+        seen = []
+        original = pipeline.partition
+
+        def record(a, b, eps):
+            part = original(a, b, eps)
+            seen.append((np.array(a), np.array(b), part))
+            return part
+
+        monkeypatch.setattr(pipeline, "partition", record)
+        inst, rotated = _rotated_instance(n, a_norm, 41)
+        res = theorem_c_correct(*(rotated if haar else (inst.a, inst.b)), eps=0.1)
+        (a, b, part), = seen
+        projs = [blk.q @ blk.q.conj().T for blk in part.blocks]
+        tol = 1e-12 * max(1.0, op_norm(a))
+        for x, got in ((a, res.compress_defect_a), (b, res.compress_defect_b)):
+            expected = op_norm(x - sum(p @ x @ p for p in projs))
+            assert abs(got - expected) <= tol
+        assert res.compress_defect_b > 0.0
 
 
 class TestSolverWork:
@@ -325,7 +374,7 @@ class TestSolverWork:
         # eigenvalues also give the norm gate, and one op_norm, of the block
         # commutator; the other six op_norm calls are of n x n arrays (nu,
         # ||b||, two compression defects, dist_a, dist_b), and this
-        # partition's tridiagonal check skips every block pair
+        # partition's far part is exactly zero, so its check takes no norm
         decomps = []
 
         def counted(x):

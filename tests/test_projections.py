@@ -246,15 +246,21 @@ class TestBlockStorage:
         assert sum(blk.q.shape[1] for blk in part.blocks) == n
         ks = [blk.k for blk in part.blocks]
         assert ks == sorted(set(ks))
-        # the n x n definition: max ||p_i x p_j|| over k_j - k_i > 1; the
-        # unsmoothed b keeps far entries, so that comparison is not 0 = 0
+        # the n x n definition: the norm of the sum of p_i x p_j over
+        # |k_i - k_j| > 1, for x in {a, b}, against the far part of Q* x Q;
+        # the unsmoothed b keeps far entries, so that comparison is not 0 = 0
+        q = np.concatenate([blk.q for blk in part.blocks], axis=1)
+        col_ks = np.repeat(ks, [blk.q.shape[1] for blk in part.blocks])
         projs = [(blk.k, blk.q @ blk.q.conj().T) for blk in part.blocks]
+        values = []
         for b in (smoothed, inst.b):
-            expected = max(op_norm(pi @ x @ pj)
-                           for ki, pi in projs for kj, pj in projs if kj - ki > 1
+            expected = max(op_norm(sum(pi @ x @ pj for ki, pi in projs
+                                       for kj, pj in projs if abs(kj - ki) > 1))
                            for x in (inst.a, b))
-            assert tridiagonal_check(part, inst.a, b) == pytest.approx(expected, abs=1e-12)
-        assert tridiagonal_check(part, inst.a, inst.b) > 1e-9
+            values.append(tridiagonal_check(col_ks, q.conj().T @ inst.a @ q,
+                                            q.conj().T @ b @ q))
+            assert values[-1] == pytest.approx(expected, abs=1e-12)
+        assert values[-1] > 1e-9
 
 
 def recording_window_core(monkeypatch, edit=None):

@@ -55,6 +55,15 @@ def test_traced_core_op_records_edge_solves(core_op_spans):
     assert edges and all("sweeps" in (s[4] or {}) for s in edges)
 
 
+def test_traced_core_op_checks_each_correction_once(core_op_spans):
+    # the tridiagonal layer metrics read this span: one per correction,
+    # inside it; a check that bypassed the module attribute would read zero
+    corrections = [i for i, s in enumerate(core_op_spans)
+                   if s[0] == "pipeline.theorem_c_correct"]
+    parents = [s[3] for s in core_op_spans if s[0] == "pipeline.tridiagonal_check"]
+    assert corrections and parents == corrections
+
+
 def test_traced_edges_name_their_cut_points(core_op_spans):
     # projections.edges counts distinct t per partition span; t must be the
     # integer cut point, rising edge by edge, not eps or the spectral scale
