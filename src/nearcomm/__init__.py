@@ -40,7 +40,6 @@ from .errors import (
 )
 from .hermitian import (
     SpectralDecomposition,
-    as_array,
     checked_hermitian,
     commutator,
     func_calc,

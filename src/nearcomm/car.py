@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hermitian import (SpectralDecomposition, ad_evolve, as_array, checked_finite,
-                        checked_hermitian, op_norm)
+from .hermitian import (SpectralDecomposition, ad_evolve, checked_finite, checked_hermitian,
+                        op_norm)
 
 # scipy.sparse is imported inside each function that uses it, so a process
 # that never builds a FockRep, the core's among them, never loads it
@@ -141,9 +141,7 @@ def a_star(rep: FockRep, xi) -> sparse.csr_matrix:
     """Creation operator a*(xi) = sum_k xi_k a*(e_k) = J (xi (x) 1), linear
     in xi; each entry is a single +-xi_k."""
     import scipy.sparse as sparse
-    xi = checked_finite(np.asarray(xi, dtype=np.complex128), "xi")
-    if xi.shape != (rep.modes,):
-        raise ValueError(f"vector has shape {xi.shape}, expected ({rep.modes},)")
+    xi = checked_finite(np.asarray(xi, dtype=np.complex128), "xi", (rep.modes,))
     jw, dim = rep.jw, rep.dim
     return sparse.csr_matrix((jw.data * xi[jw.indices // dim], jw.indices % dim, jw.indptr),
                              shape=(dim, dim))
@@ -166,26 +164,13 @@ def second_quantize(rep: FockRep, h_one) -> sparse.csr_matrix:
     that implements T on the one-particle space.
     """
     import scipy.sparse as sparse
-    lift = sparse.kron(_one_particle(rep, h_one), rep.identity(), format="csr")
+    lift = sparse.kron(checked_hermitian(h_one, "h_one", (rep.modes,) * 2), rep.identity(),
+                       format="csr")
     return rep.jw @ lift @ rep.jw.conj().T
-
-
-def _one_particle(rep: FockRep, h_one) -> np.ndarray:
-    hm = as_array(h_one)
-    n = rep.modes
-    if hm.shape != (n, n):
-        raise ValueError(f"h_one has shape {hm.shape}, expected ({n}, {n})")
-    return checked_hermitian(hm, "h_one")
 
 
 def number_operator(rep: FockRep) -> sparse.csr_matrix:
     return second_quantize(rep, np.eye(rep.modes))
-
-
-def _check_operator(rep: FockRep, x) -> None:
-    shape = np.shape(x)     # reads .shape first, so a sparse x is not densified
-    if shape != (rep.dim, rep.dim):
-        raise ValueError(f"operator has shape {shape}, expected ({rep.dim}, {rep.dim})")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -235,15 +220,13 @@ class QuasiFreeFlow:
         the two sectors' decompositions; zero blocks stay zero.
         """
         import scipy.sparse as sparse
-        _check_operator(self.rep, x)
+        x = checked_finite(x, "x", (self.rep.dim,) * 2)
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
         sectors = _sectors(self.rep.modes)[1]
         if sparse.issparse(x):
-            checked_finite(x.data, "x")
             blocks = _sparse_sector_blocks(self.rep.modes, x)
         else:
-            x = checked_finite(x, "x")
             blocks = {(r, c): x[np.ix_(ir, ic)] for r, ir in enumerate(sectors)
                       for c, ic in enumerate(sectors)}
         out = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
@@ -269,7 +252,7 @@ def _sparse_sector_blocks(n: int, x) -> dict:
 
 
 def quasi_free_flow(rep: FockRep, h_one) -> QuasiFreeFlow:
-    return QuasiFreeFlow(rep=rep, h_one=_one_particle(rep, h_one))
+    return QuasiFreeFlow(rep=rep, h_one=checked_hermitian(h_one, "h_one", (rep.modes,) * 2))
 
 
 def quasi_free_generator(flow: QuasiFreeFlow, x):
@@ -277,7 +260,7 @@ def quasi_free_generator(flow: QuasiFreeFlow, x):
 
     Sparse input gives sparse output, dense gives dense.
     """
-    _check_operator(flow.rep, x)
+    x = checked_finite(x, "x", (flow.rep.dim,) * 2)
     d = flow.second_quantized
     return 1j * (d @ x - x @ d)
 
@@ -309,9 +292,7 @@ def wick_unitary(rep: FockRep, coeffs, family=None) -> tuple[sparse.csr_matrix, 
     if family is None:
         fam = np.eye(n, dtype=np.complex128)
     else:
-        fam = np.asarray(family, dtype=np.complex128)
-        if fam.shape[0] != n:
-            raise ValueError(f"family rows {fam.shape[0]} != mode count {n}")
+        fam = checked_finite(np.asarray(family, dtype=np.complex128), "family", (n, "k"))
         gram = fam.conj().T @ fam
         if op_norm(gram - np.eye(fam.shape[1])) > 1e-8:
             raise ValueError("family columns are not orthonormal within 1e-8")

@@ -2,8 +2,9 @@
 calculus, norms.
 
 Matrices go in and come out as complex128 arrays; checked_hermitian and
-checked_finite are the only checks of an array argument, and each message
-starts with the argument's name.  Every Hermitian result is read-only.
+checked_finite are the only checks of an array argument, _shaped is the
+shape part of both, and each message starts with the argument's name.
+Every Hermitian result is read-only.
 
 Tolerances are relative: HERMITICITY_RTOL to max(1, max|A_ij|), op_norm's
 Hermitian test to max|A_ij| with no floor, CLUSTER_RTOL to max(1, ||A||).
@@ -28,39 +29,56 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.complex128)
 
 
-def _square(x, name: str) -> np.ndarray:
-    arr = as_array(x)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+SQUARE = ("n", "n")            # the shape of a square matrix, n >= 1
+
+
+def _shaped(arr, name: str, shape: tuple):
+    """arr, after a ValueError naming it unless its shape fits shape: a tuple
+    with one entry per axis, an int (that size), None (any size) or a letter
+    (any size >= 1, the same on every axis the letter labels)."""
+    got = arr.shape
+    if got != shape:
+        fits = len(got) == len(shape)
+        for want, size in zip(shape, got):
+            if want is not None and (size < 1 or size != got[shape.index(want)]
+                                     if isinstance(want, str) else size != want):
+                fits = False
+        if not fits:
+            expected = str(tuple(shape)).replace("'", "").replace("None", "*")
+            raise ValueError(f"{name} has shape {got}, expected {expected}")
     return arr
 
 
 def hermitian_part(m) -> np.ndarray:
     """(m + m*) / 2 for a square array, exactly self-adjoint and read-only."""
-    arr = _square(m, "m")
+    arr = _shaped(as_array(m), "m", SQUARE)
     out = 0.5 * (arr + arr.conj().T)
     out.flags.writeable = False
     return out
 
 
-def checked_finite(x, name: str) -> np.ndarray:
-    """x as an array of its own dtype, after a ValueError naming it if an
-    entry is NaN or inf.  Checked before any product: a NaN would read as a
-    perfect residual (max(worst, nan) keeps worst), and inf * 0 warns."""
-    arr = np.asarray(x)
-    if not np.all(np.isfinite(arr)):
+def checked_finite(x, name: str, shape: tuple):
+    """x as an array of its own dtype, after a ValueError naming it if its
+    shape does not fit shape (see _shaped) or an entry is NaN or inf.  A
+    scipy.sparse x is checked through its stored entries and returned as is.
+    Checked before any product: a NaN would read as a perfect residual
+    (max(worst, nan) keeps worst), and inf * 0 warns."""
+    sparse = hasattr(x, "nnz")
+    arr = _shaped(x if sparse else np.asarray(x), name, shape)
+    if not np.all(np.isfinite(arr.data if sparse else arr)):
         raise ValueError(f"{name} has non-finite entries (NaN or inf)")
     return arr
 
 
-def checked_hermitian(x, name: str) -> np.ndarray:
-    """x as a Hermitian array: its symmetrized entries, read-only.
+def checked_hermitian(x, name: str, shape: tuple) -> np.ndarray:
+    """x as a Hermitian array of the square shape given (n >= 1): its
+    symmetrized entries, read-only.
 
-    Verifies a square shape, finite entries and self-adjointness entrywise
-    to HERMITICITY_RTOL max(1, max|A_ij|), since the rounding of u a u*
-    grows with the entries; a failure is a ValueError that starts with name.
+    Verifies the shape, finite entries and self-adjointness entrywise to
+    HERMITICITY_RTOL max(1, max|A_ij|), since the rounding of u a u* grows
+    with the entries; a failure is a ValueError that starts with name.
     """
-    arr = checked_finite(_square(x, name), name)
+    arr = checked_finite(as_array(x), name, shape)
     asym = np.max(np.abs(arr - arr.conj().T), initial=0.0)
     if asym > HERMITICITY_RTOL * max(1.0, np.max(np.abs(arr), initial=0.0)):
         raise ValueError(f"{name} is not self-adjoint: max |A - A*| entry = {asym:.3e}")
@@ -100,12 +118,13 @@ def op_norm(x) -> float:
     eigvalsh reads one triangle only, so it is used just for arrays that
     are Hermitian to 1e-10 of their own largest entry; an absolute floor
     would pass small non-Hermitian arrays.  Other arrays, rectangular ones
-    included, take the largest singular value.
+    included, take the largest singular value.  x must be 2-D; an exactly
+    zero x, an empty one included, has norm 0.0 without a LAPACK call.
     """
-    arr = as_array(x)
-    if arr.size == 0:
+    arr = _shaped(as_array(x), "x", (None, None))
+    if not arr.any():
         return 0.0
-    square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+    square = arr.shape[0] == arr.shape[1]
     if square and np.max(np.abs(arr - arr.conj().T)) <= 1e-10 * np.max(np.abs(arr)):
         try:
             return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
@@ -116,9 +135,8 @@ def op_norm(x) -> float:
 
 def commutator(a, b) -> np.ndarray:
     """[a, b] = ab - ba as a plain complex array."""
-    am, bm = as_array(a), as_array(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am = _shaped(as_array(a), "a", SQUARE)
+    bm = _shaped(as_array(b), "b", am.shape)
     return am @ bm - bm @ am
 
 
@@ -139,7 +157,7 @@ def spectral_decomp(a) -> SpectralDecomposition:
     only on the subspace (and the input ordering), not on solver internals.
     a is checked as a Hermitian argument named "a" (checked_hermitian).
     """
-    arr = checked_hermitian(a, "a")
+    arr = checked_hermitian(a, "a", SQUARE)
     try:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:

@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-from .hermitian import as_array, checked_finite, commutator, hermitian_part, op_norm
+from .hermitian import (SQUARE, _shaped, as_array, checked_finite, commutator, hermitian_part,
+                        op_norm)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 200
@@ -105,8 +106,8 @@ def _check_scale(frob2: float, am: np.ndarray, bm: np.ndarray) -> None:
     """ValueError naming a or b (the larger, if only their sum overflows) when
     frob2, their summed squared moduli, is NaN or inf within ROTATION_HEADROOM."""
     if not math.isfinite(ROTATION_HEADROOM * frob2):
-        checked_finite(am, "a")
-        checked_finite(bm, "b")
+        checked_finite(am, "a", am.shape)
+        checked_finite(bm, "b", am.shape)
         big, name = max((float(np.max(np.abs(m))), name) for name, m in (("a", am), ("b", bm)))
         raise ValueError(f"{name} has entries too large to rotate: {ROTATION_HEADROOM:g}x the "
                          f"sum of squares of a and b overflows (max |{name}_ij| = {big:.3e})")
@@ -192,11 +193,11 @@ def joint_diagonalize(a, b):
     Returns (U, SolverReport).  Stops when the relative off-diagonal energy
     decrease over a sweep falls below DEFAULT_TOL (or the energy hits the
     floating point floor); non-convergence within DEFAULT_MAX_SWEEPS is
-    reported, not raised.  A non-finite or too large entry raises ValueError.
+    reported, not raised.  A non-square a, a b of another shape, or a
+    non-finite or too large entry raises ValueError.
     """
-    am, bm = as_array(a), as_array(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    am = _shaped(as_array(a), "a", SQUARE)
+    bm = _shaped(as_array(b), "b", am.shape)
     n = am.shape[0]
     work = np.empty((3, n, n), dtype=np.complex128)
     work[0], work[1], work[2] = am, bm, np.eye(n)
@@ -231,8 +232,8 @@ def commuting_approximation(a, b) -> CommutingPair:
 
     The returned pair shares one eigenbasis, so it commutes structurally;
     dist_a and dist_b are the operator-norm distances to the inputs.  A 1x1
-    pair runs no Jacobi sweep.  Entries that joint_diagonalize would reject
-    are rejected at every size.
+    pair runs no Jacobi sweep.  Shapes and entries that joint_diagonalize
+    would reject are rejected at every size.
     """
     am, bm = as_array(a), as_array(b)
     if am.shape == bm.shape == (1, 1):
@@ -244,7 +245,7 @@ def commuting_approximation(a, b) -> CommutingPair:
         diag_a, diag_b = am.real[0] + 0.0, bm.real[0] + 0.0
         dist_a, dist_b = float(abs(am.imag[0, 0])), float(abs(bm.imag[0, 0]))
     else:
-        u, report = joint_diagonalize(am, bm)
+        u, report = joint_diagonalize(am, bm)     # checks the shapes
         diag_a = np.real(np.diagonal(u.conj().T @ am @ u)).copy()
         diag_b = np.real(np.diagonal(u.conj().T @ bm @ u)).copy()
         dist_a = op_norm(am - (u * diag_a) @ u.conj().T)

@@ -34,8 +34,8 @@ import numpy as np
 
 from ._quad import _leggauss, gl_nodes
 from .errors import QuadratureError
-from .hermitian import as_array, hermitian_part, op_norm, commutator, func_calc, \
-    spectral_decomp
+from .hermitian import (_shaped, as_array, checked_hermitian, commutator, func_calc,
+                        hermitian_part, op_norm, spectral_decomp)
 
 BAND_HALF_WIDTH = 0.5          # Fourier support of the mollifier: (-1/2, 1/2)
 RAMP_HALF_WIDTH = 0.25         # bump support for both kernels: (-1/4, 1/4)
@@ -280,10 +280,11 @@ def band_smooth(a, b) -> np.ndarray:
     The quadratures run a panel of pairs at a time, so memory is O(n^2)
     plus one panel, not O(pairs x nodes).
     Guarantees ||b - b1|| <= k1 * ||[a, b]|| and ||[a, b1]|| <= ||[a, b]||.
+    b must have a's shape; its entries are not checked.
     """
     dec = spectral_decomp(a)
     v = dec.basis
-    bt = v.conj().T @ as_array(b) @ v
+    bt = v.conj().T @ _shaped(as_array(b), "b", v.shape) @ v
     delta = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
     mult = build_mollifier().multiplier(delta)
     return hermitian_part(v @ (bt * mult) @ v.conj().T)
@@ -295,6 +296,8 @@ def lipschitz_commutator_check(a, b):
     Returns (lhs, rhs); lhs <= rhs up to quadrature slack.
     """
     kernel = build_step()
-    lhs = op_norm(commutator(b, func_calc(a, kernel)))
-    rhs = kernel.c_const * op_norm(commutator(a, b))
+    step_a = func_calc(a, kernel)
+    bm = checked_hermitian(b, "b", step_a.shape)
+    lhs = op_norm(commutator(bm, step_a))
+    rhs = kernel.c_const * op_norm(commutator(a, bm))
     return lhs, rhs

@@ -26,8 +26,9 @@ import numpy as np
 from ._quad import gl_nodes
 from .ensembles import random_hermitian
 from .errors import NearcommError, QuadratureError, SpectralGapMissing
-from .hermitian import (SpectralDecomposition, ad_evolve, as_array, checked_finite,
-                        checked_hermitian, commutator, hermitian_part, op_norm)
+from .hermitian import (SQUARE, SpectralDecomposition, _shaped, ad_evolve, as_array,
+                        checked_finite, checked_hermitian, commutator, hermitian_part,
+                        op_norm)
 from .serialize import csv_text, fmt_float
 
 PROJECTION_ATOL = 1e-10
@@ -69,7 +70,7 @@ class KmsState:
     density: np.ndarray
 
     def value(self, x) -> complex:
-        return complex(np.trace(self.density @ as_array(x)))
+        return complex(np.trace(self.density @ _shaped(as_array(x), "x", self.h.shape)))
 
     def normalized_density(self) -> np.ndarray:
         return self.density / self.weight
@@ -99,25 +100,19 @@ def _functional(k: np.ndarray, c: float, log_z: float | None) -> KmsState:
 def gibbs(h, c: float) -> KmsState:
     """Gibbs state at inverse-temperature parameter c (either sign, nonzero)."""
     _check_c(c)
-    return _functional(checked_hermitian(h, "h"), float(c), None)
-
-
-def _check_shape(name: str, m: np.ndarray, h: np.ndarray) -> None:
-    if m.shape != h.shape:
-        raise ValueError(f"{name} has shape {m.shape}, but h has shape {h.shape}")
+    return _functional(checked_hermitian(h, "h", SQUARE), float(c), None)
 
 
 def perturbed_functional(state: KmsState, b) -> KmsState:
     """The Araki-perturbed functional: density exp(-c(h+b)) / Z of the state."""
-    bm = checked_hermitian(b, "b")
-    _check_shape("b", bm, state.h)
+    bm = checked_hermitian(b, "b", state.h.shape)
     return _functional(hermitian_part(state.h + bm), state.c, state.log_z)
 
 
 def _eigenbasis_residual(rho, lam, v, c: float, x, y, t_samples) -> float:
     """boundary_residual with rho given in the eigenbasis v of h = v diag(lam) v*,
     where the flow is entrywise: alpha_z(y)_jk = e^{iz(lam_j - lam_k)} y_jk."""
-    x, y = (v.conj().T @ as_array(checked_finite(m, name)) @ v
+    x, y = (v.conj().T @ as_array(checked_finite(m, name, v.shape)) @ v
             for name, m in (("x", x), ("y", y)))
     gap = lam[:, None] - lam[None, :]
     rho_x = rho @ x
@@ -138,8 +133,9 @@ def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
     e^{|c| spread(h)} |y|, so the rounding error of the residual grows like
     1e-16 e^{|c| spread(h)}, for the Gibbs density too (not in kms_verify).
     """
-    lam, v = np.linalg.eigh(checked_hermitian(h, "h"))
-    rho = as_array(checked_finite(rho, "rho"))
+    lam, v = np.linalg.eigh(checked_hermitian(h, "h", SQUARE))
+    rho = as_array(checked_finite(rho, "rho", v.shape))
+    t_samples = checked_finite(np.asarray(t_samples, dtype=np.float64), "t_samples", ("k",))
     return _eigenbasis_residual(v.conj().T @ rho @ v, lam, v, c, x, y, t_samples)
 
 
@@ -174,9 +170,8 @@ def symmetry_action(state: KmsState, w) -> SymmetryActionResult:
     entries up to e^{|c| spread(h)}, so the rounding error of the residual
     grows like 1e-16 e^{|c| spread(h)}.
     """
-    wm = as_array(checked_finite(w, "w"))
-    n = wm.shape[0]
-    if op_norm(wm.conj().T @ wm - np.eye(n)) > UNITARY_ATOL:
+    wm = as_array(checked_finite(w, "w", state.h.shape))
+    if op_norm(wm.conj().T @ wm - np.eye(wm.shape[0])) > UNITARY_ATOL:
         raise ValueError("w is not unitary within 1e-10")
     dec = SpectralDecomposition(state.eigenvalues, state.basis)
     cocycle = ad_evolve(1j * state.c, wm, dec, dec) @ wm.conj().T
@@ -317,9 +312,11 @@ def close_projection_isometry(e1, e2) -> np.ndarray:
 
     Built as v = x f(x*x) from the corner placement of e1 e2; requires the
     spectrum of e2 e1 e2 to split into {0} and a cluster above 3/4, which
-    holds whenever ||e1 - e2|| < 1/2.  A NaN or inf in e1 or e2 is named.
+    holds whenever ||e1 - e2|| < 1/2.  A NaN or inf in e1 or e2, a
+    non-square e1 or an e2 of another shape is named.
     """
-    e1m, e2m = (as_array(checked_finite(e, name)) for name, e in (("e1", e1), ("e2", e2)))
+    e1m = as_array(checked_finite(e1, "e1", SQUARE))
+    e2m = as_array(checked_finite(e2, "e2", e1m.shape))
     n = e1m.shape[0]
     for name, em in (("e1", e1m), ("e2", e2m)):
         # Frobenius norms bound the operator norm, so these checks are the stricter
@@ -381,10 +378,9 @@ def theorem_b_inequality(h, b1, b2, e1, e2, c: float) -> TheoremBResult:
     numerical breakdown, not a violation, and raises NearcommError.
     """
     _check_c(c)
-    hm, b1m, b2m = (checked_hermitian(m, name) for name, m in (("h", h), ("b1", b1), ("b2", b2)))
-    e1m, e2m = as_array(e1), as_array(e2)
-    for name, m in (("b1", b1m), ("b2", b2m), ("e1", e1m), ("e2", e2m)):
-        _check_shape(name, m, hm)
+    hm = checked_hermitian(h, "h", SQUARE)
+    b1m, b2m = (checked_hermitian(m, name, hm.shape) for name, m in (("b1", b1), ("b2", b2)))
+    e1m, e2m = (_shaped(as_array(m), name, hm.shape) for name, m in (("e1", e1), ("e2", e2)))
     n = hm.shape[0]
     corner = close_projection_isometry(e1m, e2m)[:n, n:]    # checks e1 and e2 first
     log_z = _logsumexp(-c * np.linalg.eigh(hm)[0])     # gibbs(h, c).log_z

@@ -57,13 +57,10 @@ class DiscreteMeasureState:
 
 
 def discrete_measure_state(atoms, weights, amplitude) -> DiscreteMeasureState:
-    atoms = checked_finite(np.asarray(atoms, dtype=np.float64), "atoms")
-    weights = checked_finite(np.asarray(weights, dtype=np.float64), "weights")
-    amplitude = checked_finite(np.asarray(amplitude, dtype=np.complex128), "amplitude")
-    if atoms.ndim != 1 or atoms.size == 0:
-        raise ValueError("atoms must be a nonempty 1-d sequence")
-    if weights.shape != atoms.shape or amplitude.shape != atoms.shape:
-        raise ValueError("atoms, weights, and amplitude must have equal length")
+    atoms = checked_finite(np.asarray(atoms, dtype=np.float64), "atoms", ("n",))
+    weights = checked_finite(np.asarray(weights, dtype=np.float64), "weights", atoms.shape)
+    amplitude = checked_finite(np.asarray(amplitude, dtype=np.complex128), "amplitude",
+                               atoms.shape)
     if np.any(np.diff(atoms) <= 0):
         raise ValueError("atoms must be strictly ascending")
     if np.any(weights <= 0):
@@ -123,6 +120,7 @@ def _solve_targets(targets, moments) -> np.ndarray:
 
 def three_point_weights(targets, c: float, v: float) -> np.ndarray:
     """Probability weights on three atoms with mean c and variance v."""
+    targets = checked_finite(np.asarray(targets, dtype=np.float64), "targets", (3,))
     return _solve_targets(targets, (1.0, c, v + c * c))
 
 
@@ -282,7 +280,8 @@ def measure_from_json(obj: dict) -> DiscreteMeasureState:
     for field in ("atoms", "weights", "xi_re", "xi_im"):
         if field not in obj:
             raise ValueError(f"measure JSON is missing field '{field}'")
-        fields[field] = checked_finite(np.asarray(obj[field], dtype=np.float64), field)
+        fields[field] = checked_finite(np.asarray(obj[field], dtype=np.float64), field,
+                                       fields["atoms"].shape if fields else ("n",))
     atoms, weights = fields["atoms"], fields["weights"]
     amp = fields["xi_re"] + 1j * fields["xi_im"]
     w_sum = float(np.sum(weights))

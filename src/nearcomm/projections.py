@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import LinSolverFailure, MonotonicityViolation, SandwichViolation
-from .hermitian import (ENDPOINT_RTOL, checked_hermitian, hermitian_part, op_norm,
+from .hermitian import (ENDPOINT_RTOL, SQUARE, checked_hermitian, hermitian_part, op_norm,
                         spectral_decomp)
 from .jointdiag import commuting_approximation
 from .kernels import BAND_HALF_WIDTH, RAMP_HALF_WIDTH, _step_eval
@@ -176,9 +176,8 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
 
 def checked_pair(a, b, eps: float):
     """a and b as Hermitian arrays of one shape, n >= 1; eps > 0 or inf."""
-    am, bm = checked_hermitian(a, "a"), checked_hermitian(b, "b")
-    if bm.shape != am.shape or not am.size:
-        raise ValueError(f"expected a and b of one shape, n >= 1: {am.shape}, {bm.shape}")
+    am = checked_hermitian(a, "a", SQUARE)
+    bm = checked_hermitian(b, "b", am.shape)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return am, bm

@@ -13,11 +13,11 @@ import json
 
 import numpy as np
 
-from .hermitian import _square
+from .hermitian import SQUARE, _shaped, as_array
 
 
 def matrix_to_json(m) -> dict:
-    arr = _square(m, "m")
+    arr = _shaped(as_array(m), "m", SQUARE)
     return {"n": int(arr.shape[0]),
             "re": arr.real.tolist(),
             "im": arr.imag.tolist()}

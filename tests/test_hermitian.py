@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from nearcomm.errors import FunctionDomainError
-from nearcomm.hermitian import (SpectralDecomposition, ad_evolve, as_array,
+from nearcomm.hermitian import (SQUARE, SpectralDecomposition, ad_evolve, as_array,
                                 checked_hermitian, commutator, func_calc, hermitian_part,
                                 op_norm, spectral_decomp)
 from nearcomm.jointdiag import commuting_approximation
@@ -24,36 +24,37 @@ def random_hermitian(n, rng):
 
 class TestCheckedHermitian:
     def test_symmetrizes(self):
-        m = checked_hermitian([[1.0, 2.0], [2.0, 3.0]], "m")
+        m = checked_hermitian([[1.0, 2.0], [2.0, 3.0]], "m", (2, 2))
         assert m.shape == (2, 2)
         np.testing.assert_array_equal(m, m.conj().T)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match=r"^m must be a square matrix, got shape \(2, 3\)"):
-            checked_hermitian(np.zeros((2, 3)), "m")
+        with pytest.raises(ValueError, match=r"^m has shape \(2, 3\), expected \(n, n\)$"):
+            checked_hermitian(np.zeros((2, 3)), "m", SQUARE)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="^m is not self-adjoint"):
-            checked_hermitian([[0.0, 1.0], [0.0, 0.0]], "m")
+            checked_hermitian([[0.0, 1.0], [0.0, 0.0]], "m", SQUARE)
 
     def test_tolerance_scales_with_entries(self):
         # 1e-12 times max(1, max|A_ij|): rounding at large norms passes,
         # the same defect at unit scale does not
-        checked_hermitian([[1e6, 1e6 + 5e-7], [1e6, 0.0]], "m")
+        checked_hermitian([[1e6, 1e6 + 5e-7], [1e6, 0.0]], "m", SQUARE)
         with pytest.raises(ValueError, match="self-adjoint"):
-            checked_hermitian([[1.0, 1.0 + 5e-12], [1.0, 0.0]], "m")
-        assert checked_hermitian(np.zeros((0, 0)), "m").shape == (0, 0)
+            checked_hermitian([[1.0, 1.0 + 5e-12], [1.0, 0.0]], "m", SQUARE)
+        with pytest.raises(ValueError, match=r"^m has shape \(0, 0\), expected \(n, n\)$"):
+            checked_hermitian(np.zeros((0, 0)), "m", SQUARE)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="^m has non-finite"):
-            checked_hermitian([[0.0, bad], [bad, 0.0]], "m")
+            checked_hermitian([[0.0, bad], [bad, 0.0]], "m", SQUARE)
         with pytest.raises(ValueError, match="^m has non-finite"):
-            checked_hermitian([[bad, 0.0], [0.0, 1.0]], "m")
+            checked_hermitian([[bad, 0.0], [0.0, 1.0]], "m", SQUARE)
 
     def test_immutable(self):
         src = SZ.copy()
-        m = checked_hermitian(src, "m")
+        m = checked_hermitian(src, "m", SQUARE)
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 7.0
         src[0, 0] = 7.0     # the result does not alias its input
@@ -68,7 +69,7 @@ class TestCheckedHermitian:
         np.testing.assert_array_equal(m, m.conj().T)
 
     def test_as_array_passthrough(self):
-        m = checked_hermitian(SX, "m")
+        m = checked_hermitian(SX, "m", SQUARE)
         assert as_array(m) is m
         arr = as_array([[1.0, 0.0], [0.0, 2.0]])
         assert arr.dtype == np.complex128
@@ -114,7 +115,7 @@ class TestCommutator:
         np.testing.assert_allclose(commutator(SZ, SZ), np.zeros((2, 2)), atol=0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"^b has shape \(3, 3\), expected \(2, 2\)$"):
             commutator(np.eye(2), np.eye(3))
 
 
@@ -185,7 +186,7 @@ class TestFuncCalc:
 
 
 READ_ONLY_RESULTS = {
-    "checked_hermitian": lambda: checked_hermitian(SX, "m"),
+    "checked_hermitian": lambda: checked_hermitian(SX, "m", SQUARE),
     "hermitian_part": lambda: hermitian_part(SX + 1e-3 * SY),
     "func_calc": lambda: func_calc(SZ, np.exp),
     "band_smooth": lambda: band_smooth(SZ, SX),

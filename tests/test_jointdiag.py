@@ -379,7 +379,7 @@ class TestJointDiagonalize:
         assert r1.trace == r2.trace
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"^b has shape \(3, 3\), expected \(2, 2\)$"):
             joint_diagonalize(np.eye(2), np.eye(3))
 
     @pytest.mark.parametrize("solve", [joint_diagonalize, commuting_approximation])

@@ -213,13 +213,14 @@ BAD_INPUTS = {
                  "eps must be positive"),
     "eps-nan": (lambda: window_projection(_diag(0.0, 1.0), 0.5 * np.eye(2), t=1.0, eps=np.nan),
                 "eps must be positive"),
-    "shape-mismatch": (lambda: partition(np.eye(3), np.eye(4), 0.1), "one shape"),
+    "shape-mismatch": (lambda: partition(np.eye(3), np.eye(4), 0.1),
+                       r"^b has shape \(4, 4\), expected \(3, 3\)$"),
     "b-not-square": (lambda: window_projection(np.eye(2), np.ones((2, 3)), t=1.0, eps=0.1),
-                     "square"),
+                     r"^b has shape \(2, 3\), expected \(2, 2\)$"),
     "a-nan": (lambda: partition(_diag(np.nan, 1.0), 0.5 * np.eye(2), 0.1), "finite"),
     "b-nan": (lambda: partition(_diag(0.0, 1.0), _diag(np.nan, 0.5), 0.1), "finite"),
     "empty-pair": (lambda: theorem_c_correct(np.zeros((0, 0)), np.zeros((0, 0)), 0.1),
-                   "n >= 1"),
+                   r"^a has shape \(0, 0\), expected \(n, n\)$"),
 }
 
 

@@ -43,15 +43,15 @@ class TestMatrixJson:
         m = matrix_from_json(obj, field="b")
         np.testing.assert_array_equal(m, [[0, 1], [0, 0]])
         with pytest.raises(ValueError, match="^b is not self-adjoint"):
-            checked_hermitian(m, "b")
+            checked_hermitian(m, "b", (2, 2))
         ok = matrix_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, 0.0]]})
-        np.testing.assert_array_equal(checked_hermitian(ok, "b"), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(checked_hermitian(ok, "b", (2, 2)), [[0, 1], [1, 0]])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rejected_with_field(self, bad):
         m = matrix_from_json({"n": 2, "re": [[0.0, 1.0], [1.0, bad]]}, field="b")
         with pytest.raises(ValueError, match=r"^b has non-finite entries \(NaN or inf\)"):
-            checked_hermitian(m, "b")
+            checked_hermitian(m, "b", (2, 2))
 
     def test_fmt_float_round_trips(self):
         for x in (0.1, 1e-17, 5.389243043554071, -3.0, 0.0):
