@@ -289,6 +289,7 @@ def wick_unitary(rep: FockRep, coeffs, family=None) -> tuple[sparse.csr_matrix, 
     """
     import scipy.sparse as sparse
     n = rep.modes
+    checked_finite(list(coeffs.values()), "coeffs", (len(coeffs),))
     if family is None:
         fam = np.eye(n, dtype=np.complex128)
     else:

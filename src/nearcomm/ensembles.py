@@ -56,6 +56,10 @@ def pair_instance(n: int, nu_target: float, rng: np.random.Generator,
         raise ValueError("nu_target must be nonnegative")
     if n < 2 and nu_target > 0:
         raise ValueError(f"n = {n} < 2 admits no nonzero commutator for nu_target > 0")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(a_norm) and a_norm > 0):
+        raise ValueError(f"a_norm must be finite and positive, got {a_norm}")
     a = np.diag(rng.uniform(0.0, a_norm, n)).astype(np.complex128)
     base_b = np.diag(rng.uniform(-1.0, 1.0, n)).astype(np.complex128)
     if nu_target == 0.0:

@@ -133,6 +133,8 @@ def boundary_residual(rho: np.ndarray, h, c: float, x, y, t_samples) -> float:
     e^{|c| spread(h)} |y|, so the rounding error of the residual grows like
     1e-16 e^{|c| spread(h)}, for the Gibbs density too (not in kms_verify).
     """
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     lam, v = np.linalg.eigh(checked_hermitian(h, "h", SQUARE))
     rho = as_array(checked_finite(rho, "rho", v.shape))
     t_samples = checked_finite(np.asarray(t_samples, dtype=np.float64), "t_samples", ("k",))
@@ -424,6 +426,8 @@ def two_state_instance(n: int, c: float, rng, *,
     """One random comparison instance: perturbations b1 and b2 = b1 + small
     difference, with e_i the bottom-half spectral projection of h + b_i (so
     flow invariance holds exactly)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     h = random_hermitian(n, rng)
     b1 = 0.2 * random_hermitian(n, rng)
     b2 = b1 + perturb_scale * random_hermitian(n, rng)
@@ -439,8 +443,8 @@ def kms_experiment(trials: int, c: float, seed: int, *,
     rng [seed, trial]; margin rhs - lhs < 0 is a violation, m_norm the M in rhs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not len(dims):
-        raise ValueError("dims must be nonempty")
+    if not len(dims) or min(dims) < 1:
+        raise ValueError(f"dims must be nonempty, each >= 1, got {tuple(dims)}")
 
     rows = []
     for trial in range(trials):

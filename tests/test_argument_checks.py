@@ -26,6 +26,7 @@ from nearcomm import (NearcommError, a_star, annihilator, band_smooth, boundary_
                       spectral_decomp, sweep_medians, sweep_rows_to_csv, symmetry_action,
                       theorem_b_inequality, theorem_c_correct, three_point_path,
                       three_point_weights, window_projection, wick_unitary)
+from nearcomm.kms import two_state_instance
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -200,7 +201,8 @@ WRONG_SHAPES = {
     "perturbed_functional-b": (lambda: perturbed_functional(STATE, E3),
                                "b has shape (3, 3), expected (2, 2)"),
     "value-x": (lambda: STATE.value(V2), "x has shape (2,), expected (2, 2)"),
-    "symmetry_action-w": (lambda: symmetry_action(STATE, E3), "w has shape (3, 3), expected (2, 2)"),
+    "symmetry_action-w": (lambda: symmetry_action(STATE, E3),
+                          "w has shape (3, 3), expected (2, 2)"),
     "close_projection_isometry-e1": (lambda: close_projection_isometry(np.ones((2, 3)), E),
                                      "e1 has shape (2, 3), expected (n, n)"),
     "close_projection_isometry-e2": (lambda: close_projection_isometry(E, E3),
@@ -226,7 +228,31 @@ WRONG_SHAPES = {
     "three_point_weights-targets": (lambda: three_point_weights([0.0, 1.0], 0.5, 0.1),
                                     "targets has shape (2,), expected (3,)"),
 }
-@pytest.mark.parametrize("call, message", WRONG_SHAPES.values(), ids=WRONG_SHAPES)
+NOT_SHAPES = {
+    "two_state_instance-n": (lambda: two_state_instance(0, 1.0, np.random.default_rng(1)),
+                             "n must be >= 1, got 0"),
+    "kms_experiment-dims": (lambda: kms_experiment(1, 1.0, 7, dims=(0,)),
+                            "dims must be nonempty, each >= 1, got (0,)"),
+    "wick_unitary-coeffs": (lambda: wick_unitary(REP, {((), ()): np.nan}),
+                            "coeffs has non-finite entries (NaN or inf)"),
+    "wick_unitary-family": (lambda: wick_unitary(REP, {((), ()): 1.0}, np.diag([np.nan, 1.0])),
+                            "family has non-finite entries (NaN or inf)"),
+    "pair_instance-n": (lambda: pair_instance(-1, 0.0, np.random.default_rng(1)),
+                        "n must be >= 1, got -1"),
+    "pair_instance-a_norm": (lambda: pair_instance(4, 1e-3, np.random.default_rng(1),
+                                                   a_norm=np.nan),
+                             "a_norm must be finite and positive, got nan"),
+    "boundary_residual-c": (lambda: boundary_residual(STATE.density, SZ, np.nan, SX, SX, (0.0,)),
+                            "c must be finite, got nan"),
+    "three_point_weights-c": (lambda: three_point_weights((0.0, 0.5, 1.0), np.nan, 0.1),
+                              "c has non-finite entries (NaN or inf)"),
+    "three_point_weights-v": (lambda: three_point_weights((0.0, 0.5, 1.0), 0.5, np.nan),
+                              "v has non-finite entries (NaN or inf)"),
+}
+
+
+@pytest.mark.parametrize("call, message", [*WRONG_SHAPES.values(), *NOT_SHAPES.values()],
+                         ids=[*WRONG_SHAPES, *NOT_SHAPES])
 def test_named_error(call, message):
     with named_error(f"^{re.escape(message)}$"):
         call()
