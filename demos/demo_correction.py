@@ -30,7 +30,7 @@ part = partition(a, smoothed, EPS)
 windows = [(blk.k, blk.q @ blk.q.conj().T) for blk in part.blocks]
 print(f"stage 2  partition: {len(windows)} nonempty windows, "
       f"sum residual {op_norm(sum(p for _, p in windows) - np.eye(12)):.1e}, "
-      f"chain residual {part.chain_residual:.1e}")
+      f"worst edge commutator {part.edge_comm:.1e} (budget {EPS / 2})")
 for k, p in windows:
     print(f"         window {k:+d}: rank {round(np.trace(p).real):2d},  "
           f"||[a,p]|| = {op_norm(commutator(a, p)):.2e},"

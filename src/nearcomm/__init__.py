@@ -32,7 +32,6 @@ from .errors import (
     FunctionDomainError,
     LinSolverFailure,
     MomentInfeasible,
-    MonotonicityViolation,
     NearcommError,
     QuadratureError,
     SandwichViolation,

@@ -33,10 +33,6 @@ class SandwichViolation(NearcommError):
     """
 
 
-class MonotonicityViolation(NearcommError):
-    """Consecutive window projections are not nested."""
-
-
 class BlockNormViolation(NearcommError):
     """A compressed block exceeded its guaranteed norm bound."""
 

@@ -121,6 +121,8 @@ def _solve_targets(targets, moments) -> np.ndarray:
 def three_point_weights(targets, c: float, v: float) -> np.ndarray:
     """Probability weights on three atoms with mean c and variance v."""
     targets = checked_finite(np.asarray(targets, dtype=np.float64), "targets", (3,))
+    if np.unique(targets).size < 3:     # the Vandermonde system is singular
+        raise ValueError(f"targets must be distinct, got {tuple(targets.tolist())}")
     c, v = (float(checked_finite(m, name, ())) for name, m in (("c", c), ("v", v)))
     return _solve_targets(targets, (1.0, c, v + c * c))
 

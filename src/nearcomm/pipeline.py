@@ -208,16 +208,20 @@ def modulus_sweep(dims, nu_targets, trials: int, seed: int, *,
                   eps: float | None = None, timings: bool = False) -> list:
     """Run theorem_c_correct over a seeded ensemble grid; one row per trial.
 
-    Rows are ordered by (dim index, nu index, trial).  A trial that raises a
-    NearcommError, ValueError or LinAlgError becomes a row flagged
-    error:<Type> with NaN distances; the other trials still run.  runtime_ms
-    is 0.0 unless timings is requested, keeping output byte-deterministic.
+    Rows are ordered by (dim index, nu index, trial).  A dims entry < 1 or a
+    nu target not finite and >= 0 raises ValueError before any trial; a trial
+    that raises a NearcommError, ValueError or LinAlgError becomes a row
+    flagged error:<Type> with NaN distances, and the other trials still run.
+    runtime_ms is 0.0 unless timings is requested, keeping output
+    byte-deterministic.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for name, grid in (("dims", dims), ("nu_targets", nu_targets)):
-        if not len(grid):
-            raise ValueError(f"{name} must be nonempty")
+    if not len(dims) or min(dims) < 1:
+        raise ValueError(f"dims must be nonempty, each >= 1, got {tuple(dims)}")
+    if not len(nu_targets) or not all(0 <= nu < math.inf for nu in nu_targets):
+        raise ValueError(f"nu_targets must be nonempty, each finite and >= 0, "
+                         f"got {tuple(nu_targets)}")
     if eps is not None and not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     table = load_calibration()

@@ -18,17 +18,18 @@ compressed to the window |lambda - t| < 1/4 and rounded back to a
 projection q0 there; p = q0 + E_a[t+1/4, oo).  The solve runs only on the
 coordinates with |lambda - t| < LOCAL_RADIUS = 3/4: c is exactly 0 or 1
 outside them, and a band-smoothed b couples the window only to eigenvalues
-within 1/2 of it.  An edge is kept as the orthonormal basis cols =
-[win_in | coordinates in [t+1/4, oo)] of ran p, and every certificate is
-a norm of an n x rank array of the full matrices, so a poor local solve
-raises.  As q0 lies in the window, the sandwich and the chain
-e_{k+1} <= e_k hold at rounding level by construction: each edge is built
-once, and a failed certificate raises.
+within 1/2 of it.  An edge is stored as its window coordinates and the
+eigenvectors of q0 there, split into w_in (inside p) and w_out, so the
+sandwich holds by construction, and so does the chain e_{k+1} <= e_k, as
+windows of distinct integer cut points are disjoint.  What can fail is
+measured exactly on arrays local to t: ||w_in^* w_in - 1||, ||[a, p]|| =
+||w_out^* diag(lambda) w_in|| and ||[b, p]|| = ||(1 - p) b p||, which lives
+within 1/4 + reach of t, reach being the largest |lambda_i - lambda_j| over
+the nonzero b_ij (below 1/2 for a band-smoothed b).
 
-A block p_k = q_k q_k^* is stored as q_k = [win_in of edge k | coordinates
-in [k+1/4, k+3/4] | win_out of edge k+1], win_out being the window columns
-outside the edge; the sets are disjoint, so q_k is orthonormal.  Empty
-windows are not stored.
+A block p_k = q_k q_k^* is stored as q_k = [w_in of edge k | coordinates
+in [k+1/4, k+3/4] | w_out of edge k+1], embedded in the n coordinates; the
+sets are disjoint, so q_k is orthonormal.  Empty windows are not stored.
 """
 
 from __future__ import annotations
@@ -38,36 +39,40 @@ import math
 
 import numpy as np
 
-from .errors import LinSolverFailure, MonotonicityViolation, SandwichViolation
+from .errors import LinSolverFailure, SandwichViolation
 from .hermitian import (ENDPOINT_RTOL, SQUARE, checked_hermitian, hermitian_part, op_norm,
                         spectral_decomp)
 from .jointdiag import commuting_approximation
 from .kernels import BAND_HALF_WIDTH, RAMP_HALF_WIDTH, _step_eval
 
-CERTIFICATE_TOL = 1e-9
 PROJECTION_TOL = 1e-10
 LOCAL_RADIUS = RAMP_HALF_WIDTH + BAND_HALF_WIDTH
 
 
 @dataclasses.dataclass(frozen=True)
-class WindowProjectionResult:
-    """Projection p = cols cols^* with measured commutators and sandwich
-    certificates.
+class Edge:
+    """Edge p = E_a[t+1/4, oo) + w_in w_in^* at a cut point t, a = diag(lambda):
+    win and hi mark |lambda - t| < 1/4 and lambda >= t + 1/4, and w_in, w_out
+    split the window's coordinates into orthonormal columns inside p and
+    outside it.  comm_a = ||[a, p]|| and comm_b = ||[b, p]||."""
 
-    cols = [win_in | eigenvectors of a in [t+1/4, oo)] is an orthonormal
-    basis of ran p.  sandwich_lo = ||E_a[t+1/4,oo) (1-p)|| certifies the
-    lower operator bound, sandwich_hi = ||p (1 - E_a(t-1/4,oo))|| the upper
-    one.  win_in and win_out are orthonormal columns splitting
-    ran E_a(t-1/4, t+1/4) into the part inside p and the part outside it.
-    """
+    win: np.ndarray
+    hi: np.ndarray
+    w_in: np.ndarray
+    w_out: np.ndarray
+    comm_a: float
+    comm_b: float
+
+
+@dataclasses.dataclass(frozen=True)
+class WindowProjectionResult:
+    """Projection p = cols cols^* in the basis a arrived in: cols = [V_win w_in
+    | V_hi] for the eigenvectors V of a and the Edge built there, whose
+    comm_a and comm_b it carries."""
 
     cols: np.ndarray
     comm_a: float
     comm_b: float
-    sandwich_lo: float
-    sandwich_hi: float
-    win_in: np.ndarray
-    win_out: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +81,7 @@ class PartitionBlock:
 
     Nothing is measured per block: p_k = e_k - e_{k+1}, so for x = a, b,
     ||[x, p_k]|| <= ||[x, e_k]|| + ||[x, e_{k+1}]|| < eps by the edge
-    budgets eps/2, up to the chain residual.
+    budgets eps/2.
     """
 
     k: int
@@ -89,13 +94,12 @@ class ProjectionPartition:
 
     blocks holds the nonempty p_k in increasing k; their q split one
     orthonormal basis into disjoint column sets, so sum_k p_k = 1 and
-    p_i p_j = 0 hold to rounding by construction.  chain_residual is the
-    worst ||e_{k+1} (1 - e_k)|| and edge_comm the worst ||[a, e_k]|| or
-    ||[b, e_k]|| over the edge projections, both measured while building.
+    p_i p_j = 0 hold to rounding by construction.  edge_comm is the worst
+    ||[a, e_k]|| or ||[b, e_k]|| over the edge projections, measured while
+    building.
     """
 
     blocks: tuple
-    chain_residual: float
     edge_comm: float
 
 
@@ -112,16 +116,6 @@ def _split_masks(eigvals: np.ndarray, t: float, scale: float):
     return lo, win, hi
 
 
-def _outside_norm(y: np.ndarray, q: np.ndarray) -> float:
-    """||(1 - q q^*) y|| for an isometry q, computed on n x r arrays.
-
-    For y = x q with x Hermitian this is ||[x, q q^*]||, the commutator being
-    block off-diagonal with respect to ran q; for y an isometry it is
-    ||y y^* (1 - q q^*)||, the defect of ran y <= ran q.
-    """
-    return op_norm(y - q @ (q.conj().T @ y))
-
-
 def _embed(mask: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """n x r columns: rows (default the identity) on the coordinates in mask, 0 elsewhere."""
     rows = np.eye(np.count_nonzero(mask)) if rows is None else rows
@@ -130,9 +124,16 @@ def _embed(mask: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     return cols
 
 
+def _reach(lam: np.ndarray, bm: np.ndarray) -> float:
+    """The largest |lambda_i - lambda_j| over the nonzero entries b_ij."""
+    i, j = np.nonzero(bm)
+    return float(np.max(np.abs(lam[i] - lam[j]), initial=0.0))
+
+
 def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
-                 eps: float) -> WindowProjectionResult:
-    """Edge at cut point t for a = diag(lam), scale = max |lam|."""
+                 eps: float, reach: float) -> Edge:
+    """Edge at cut point t for a = diag(lam), scale = max |lam|, and a b
+    whose entries couple no eigenvalues farther apart than reach."""
     lo, win, hi = _split_masks(lam, t, scale)
     # an empty window has q0 = 0 regardless of b, so p = E_a[t+1/4,oo)
     mu, w = np.zeros(0), np.zeros((0, 0))
@@ -152,26 +153,24 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
         if np.all(mu > 0.5) or np.all(mu <= 0.5):
             # q0 is the whole window or 0; eigh's basis of it is rounding noise
             w = np.eye(mu.size)
-    win_in, win_out = _embed(win, w[:, mu > 0.5]), _embed(win, w[:, mu <= 0.5])
-    e_hi = _embed(hi)
-    cols = np.concatenate([win_in, e_hi], axis=1)
+    w_in, w_out = w[:, mu > 0.5], w[:, mu <= 0.5]
 
-    sandwich_lo = _outside_norm(e_hi, cols)
-    sandwich_hi = op_norm(cols[lo])         # ||E_a(-oo, t-1/4] cols||
-    proj_defect = op_norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
-    if sandwich_lo > CERTIFICATE_TOL or sandwich_hi > CERTIFICATE_TOL or proj_defect > PROJECTION_TOL:
-        raise SandwichViolation(
-            f"window projection at t={t} failed certificates: "
-            f"lo={sandwich_lo:.3e} hi={sandwich_hi:.3e} proj={proj_defect:.3e}")
-    comm_a = _outside_norm(lam[:, None] * cols, cols)
-    comm_b = _outside_norm(bm @ cols, cols)
+    proj_defect = op_norm(w_in.conj().T @ w_in - np.eye(w_in.shape[1]))
+    if proj_defect > PROJECTION_TOL:
+        raise SandwichViolation(f"window projection at t={t} failed its certificate: "
+                                f"proj={proj_defect:.3e}")
+    comm_a = op_norm((w_out.conj().T * lam[win]) @ w_in)
+    # (1 - p) b p joins rows below t + 1/4 to columns above t - 1/4, so each
+    # entry it keeps lies within 1/4 + reach of t, with the endpoint band to spare
+    span = np.abs(lam - t) < RAMP_HALF_WIDTH + reach
+    inside = np.concatenate([_embed(win[span], w_in), _embed(hi[span])], axis=1)
+    outside = np.concatenate([_embed(lo[span]), _embed(win[span], w_out)], axis=1)
+    comm_b = op_norm(outside.conj().T @ bm[np.ix_(span, span)] @ inside)
     if not (comm_a < eps and comm_b < eps):
         raise SandwichViolation(
             f"window projection at t={t} exceeds commutator budget eps={eps:.3e}: "
             f"comm_a={comm_a:.3e} comm_b={comm_b:.3e} (commutator of inputs too large)")
-    return WindowProjectionResult(cols=cols, comm_a=comm_a, comm_b=comm_b,
-                                  sandwich_lo=sandwich_lo, sandwich_hi=sandwich_hi,
-                                  win_in=win_in, win_out=win_out)
+    return Edge(win=win, hi=hi, w_in=w_in, w_out=w_out, comm_a=comm_a, comm_b=comm_b)
 
 
 def checked_pair(a, b, eps: float):
@@ -195,9 +194,10 @@ def window_projection(a, b, t: float, eps: float) -> WindowProjectionResult:
         raise ValueError(f"cut point t must be finite, got {t}")
     dec = spectral_decomp(am)
     lam, v = dec.eigenvalues, dec.basis
-    res = _window_core(lam, v.conj().T @ bm @ v, float(np.max(np.abs(lam))), t, eps)
-    return dataclasses.replace(res, cols=v @ res.cols, win_in=v @ res.win_in,
-                               win_out=v @ res.win_out)
+    b_eig = v.conj().T @ bm @ v
+    edge = _window_core(lam, b_eig, float(np.max(np.abs(lam))), t, eps, _reach(lam, b_eig))
+    cols = np.concatenate([v[:, edge.win] @ edge.w_in, v[:, edge.hi]], axis=1)
+    return WindowProjectionResult(cols=cols, comm_a=edge.comm_a, comm_b=edge.comm_b)
 
 
 def _cut_points(eigvals: np.ndarray) -> list:
@@ -214,10 +214,9 @@ def partition(a, b, eps: float) -> ProjectionPartition:
     meets eps), only at the cut points an eigenvalue reaches: e_{min K} = 1
     and e_{k+1} for k in K, at most 2n+1 builds.  A cut point j is left out
     of K only if no eigenvalue lies in [j-1/4, j+5/4), so every window in a
-    run of skipped cut points is empty and its edge E_a[j+1/4, oo) has the
-    columns of the last edge built, which is reused.  The chain e_{k+1} <= e_k
-    is measured between consecutive built edges; a residual above
-    CERTIFICATE_TOL raises MonotonicityViolation.
+    run of skipped cut points is empty and its edge E_a[j+1/4, oo) is the
+    last edge built, which is reused.  The reach of b is measured once, for
+    every edge.
     """
     am, bm = checked_pair(a, b, eps)
     lam = np.diag(am).real      # exactly real once a passed as Hermitian
@@ -226,23 +225,18 @@ def partition(a, b, eps: float) -> ProjectionPartition:
         raise ValueError(f"partition takes a in its eigenbasis, a real diagonal matrix; "
                          f"largest off-diagonal |a_ij| = {off:.3e}")
     scale = float(np.max(np.abs(lam)))
+    reach = _reach(lam, bm)
     ks = _cut_points(lam)
-    blocks, chain, edge_comm = [], 0.0, 0.0
-    hi_edge = _window_core(lam, bm, scale, float(ks[0]), eps / 2)
+    blocks, edge_comm = [], 0.0
+    hi_edge = _window_core(lam, bm, scale, float(ks[0]), eps / 2, reach)
     for k in ks:
-        lo_edge, hi_edge = hi_edge, _window_core(lam, bm, scale, float(k + 1), eps / 2)
+        lo_edge, hi_edge = hi_edge, _window_core(lam, bm, scale, float(k + 1), eps / 2, reach)
         edge_comm = max(edge_comm, lo_edge.comm_a, lo_edge.comm_b)
-        residual = _outside_norm(hi_edge.cols, lo_edge.cols)
-        if residual > CERTIFICATE_TOL:
-            raise MonotonicityViolation(
-                f"edge projections at t={k} and t={k + 1} not nested: "
-                f"residual {residual:.3e}")
-        chain = max(chain, residual)
-        _, _, hi = _split_masks(lam, float(k), scale)
-        lo_next, _, _ = _split_masks(lam, float(k + 1), scale)
-        q = np.concatenate([lo_edge.win_in, _embed(hi & lo_next), hi_edge.win_out], axis=1)
+        # e_k - e_{k+1}: the coordinates above edge k and below edge k+1's window
+        between = lo_edge.hi & ~(hi_edge.win | hi_edge.hi)
+        q = np.concatenate([_embed(lo_edge.win, lo_edge.w_in), _embed(between),
+                            _embed(hi_edge.win, hi_edge.w_out)], axis=1)
         if q.shape[1]:
             blocks.append(PartitionBlock(k=k, q=q))
     edge_comm = max(edge_comm, hi_edge.comm_a, hi_edge.comm_b)
-    return ProjectionPartition(blocks=tuple(blocks), chain_residual=chain,
-                               edge_comm=edge_comm)
+    return ProjectionPartition(blocks=tuple(blocks), edge_comm=edge_comm)

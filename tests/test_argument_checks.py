@@ -248,6 +248,8 @@ NOT_SHAPES = {
                               "c has non-finite entries (NaN or inf)"),
     "three_point_weights-v": (lambda: three_point_weights((0.0, 0.5, 1.0), 0.5, np.nan),
                               "v has non-finite entries (NaN or inf)"),
+    "three_point_weights-distinct": (lambda: three_point_weights((0.0, 0.0, 1.0), 0.5, 0.1),
+                                     "targets must be distinct, got (0.0, 0.0, 1.0)"),
 }
 
 

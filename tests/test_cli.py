@@ -426,6 +426,14 @@ class TestCalibrateCommand:
         assert {key: defaults[key].default for key in ("dims", "trials", "seed")} \
             == {"dims": ns.dims, "trials": ns.trials, "seed": ns.seed}
 
+    def test_defaults_reproduce_fixture_table(self):
+        # the packaged table is what the defaults measure, so a change that
+        # moves an edge commutator across a grid budget shows here
+        fixture = json.loads(CALIBRATION_FIXTURE.read_text())
+        table = calibration.build_calibration()
+        assert (list(table.eps_grid), list(table.nu_admissible)) == \
+            (fixture["eps_grid"], fixture["nu_admissible"])
+
     def test_explicit_output_path(self, tmp_path):
         out = tmp_path / "table.json"
         code = main(["calibrate", "--dims", "4", "--trials", "1",

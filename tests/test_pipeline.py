@@ -470,6 +470,19 @@ class TestModulusSweep:
         with pytest.raises(ValueError, match=f"{grid} must be nonempty"):
             modulus_sweep(**grids, trials=1, seed=15)
 
+    @pytest.mark.parametrize("dims, nu_targets, message", [
+        ((0,), (1e-3,), r"^dims must be nonempty, each >= 1, got \(0,\)$"),
+        ((4,), (math.nan,), r"^nu_targets must be nonempty, each finite and >= 0, got \(nan,\)$"),
+        ((4,), (-1.0,), r"^nu_targets must be nonempty, each finite and >= 0, got \(-1\.0,\)$"),
+    ], ids=["dims-zero", "nu-nan", "nu-negative"])
+    def test_rejects_malformed_grid_before_any_trial(self, dims, nu_targets, message,
+                                                     monkeypatch):
+        # a grid no trial can run is the caller's error, not a row of data;
+        # pair_instance is removed, so a trial that started would raise TypeError
+        monkeypatch.setattr(pipeline, "pair_instance", None)
+        with pytest.raises(ValueError, match=message):
+            modulus_sweep(dims=dims, nu_targets=nu_targets, trials=1, seed=7)
+
     def test_bad_trial_is_a_flagged_row(self):
         # pair_instance raises ValueError at n=1: that row is flagged and the
         # n=8 rows still run

@@ -8,8 +8,7 @@ import pytest
 
 from nearcomm import projections
 from nearcomm.ensembles import haar_unitary, instance_rng, pair_instance
-from nearcomm.errors import (LinSolverFailure, MonotonicityViolation, NearcommError,
-                             SandwichViolation)
+from nearcomm.errors import LinSolverFailure, NearcommError, SandwichViolation
 from nearcomm.hermitian import commutator, hermitian_part, op_norm, spectral_decomp
 from nearcomm.jointdiag import commuting_approximation
 from nearcomm.kernels import _step_eval, band_smooth
@@ -46,6 +45,23 @@ def block_residuals(part):
     return op_norm(total - np.eye(total.shape[0])), ortho
 
 
+def sandwich_residual(a, t, p):
+    """max(||E_a[t+1/4,oo) (1 - p)||, ||p E_a(-oo,t-1/4]||), the n x n
+    definitions of the two sandwich bounds, with the construction's
+    endpoint rule."""
+    dec = spectral_decomp(a)
+    lam, v = dec.eigenvalues, dec.basis
+    lo, _, hi = projections._split_masks(lam, t, float(np.max(np.abs(lam))))
+    e_lo, e_hi = (v[:, m] @ v[:, m].conj().T for m in (lo, hi))
+    return max(op_norm(e_hi @ (np.eye(lam.size) - p)), op_norm(p @ e_lo))
+
+
+def edge_cols(edge):
+    """[w_in | identity columns of hi] of a built edge, in a's eigenbasis."""
+    return np.concatenate([projections._embed(edge.win, edge.w_in),
+                           projections._embed(edge.hi)], axis=1)
+
+
 class TestWindowProjection:
     def test_commuting_diagonal_literal(self):
         # spectrum {0.5, 1.5, 2.5}, cut at t=1: p = projection above 1.25
@@ -55,7 +71,6 @@ class TestWindowProjection:
         np.testing.assert_allclose(res.cols @ res.cols.conj().T, np.diag([0.0, 1.0, 1.0]),
                                    atol=1e-12)
         assert res.comm_a < 1e-12 and res.comm_b < 1e-12
-        assert res.sandwich_lo < 1e-12 and res.sandwich_hi < 1e-12
 
     def test_empty_window_shortcut(self, monkeypatch):
         # no eigenvalue inside (t - 1/4, t + 1/4): p is the plain spectral
@@ -82,8 +97,7 @@ class TestWindowProjection:
             res = window_projection(a, b1, t=t, eps=0.05)
             p = res.cols @ res.cols.conj().T
             assert op_norm(p @ p - p) < 1e-10
-            assert res.sandwich_lo <= CERT_TOL
-            assert res.sandwich_hi <= CERT_TOL
+            assert sandwich_residual(a, t, p) <= CERT_TOL
             assert res.comm_a < 0.05 and res.comm_b < 0.05
 
     def test_budget_violation_raises(self):
@@ -117,11 +131,11 @@ class TestWindowProjection:
         g = random_hermitian(lam.size, rng)
         b = band_smooth(np.diag(lam).astype(complex),
                         np.diag(rng.uniform(-1.0, 1.0, lam.size)) + 2e-3 * g)
-        res = projections._window_core(lam, b, float(np.max(lam)), 1.0, 0.1)
-        _, win, _ = projections._split_masks(lam, 1.0, float(np.max(lam)))
-        whole, empty = (res.win_in, res.win_out) if inside else (res.win_out, res.win_in)
-        assert whole.dtype == complex and empty.shape == (lam.size, 0)
-        assert whole.tobytes() == projections._embed(win).tobytes()
+        res = projections._window_core(lam, b, float(np.max(lam)), 1.0, 0.1,
+                                       projections._reach(lam, b))
+        whole, empty = (res.w_in, res.w_out) if inside else (res.w_out, res.w_in)
+        assert empty.shape == (4, 0)
+        assert whole.tobytes() == np.eye(4).tobytes()
 
 
 class TestPartition:
@@ -130,7 +144,7 @@ class TestPartition:
         a, b1 = smoothed_pair(8, 1e-3, rng)
         part = partition(a, b1, eps=0.05)
         assert max(block_residuals(part)) <= CERT_TOL
-        assert part.chain_residual <= CERT_TOL
+        assert max(tail_sum_invariants(np.diag(a).real, part)) <= CERT_TOL
 
     def test_comm_bounds_within_budget(self):
         rng = np.random.default_rng(79)
@@ -264,17 +278,14 @@ class TestBlockStorage:
         assert values[-1] > 1e-9
 
 
-def recording_window_core(monkeypatch, edit=None):
+def recording_window_core(monkeypatch):
     """Route partition's edge builds through a wrapper of the real
-    _window_core; returns the list of (t, result) it built, in order.
-    edit(lam, t, result) may replace a result before partition sees it."""
+    _window_core; returns the list of (t, edge) it built, in order."""
     real = projections._window_core
     built = []
 
-    def wrapper(lam, bm, scale, t, eps):
-        res = real(lam, bm, scale, t, eps)
-        if edit is not None:
-            res = edit(lam, t, res)
+    def wrapper(lam, bm, scale, t, eps, reach):
+        res = real(lam, bm, scale, t, eps, reach)
         built.append((t, res))
         return res
 
@@ -287,47 +298,46 @@ def certificate_pairs():
     a, b1 = smoothed_pair(8, 1e-3, rng)
     u = haar_unitary(8, rng)
     inst = pair_instance(16, 1e-3, instance_rng(5, 0, 0, 100), a_norm=100.0)
-    return {"diagonal": (a, b1),
-            "haar": (u @ a @ u.conj().T, u @ b1 @ u.conj().T),
-            "wide": (inst.a, band_smooth(inst.a, inst.b))}
+    raw = pair_instance(16, 3e-2, instance_rng(5, 0, 0, 6), a_norm=6.0)
+    return {"diagonal": (a, b1, 0.1),
+            "haar": (u @ a @ u.conj().T, u @ b1 @ u.conj().T, 0.05),
+            "wide": (inst.a, band_smooth(inst.a, inst.b), 0.1),
+            # b as drawn couples eigenvalues up to about 6 apart, far past the
+            # band of a smoothed b; an infinite budget measures without raising
+            "unsmoothed": (raw.a, raw.b, np.inf)}
 
 
 class TestColumnCertificates:
-    """The certificates computed on n x rank arrays equal their n x n
-    definitions with p = cols cols^*, in the basis the input arrives in:
-    partition's edges for a diagonal a, window_projection's at the same
-    cut points for a Haar-rotated one."""
+    """The certificates computed on each edge's window equal their n x n
+    definitions with p the edge projection, in the basis the input arrives
+    in: partition's edges for a diagonal a, window_projection's at the same
+    cut points for a Haar-rotated one.  The sandwich and the chain, which
+    hold by construction and are not measured, hold in the n x n norms."""
 
-    @pytest.mark.parametrize("name", ["diagonal", "haar", "wide"])
+    @pytest.mark.parametrize("name", ["diagonal", "haar", "wide", "unsmoothed"])
     def test_match_nxn_definitions(self, name, monkeypatch):
-        a, b = certificate_pairs()[name]
-        decomp = spectral_decomp(a)
-        lam, v = decomp.eigenvalues, decomp.basis
+        a, b, eps = certificate_pairs()[name]
         if name == "haar":
-            ks = projections._cut_points(lam)
-            built = [(float(t), window_projection(a, b, t=float(t), eps=0.05))
+            ks = projections._cut_points(np.linalg.eigvalsh(a))
+            built = [(float(t), window_projection(a, b, t=float(t), eps=eps))
                      for t in [ks[0]] + [k + 1 for k in ks]]
+            cols = [res.cols for _, res in built]
         else:
             built = recording_window_core(monkeypatch)
-            part = partition(a, b, eps=0.1)
-        scale = float(np.max(np.abs(lam)))
+            part = partition(a, b, eps=eps)
+            cols = [edge_cols(res) for _, res in built]
+            assert part.edge_comm == max(max(res.comm_a, res.comm_b) for _, res in built)
+        if name == "unsmoothed":
+            assert projections._reach(np.diag(a).real, b) > 0.5
         eye = np.eye(a.shape[0])
         edges = []
-        for t, res in built:
-            lo, _, hi = projections._split_masks(lam, t, scale)
-            p = res.cols @ res.cols.conj().T
-            e_lo = v[:, lo] @ v[:, lo].conj().T
-            e_hi = v[:, hi] @ v[:, hi].conj().T
-            assert res.sandwich_lo == pytest.approx(op_norm(e_hi @ (eye - p)), abs=1e-12)
-            assert res.sandwich_hi == pytest.approx(op_norm(p @ e_lo), abs=1e-12)
+        for (t, res), c in zip(built, cols):
+            p = c @ c.conj().T
             assert res.comm_a == pytest.approx(op_norm(commutator(a, p)), abs=1e-12)
             assert res.comm_b == pytest.approx(op_norm(commutator(b, p)), abs=1e-12)
+            assert sandwich_residual(a, t, p) <= CERT_TOL
             edges.append(p)
-        chain = max(op_norm(hi @ (eye - lo)) for lo, hi in zip(edges, edges[1:]))
-        if name == "haar":
-            assert chain <= CERT_TOL
-        else:
-            assert part.chain_residual == pytest.approx(chain, abs=1e-12)
+        assert max(op_norm(hi @ (eye - lo)) for lo, hi in zip(edges, edges[1:])) <= CERT_TOL
 
 
 def tail_sum_invariants(lam, part):
@@ -360,41 +370,21 @@ class TestEdgeBuilds:
         assert all(lo < hi for lo, hi in zip(ts, ts[1:]))
         assert len(ts) <= 2 * 8 + 1
         # the first edge is 1, the last 0
-        assert built[0][1].cols.shape[1] == 8 and built[-1][1].cols.shape[1] == 0
+        assert edge_cols(built[0][1]).shape[1] == 8 and edge_cols(built[-1][1]).shape[1] == 0
 
-    def test_outside_norms_only_for_edges_and_chain_links(self, monkeypatch):
-        # three per edge build (sandwich_lo, comm_a, comm_b) and one per
-        # chain link between consecutive builds; none per block
-        rng = np.random.default_rng(73)
-        a, b1 = smoothed_pair(8, 1e-3, rng)
-        calls = []
-        original = projections._outside_norm
+    def test_no_norm_has_a_row_per_eigenvalue(self, monkeypatch):
+        # each certificate is the norm of an array local to its cut point:
+        # on a wide spectrum none of them has the n rows of an n x rank array
+        inst = pair_instance(64, 1e-3, instance_rng(5, 0, 0, 64), a_norm=100.0)
+        rows = []
 
-        def counted(y, q):
-            calls.append(q.shape)
-            return original(y, q)
+        def counted(x):
+            rows.append(np.shape(x)[0])
+            return op_norm(x)
 
-        monkeypatch.setattr(projections, "_outside_norm", counted)
-        built = recording_window_core(monkeypatch)
-        part = partition(a, b1, eps=0.05)
-        assert len(part.blocks) > 1
-        assert len(calls) == 3 * len(built) + (len(built) - 1)
-
-    def test_non_nested_edge_raises_with_residual(self, monkeypatch):
-        # the last edge sits above the spectrum, so e_k there is 0; giving
-        # it the columns of E_a(-oo, t-1/4] instead breaks e_{k+1} <= e_k
-        rng = np.random.default_rng(73)
-        a, b1 = smoothed_pair(8, 1e-3, rng)
-        last = float(projections._cut_points(np.linalg.eigvalsh(a))[-1] + 1)
-
-        def swap(lam, t, res):
-            if t != last:
-                return res
-            return dataclasses.replace(res, cols=np.eye(lam.size)[:, lam < t - 0.25])
-
-        recording_window_core(monkeypatch, edit=swap)
-        with pytest.raises(MonotonicityViolation, match=r"residual \d\.\d{3}e[+-]\d+"):
-            partition(a, b1, eps=0.05)
+        monkeypatch.setattr(projections, "op_norm", counted)
+        theorem_c_correct(inst.a, inst.b, eps=0.1)
+        assert rows and max(rows) < 64
 
     def test_eigenvalues_on_window_ends_in_far_clusters(self, monkeypatch):
         # eigenvalues exactly on k -/+ 1/4, clusters up to 1e4 apart: the
@@ -413,35 +403,28 @@ class TestEdgeBuilds:
         assert max(tail_sum_invariants(lam, part)) <= CERT_TOL
 
 
-def full_window_core(lam, bm, scale, t, eps):
-    """The edge built with Jacobi on the full n x n pair (b, step(a - t)):
-    the reference for the local solve on the coordinates near t."""
-    lo, win, hi = projections._split_masks(lam, t, scale)
-    eye = np.eye(lam.size, dtype=complex)
-    e_win, e_hi = eye[:, win], eye[:, hi]
-    if not np.any(win):
-        win_in = win_out = e_win
-    else:
+def full_window_core(lam, bm, scale, t, eps, reach):
+    """The edge built with Jacobi on the full n x n pair (b, step(a - t)) and
+    measured on the full matrices: the reference for the local solve on the
+    coordinates near t and for the certificates taken near t."""
+    _, win, hi = projections._split_masks(lam, t, scale)
+    mu, w = np.zeros(0), np.zeros((0, 0))
+    if np.any(win):
         pair = commuting_approximation(bm, np.diag(_step_eval(lam - t)).astype(complex))
         if not pair.report.converged:
             raise LinSolverFailure(f"full edge solve stalled at t={t}")
         q_cols = pair.basis[:, pair.diag_b > 0.5]
-        mu, w = np.linalg.eigh(hermitian_part(e_win.T @ q_cols @ q_cols.conj().T @ e_win))
-        win_in, win_out = e_win @ w[:, mu > 0.5], e_win @ w[:, mu <= 0.5]
-    cols = np.concatenate([win_in, e_hi], axis=1)
-    sandwich_lo = projections._outside_norm(e_hi, cols)
-    sandwich_hi = op_norm(cols.conj().T @ eye[:, lo])
-    proj_defect = op_norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
-    if (sandwich_lo > projections.CERTIFICATE_TOL or sandwich_hi > projections.CERTIFICATE_TOL
-            or proj_defect > projections.PROJECTION_TOL):
+        mu, w = np.linalg.eigh(hermitian_part((q_cols @ q_cols.conj().T)[np.ix_(win, win)]))
+    edge = projections.Edge(win=win, hi=hi, w_in=w[:, mu > 0.5], w_out=w[:, mu <= 0.5],
+                            comm_a=0.0, comm_b=0.0)
+    cols = edge_cols(edge)
+    if op_norm(cols.conj().T @ cols - np.eye(cols.shape[1])) > projections.PROJECTION_TOL:
         raise SandwichViolation(f"full edge at t={t} failed certificates")
-    comm_a = projections._outside_norm(np.diag(lam) @ cols, cols)
-    comm_b = projections._outside_norm(bm @ cols, cols)
+    p = cols @ cols.conj().T
+    comm_a, comm_b = op_norm(commutator(np.diag(lam), p)), op_norm(commutator(bm, p))
     if not (comm_a < eps and comm_b < eps):
         raise SandwichViolation(f"full edge at t={t} exceeds budget")
-    return projections.WindowProjectionResult(
-        cols=cols, comm_a=comm_a, comm_b=comm_b, sandwich_lo=sandwich_lo,
-        sandwich_hi=sandwich_hi, win_in=win_in, win_out=win_out)
+    return dataclasses.replace(edge, comm_a=comm_a, comm_b=comm_b)
 
 
 def spin_pair(s):
