@@ -157,7 +157,11 @@ def spectral_decomp(a) -> SpectralDecomposition:
     only on the subspace (and the input ordering), not on solver internals.
     a is checked as a Hermitian argument named "a" (checked_hermitian).
     """
-    arr = checked_hermitian(a, "a", SQUARE)
+    return _spectral_decomp(checked_hermitian(a, "a", SQUARE))
+
+
+def _spectral_decomp(arr: np.ndarray) -> SpectralDecomposition:
+    """spectral_decomp of an array the package built Hermitian itself, unchecked."""
     try:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:

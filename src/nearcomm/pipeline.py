@@ -2,11 +2,17 @@
 
 Given Hermitian (a, b) with ||b|| <= 1 and small nu = ||[a, b]||, produce an
 exactly commuting pair (a1, b1) nearby, with every intermediate bound of the
-construction measured: band-smooth b against a, build a partition of unity
-subordinate to unit spectral windows of a, compress both matrices to the
-blocks, solve each block by joint diagonalization in the unit-norm regime,
-and reassemble in the common block basis.  Only ||b|| <= 1 matters; ||a||
-may be arbitrary, which is the whole point of the block reduction.
+construction measured: choose a window scale s, band-smooth b against s a,
+build a partition of unity subordinate to unit spectral windows of s a,
+compress both matrices to the blocks, solve each block by joint
+diagonalization in the unit-norm regime, and reassemble in the common block
+basis.  Only ||b|| <= 1 matters; ||a|| may be arbitrary, which is the whole
+point of the block reduction.
+
+The scale balances the commutator [s a, b] = s nu against the window width
+1/s (Hastings, Commun. Math. Phys. 291, 2009); _window_scale gives the rule.
+s is a power of two, which keeps s lambda and diag_a / s exact, so a run
+with s = 1 is the unscaled construction, byte for byte.
 
 The sweep harness estimates the empirical modulus: how the achieved
 distances shrink with nu on seeded random ensembles.
@@ -24,7 +30,7 @@ import numpy as np
 from .calibration import load_calibration
 from .ensembles import instance_rng, pair_instance
 from .errors import BlockNormViolation, NearcommError
-from .hermitian import commutator, hermitian_part, op_norm, spectral_decomp
+from .hermitian import _spectral_decomp, commutator, hermitian_part, op_norm
 from .jointdiag import CommutingPair, commuting_approximation
 from .kernels import RAMP_HALF_WIDTH, band_smooth
 from .projections import checked_pair, partition
@@ -34,6 +40,10 @@ BLOCK_NORM_SLACK = 1e-6
 BLOCK_SHIFT = 0.5                           # block spectrum sits in (k - R, k + 1 + R),
 BLOCK_SCALE = 1.0 / (0.5 + RAMP_HALF_WIDTH)  # R = RAMP_HALF_WIDTH: mapped onto (-1, 1)
 GRAM_TOL = 1e-8            # largest |Gram eigenvalue - 1| the polar step accepts
+SCALE_CEILING = 2.0 ** 10  # largest window scale s of a
+SCALED_NORM_LIMIT = 2.0 ** 33  # s > 1 keeps s ||a|| below this: the endpoint band
+                               # 1e-12 max(1, s ||a||) stays under 1% of a unit window
+SCALE_LINE_RTOL = 1e-12    # s nu on the line min(eps/4, 1/8), up to nu's rounding, is on it
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,6 +60,7 @@ class CorrectionResult:
     block_comms: tuple
     out_of_regime: bool
     b_rescale: float
+    scale: float
 
     def to_payload(self) -> dict:
         return {
@@ -67,6 +78,7 @@ class CorrectionResult:
             "block_comms": list(self.block_comms),
             "out_of_regime": self.out_of_regime,
             "b_rescale": self.b_rescale,
+            "scale": self.scale,
         }
 
 
@@ -106,23 +118,45 @@ def _orthonormalize(w: np.ndarray) -> np.ndarray:
     return w @ inv_root
 
 
+def _window_scale(nu_unit: float, eps: float, admissible: float, a_norm: float) -> float:
+    """The window scale s of a: the largest power of two in [1, SCALE_CEILING]
+    with s nu <= min(eps/4, 1/8) (to SCALE_LINE_RTOL), s nu <= admissible and
+    s ||a|| <= SCALED_NORM_LIMIT, or 1 where no s > 1 meets all three.
+
+    Unit windows of s a are windows of width 1/s of a, and the edge budget
+    eps applies to [s a, p]: s trades the commutator s nu against the window
+    width.  eps/4 keeps s nu well inside the edge budget eps/2, and past 1/8
+    spin pairs turn trivial.  s nu exceeds the calibrated admissible nu only
+    where nu already does, so the calibrated flag reads as it did at s = 1.
+    """
+    line = min(eps / 4, 0.125) * (1.0 + SCALE_LINE_RTOL)
+    s = SCALE_CEILING
+    while s > 1 and not (s * nu_unit <= min(line, admissible)
+                         and s * a_norm <= SCALED_NORM_LIMIT):
+        s /= 2
+    return s
+
+
 def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
     """Replace an almost-commuting pair by a nearby exactly commuting one.
 
-    eps is the per-window commutator budget for the partition stage.  The
-    measured input commutator is compared against the calibrated admissible
-    value for eps (the calibration fixture, which must exist); larger inputs
-    still run but the result is flagged out_of_regime.  If ||b|| > 1 the
-    input is rescaled to the unit ball, processed, and scaled back, with
-    distances reported in original units.
+    eps is the per-window commutator budget for the partition stage.  If
+    ||b|| > 1 the input is rescaled to the unit ball, processed, and scaled
+    back, with distances reported in original units.
 
-    a is decomposed once, a = V diag(lambda) V*, and smoothing, partition,
-    the tridiagonal check and the block solves all run on the pair
-    (diag(lambda), V* b V); the returned basis is V times the basis found
-    there, and dist_a, dist_b are measured against the input matrices.
+    a is decomposed once, a = V diag(lambda) V*, and one window scale s, a
+    power of two, is chosen from nu, ||a|| and eps (_window_scale).
+    Smoothing, partition, the tridiagonal check and the block solves all run
+    on the pair (s diag(lambda), V* b V), whose unit windows are windows of
+    width 1/s of a; diag_a is mapped back by 1/s, exactly.  The returned basis
+    is V times the basis found there, and dist_a, dist_b are measured against
+    the input matrices.  compress_defect_a and block_comms are reported in
+    a's units, and scale records s.  s nu is compared against the calibrated
+    admissible value for eps (the calibration fixture, which must exist);
+    larger inputs still run but the result is flagged out_of_regime.
     """
     am, bm_orig = checked_pair(a, b, eps)
-    nu_input = op_norm(commutator(am, bm_orig))
+    nu_input = op_norm(1j * commutator(am, bm_orig))
 
     b_rescale = 1.0
     bm = bm_orig
@@ -132,11 +166,13 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
         bm = bm_orig / b_rescale
     nu_unit = nu_input / b_rescale
 
-    out_of_regime = nu_unit > load_calibration().admissible_nu(eps)
-
     # in the eigenbasis of a every spectral window is a set of coordinates
-    dec = spectral_decomp(am)
-    lam, v = dec.eigenvalues, dec.basis
+    dec = _spectral_decomp(am)
+    v = dec.basis
+    admissible = load_calibration().admissible_nu(eps)
+    scale = _window_scale(nu_unit, eps, admissible, float(np.max(np.abs(dec.eigenvalues))))
+    out_of_regime = scale * nu_unit > admissible
+    lam = scale * dec.eigenvalues
     a_diag = np.diag(lam).astype(np.complex128)
     smoothed = band_smooth(a_diag, v.conj().T @ bm @ v)
     part = partition(a_diag, smoothed, eps)
@@ -154,16 +190,16 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
     b_q = hermitian_part(q_all.conj().T @ smoothed @ q_all)
     tridiag_residual = tridiagonal_check(ks, a_q, b_q)
     off_block = ks[:, None] != ks[None, :]
-    compress_defect_a = op_norm(np.where(off_block, a_q, 0.0))
+    compress_defect_a = op_norm(np.where(off_block, a_q, 0.0)) / scale
     compress_defect_b = op_norm(np.where(off_block, b_q, 0.0))
     cols, diag_a_parts, diag_b_parts, block_comms = [], [], [], []
     for blk, stop in zip(part.blocks, np.cumsum(ranks)):
         k, q = blk.k, blk.q
         sl = slice(stop - q.shape[1], stop)
         a_blk, b_blk = a_q[sl, sl], b_q[sl, sl]
-        block_comms.append(op_norm(commutator(a_blk, b_blk)))
+        block_comms.append(op_norm(commutator(a_blk, b_blk)) / scale)
         a_scaled = (a_blk - (k + BLOCK_SHIFT) * np.eye(q.shape[1])) * BLOCK_SCALE
-        dec_blk = spectral_decomp(a_scaled)     # the solve starts diagonal in a
+        dec_blk = _spectral_decomp(a_scaled)    # the solve starts diagonal in a
         norm_scaled = float(np.max(np.abs(dec_blk.eigenvalues)))
         if norm_scaled > 1.0 + BLOCK_NORM_SLACK:
             raise BlockNormViolation(
@@ -176,12 +212,12 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
         diag_b_parts.append(inner.diag_b)
 
     w = v @ _orthonormalize(np.concatenate(cols, axis=1))
-    diag_a = np.concatenate(diag_a_parts)
+    diag_a = np.concatenate(diag_a_parts) / scale
     diag_b = np.concatenate(diag_b_parts) * b_rescale
     a1 = (w * diag_a) @ w.conj().T
     b1 = (w * diag_b) @ w.conj().T
-    dist_a = op_norm(am - a1)
-    dist_b = op_norm(bm_orig - b1)
+    dist_a = op_norm(hermitian_part(am - a1))
+    dist_b = op_norm(hermitian_part(bm_orig - b1))
     diag_a.flags.writeable = False
     diag_b.flags.writeable = False
     pair = CommutingPair(basis=w, diag_a=diag_a, diag_b=diag_b,
@@ -193,7 +229,7 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
                             block_count=len(block_comms),
                             block_comms=tuple(block_comms),
                             out_of_regime=out_of_regime,
-                            b_rescale=b_rescale)
+                            b_rescale=b_rescale, scale=scale)
 
 
 def _auto_eps(nu_target: float, table) -> tuple[float, bool]:

@@ -1,6 +1,8 @@
 """End-to-end correction pipeline and the sweep harness."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,13 +11,15 @@ import pytest
 from nearcomm import pipeline, projections
 from nearcomm.calibration import load_calibration
 from nearcomm.ensembles import haar_unitary, instance_rng, pair_instance
-from nearcomm.errors import BlockNormViolation
-from nearcomm.hermitian import commutator, hermitian_part, op_norm, spectral_decomp
+from nearcomm.errors import BlockNormViolation, NearcommError
+from nearcomm.hermitian import (_spectral_decomp, commutator, hermitian_part, op_norm,
+                                spectral_decomp)
 from nearcomm.pipeline import (SWEEP_HEADER, modulus_sweep, sweep_medians,
                                sweep_rows_to_csv, theorem_c_correct,
                                tridiagonal_check)
 from nearcomm.projections import partition
 from nearcomm.kernels import band_smooth
+from test_projections import correction_outcome, spin_pair
 
 
 class TestEnsembles:
@@ -182,12 +186,15 @@ class TestEigenbasisCore:
         for name in ("band_smooth", "partition"):
             monkeypatch.setattr(pipeline, name, capture(name))
         _, (a, b) = _rotated_instance(12, 3.0, 21)
-        theorem_c_correct(a, b, eps=0.1)
-        lam = np.linalg.eigvalsh(a)
+        res = theorem_c_correct(a, b, eps=0.1)
+        # both stages see s diag(lambda), for the power of two s reported
+        s = res.scale
+        assert s > 1 and math.frexp(s)[0] == 0.5
+        lam = s * np.linalg.eigvalsh(a)
         assert [name for name, _ in seen] == ["band_smooth", "partition"]
         for _, captured in seen:
             assert np.all(captured[~np.eye(12, dtype=bool)] == 0.0)
-            np.testing.assert_allclose(np.diag(captured).real, lam, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.diag(captured).real, lam, rtol=0, atol=1e-12 * s)
 
     def test_rotated_edge_sweeps_match_diagonal(self, monkeypatch):
         sweeps = []
@@ -209,9 +216,10 @@ class TestEigenbasisCore:
 
     def test_block_solves_start_diagonal_in_a(self, monkeypatch):
         """Each block solve receives its a-block as a real ascending diagonal.
-        On the rotated n=64, ||a|| = 3 instance of seed 25 the block solves
-        then take 9 sweeps in all, against 14 when each block started in
-        the basis that the partition hands over."""
+        On the rotated n=64, ||a|| = 3 instance of seed 25, at its window
+        scale s = 16, the 34 block solves take 35 sweeps in all, as many as
+        when each block starts in the basis that the partition hands over
+        (at s = 1: 9 against 13)."""
         seen = []
         original = pipeline.commuting_approximation
 
@@ -222,13 +230,13 @@ class TestEigenbasisCore:
 
         monkeypatch.setattr(pipeline, "commuting_approximation", record)
         _, (a, b) = _rotated_instance(64, 3.0, 25)
-        theorem_c_correct(a, b, eps=0.1)
+        assert theorem_c_correct(a, b, eps=0.1).scale == 16.0
         assert seen
         for a_blk, _ in seen:
             assert np.isrealobj(a_blk)
             np.testing.assert_array_equal(a_blk, np.diag(np.diag(a_blk)))
             assert np.all(np.diff(np.diag(a_blk)) >= 0.0)
-        assert sum(sweeps for _, sweeps in seen) < 14
+        assert sum(sweeps for _, sweeps in seen) <= 35
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("a_norm", [3.0, 100.0])
@@ -346,7 +354,8 @@ class TestCompressionDefects:
     """compress_defect_x equals ||x - sum_k p_k x p_k||, formed n x n from
     the blocks, in the eigenbasis of a where the blocks live."""
 
-    @pytest.mark.parametrize("n, a_norm, haar", [(16, 100.0, False), (32, 3.0, True)])
+    @pytest.mark.parametrize("n, a_norm, haar", [(16, 100.0, False), (64, 30.0, False),
+                                                 (32, 3.0, True)])
     def test_defects_match_the_n_by_n_oracle(self, n, a_norm, haar, monkeypatch):
         seen = []
         original = pipeline.partition
@@ -359,29 +368,37 @@ class TestCompressionDefects:
         monkeypatch.setattr(pipeline, "partition", record)
         inst, rotated = _rotated_instance(n, a_norm, 41)
         res = theorem_c_correct(*(rotated if haar else (inst.a, inst.b)), eps=0.1)
-        (a, b, part), = seen
+        (a_scaled, b, part), = seen
+        # the partition sees s a; compress_defect_a is in a's own units
+        assert res.scale > 1
+        a = a_scaled / res.scale
         projs = [blk.q @ blk.q.conj().T for blk in part.blocks]
         tol = 1e-12 * max(1.0, op_norm(a))
         for x, got in ((a, res.compress_defect_a), (b, res.compress_defect_b)):
             expected = op_norm(x - sum(p @ x @ p for p in projs))
             assert abs(got - expected) <= tol
-        assert res.compress_defect_b > 0.0
+        if all(blk.q.shape[1] == 1 for blk in part.blocks):
+            # at s = 16 every window of the wide spectrum holds one eigenvalue,
+            # and the smoothed b joins none of them: nothing is off the blocks
+            assert res.compress_defect_a == res.compress_defect_b == 0.0
+        else:
+            assert res.compress_defect_a > 0.0 and res.compress_defect_b > 0.0
 
 
 class TestSolverWork:
     def test_each_block_makes_one_eigensolve(self, monkeypatch):
-        # per block: one spectral_decomp of the rescaled a-block, whose
-        # eigenvalues also give the norm gate, and one op_norm, of the block
-        # commutator; the other six op_norm calls are of n x n arrays (nu,
-        # ||b||, two compression defects, dist_a, dist_b), and this
+        # per block: one unchecked decomposition of the rescaled a-block,
+        # whose eigenvalues also give the norm gate, and one op_norm, of the
+        # block commutator; the other six op_norm calls are of n x n arrays
+        # (nu, ||b||, two compression defects, dist_a, dist_b), and this
         # partition's far part is exactly zero, so its check takes no norm
         decomps = []
 
         def counted(x):
             decomps.append(x.shape)
-            return spectral_decomp(x)
+            return _spectral_decomp(x)
 
-        monkeypatch.setattr(pipeline, "spectral_decomp", counted)
+        monkeypatch.setattr(pipeline, "_spectral_decomp", counted)
         norms = counting_op_norm(monkeypatch)
         _, (a, b) = _rotated_instance(32, 3.0, 31)
         res = theorem_c_correct(a, b, eps=0.1)
@@ -397,7 +414,7 @@ class TestSolverWork:
         calls = []
 
         def shifted(x):
-            dec = spectral_decomp(x)
+            dec = _spectral_decomp(x)
             calls.append(x.shape)
             if len(calls) == 1:         # the decomposition of a itself
                 return dec
@@ -405,7 +422,7 @@ class TestSolverWork:
 
         inst = pair_instance(8, 1e-3, instance_rng(7, 0, 0, 1))
         assert theorem_c_correct(inst.a, inst.b, eps=0.05).block_count > 0
-        monkeypatch.setattr(pipeline, "spectral_decomp", shifted)
+        monkeypatch.setattr(pipeline, "_spectral_decomp", shifted)
         with pytest.raises(BlockNormViolation, match=r"norm [2-3]\.\d{8} exceeds 1"):
             theorem_c_correct(inst.a, inst.b, eps=0.05)
         assert len(calls) == 2
@@ -419,7 +436,145 @@ class TestSolverWork:
         assert sorted(result.to_payload()) == [
             "b_rescale", "basis", "block_comms", "block_count", "compress_defect_a",
             "compress_defect_b", "diag_a", "diag_b", "dist_a", "dist_b", "eps_used",
-            "nu", "out_of_regime", "tridiag_residual"]
+            "nu", "out_of_regime", "scale", "tridiag_residual"]
+
+
+def payload_digest(res):
+    """sha256 of the payload without scale, which is new, and without nu,
+    dist_a and dist_b, which moved by rounding when they left the SVD path."""
+    payload = res.to_payload()
+    for key in ("scale", "nu", "dist_a", "dist_b"):
+        del payload[key]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def is_power_of_two_scale(s):
+    return 1.0 <= s <= pipeline.SCALE_CEILING and math.frexp(s)[0] == 0.5
+
+
+class TestWindowScale:
+    """One power of two s per run: the windows are unit windows of s a."""
+
+    # (case, scale, b_rescale, digest, nu, dist_a, dist_b) of the parent code,
+    # pinned on numpy 2.4.6 / scipy 1.17.1 with OpenBLAS on one thread
+    PINNED = (
+        ("nu-0.05", 1.0, 1.0,
+         "ba226b4c8b1ab50fd888a3fcb1f6ab89300d191a0aaaa72793d589f62fddd62b",
+         0.04950617815794839, 0.0019050999735375556, 0.04665861142725005),
+        ("flagged-b3", 1.0, 3.0000000000000013,
+         "96d9da661fc651c6b14a89a03ac8a9c67553d0d950af64d35ef2e01d34c60e70",
+         1.4617541638500615, 0.011348607497196194, 0.6091010798469283),
+    )
+
+    @staticmethod
+    def pinned_input(case):
+        if case == "nu-0.05":       # 2 nu > eps/4
+            inst = pair_instance(8, 0.05, instance_rng(5, 0, 0, 0))
+            return inst.a, inst.b, 0.1
+        inst = pair_instance(12, 0.5, instance_rng(6, 0, 0, 0), a_norm=5.0)
+        return inst.a, 3.0 * inst.b, 0.05
+
+    @pytest.mark.parametrize("case, scale, b_rescale, digest, nu, dist_a, dist_b", PINNED,
+                             ids=[row[0] for row in PINNED])
+    def test_unit_scale_reproduces_parent_bytes(self, case, scale, b_rescale, digest,
+                                                nu, dist_a, dist_b):
+        res = theorem_c_correct(*self.pinned_input(case))
+        assert res.scale == scale and res.b_rescale == b_rescale
+        assert payload_digest(res) == digest
+        for got, want in ((res.nu, nu), (res.pair.dist_a, dist_a), (res.pair.dist_b, dist_b)):
+            assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("a_norm, nu, expected", [
+        (3.0, 0.0, 2.0 ** 10), (1e-8, 0.0, 2.0 ** 10), (1e4, 0.0, 2.0 ** 10),
+        (1e4, 1e-3, 16.0), (1e9, 1e-3, 8.0), (1e11, 1e-3, 1.0)])
+    def test_edge_cases_commute(self, a_norm, nu, expected, monkeypatch):
+        seen = []
+        original = pipeline.band_smooth
+
+        def record(a, b):
+            seen.append(np.diag(a).real)
+            return original(a, b)
+
+        monkeypatch.setattr(pipeline, "band_smooth", record)
+        inst = pair_instance(16, nu, instance_rng(7, 0, 0, 0), a_norm=a_norm)
+        res = theorem_c_correct(inst.a, inst.b, eps=0.1)
+        # s ||a|| stays below SCALED_NORM_LIMIT unless s = 1: at 1e11 a larger
+        # s would push the windows' endpoint band past a quarter window
+        assert res.scale == expected and is_power_of_two_scale(res.scale)
+        (lam,) = seen
+        assert np.all(np.isfinite(lam))
+        pair = res.pair
+        scale = (max(1.0, float(np.max(np.abs(pair.diag_a))))
+                 * max(1.0, float(np.max(np.abs(pair.diag_b)))))
+        assert pair.commutation_residual() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("a_norm", [1e300, 1.7e308])
+    @pytest.mark.parametrize("nu", [0.0, 1e-3, math.inf])
+    def test_rule_stays_finite_at_the_float_range(self, a_norm, nu):
+        s = pipeline._window_scale(nu, 0.1, 0.3, a_norm)
+        assert s == 1.0 and math.isfinite(s * a_norm)
+
+    def test_flag_compares_the_unscaled_nu(self):
+        """s nu > admissible exactly when nu > admissible, on the calibrated
+        grid and on either side of each admissible value."""
+        table = load_calibration()
+        nus = sorted({*table.meta["nu_grid"], 0.0, *(f * adm for adm in table.nu_admissible
+                                                      for f in (0.5, 1.0, 1.0 + 1e-15, 2.0))})
+        for eps in table.eps_grid:
+            adm = table.admissible_nu(eps)
+            for nu in nus:
+                s = pipeline._window_scale(nu, eps, adm, 3.0)
+                assert is_power_of_two_scale(s)
+                assert (s * nu > adm) == (nu > adm), (eps, nu, s)
+        ran = 0
+        for i_eps, eps in enumerate(table.eps_grid):
+            for i_nu, nu in enumerate(table.meta["nu_grid"]):
+                inst = pair_instance(8, nu, instance_rng(13, i_eps, i_nu, 0))
+                try:
+                    res = theorem_c_correct(inst.a, inst.b, eps)
+                except NearcommError:
+                    continue
+                ran += 1
+                assert res.out_of_regime == (res.nu > table.admissible_nu(eps))
+        assert ran >= 60
+
+    def test_edge_solves_stay_small_on_a_dense_spectrum(self, monkeypatch):
+        # diagonal n=128, ||a|| = 3: at s = 1 the largest edge solve had 69
+        # coordinates; at the chosen s = 16 it has 9
+        sizes = []
+        original = projections.commuting_approximation
+
+        def record(x, c):
+            sizes.append(x.shape[0])
+            return original(x, c)
+
+        monkeypatch.setattr(projections, "commuting_approximation", record)
+        inst = pair_instance(128, 1e-3, instance_rng(3, 0, 0, 0), a_norm=3.0)
+        assert theorem_c_correct(inst.a, inst.b, eps=0.1).scale == 16.0
+        assert 0 < max(sizes) <= 16
+
+    @pytest.mark.parametrize("spin", [4, 8, 16])
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+    def test_spin_scale_is_never_needlessly_trivial(self, spin, eps, monkeypatch):
+        """Against s in {1, 2, 4}: the chosen s returns the trivial answer
+        (dist_b >= 0.999 ||b||) only where no other s does better, and fails
+        only where every other s fails or is trivial.  At S = 16, nu reads
+        1/16 up to rounding, so 2 nu sits on the 1/8 line; it counts as on
+        it (SCALE_LINE_RTOL) and s = 2 is chosen, where s = 1 fails."""
+        a, b = spin_pair(spin)
+        _, chosen = correction_outcome(a, b, eps)
+        others = {}
+        for s in (1.0, 2.0, 4.0):
+            monkeypatch.setattr(pipeline, "_window_scale", lambda *args, s=s: s)
+            others[s] = correction_outcome(a, b, eps)[1]
+        answers = [res.pair.dist_b for res in others.values() if res is not None]
+        if chosen is None:
+            assert all(d >= 0.999 for d in answers), others
+            return
+        if chosen.pair.dist_b >= 0.999:
+            assert all(d >= 0.999 for d in answers), others
+        if spin == 16 and eps >= 1.0:
+            assert chosen.scale == 2.0 and chosen.pair.dist_b < 0.6
 
 
 class TestModulusSweep:
