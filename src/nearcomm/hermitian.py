@@ -126,6 +126,8 @@ def op_norm(x) -> float:
         return 0.0
     square = arr.shape[0] == arr.shape[1]
     if square and np.max(np.abs(arr - arr.conj().T)) <= 1e-10 * np.max(np.abs(arr)):
+        if arr.shape[0] == 1:
+            return abs(float(arr[0, 0].real))   # eigvalsh's answer, without LAPACK
         try:
             return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
         except np.linalg.LinAlgError:
@@ -161,7 +163,13 @@ def spectral_decomp(a) -> SpectralDecomposition:
 
 
 def _spectral_decomp(arr: np.ndarray) -> SpectralDecomposition:
-    """spectral_decomp of an array the package built Hermitian itself, unchecked."""
+    """spectral_decomp of an array the package built Hermitian itself, unchecked.
+    A 1x1 array gets what eigh returns for it, its real entry and [[1]],
+    without LAPACK."""
+    if arr.shape[0] == 1:
+        vals, vecs = arr.real[0].copy(), np.ones((1, 1), dtype=np.complex128)
+        vals.flags.writeable = vecs.flags.writeable = False
+        return SpectralDecomposition(eigenvalues=vals, basis=vecs)
     try:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:

@@ -53,14 +53,30 @@ _SCALAR_REPORT = SolverReport(sweeps=0, rotations=0, offdiag_energy=0.0,
 
 @dataclasses.dataclass(frozen=True)
 class CommutingPair:
-    """Exactly commuting pair stored as one basis plus two real diagonals."""
+    """Exactly commuting pair stored as one basis plus two real diagonals.
+
+    target is the pair (a, b) it replaces.  dist_a = ||a - u diag_a u*|| and
+    dist_b = ||b - u diag_b u*|| are measured on first read, so a solve whose
+    caller reads only the basis and the diagonals pays for no distance.
+    """
 
     basis: np.ndarray
     diag_a: np.ndarray
     diag_b: np.ndarray
-    dist_a: float
-    dist_b: float
+    target: tuple
     report: SolverReport | None = None
+
+    @functools.cached_property
+    def dist_a(self) -> float:
+        return self._distance(self.target[0], self.diag_a)
+
+    @functools.cached_property
+    def dist_b(self) -> float:
+        return self._distance(self.target[1], self.diag_b)
+
+    def _distance(self, x: np.ndarray, diag: np.ndarray) -> float:
+        u = self.basis
+        return op_norm(x - (u * diag) @ u.conj().T)
 
     def a1(self) -> np.ndarray:
         u = self.basis
@@ -96,9 +112,14 @@ def _entry_index(n: int, idx_i: np.ndarray, idx_j: np.ndarray) -> np.ndarray:
 
 
 def _off_energy(stack: np.ndarray) -> float:
+    return _squares_off_energy(np.abs(stack) ** 2)
+
+
+def _squares_off_energy(squares: np.ndarray) -> float:
+    """Summed off-diagonal energy of the slabs whose squared moduli are squares."""
     total = 0.0
-    for m in stack:
-        total += float(np.sum(np.abs(m) ** 2) - np.sum(np.abs(np.diagonal(m)) ** 2))
+    for m in squares:
+        total += float(np.sum(m) - np.sum(np.diagonal(m)))
     return total
 
 
@@ -204,20 +225,23 @@ def joint_diagonalize(a, b):
     stack = work[:2]                # a and b; u is the third slab
 
     with np.errstate(over="ignore"):
-        frob2 = float(np.sum(np.abs(stack) ** 2))
+        squares = np.abs(stack) ** 2
+        frob2 = float(np.sum(squares))
     _check_scale(frob2, am, bm)
     floor = (1e-15 * max(1.0, np.sqrt(frob2))) ** 2
-    energy = _off_energy(stack)
+    energy = _squares_off_energy(squares)
     trace = [energy]
     converged = energy <= floor or n == 1
     sweeps = rotations = 0
     rounds = _schedule(n) if n > 1 else ()
 
     while not converged and sweeps < DEFAULT_MAX_SWEEPS:
-        for pairs, entries in rounds:
-            rotations += _apply_round(work, *_round_rotations(work, pairs, entries))
+        applied = sum(_apply_round(work, *_round_rotations(work, pairs, entries))
+                      for pairs, entries in rounds)
+        rotations += applied
         sweeps += 1
-        prev, energy = energy, _off_energy(stack)
+        # a sweep that rotated nothing left the energy as it was
+        prev, energy = energy, _off_energy(stack) if applied else energy
         trace.append(energy)
         if energy <= floor or (prev - energy) <= DEFAULT_TOL * max(prev, floor):
             converged = True
@@ -231,9 +255,9 @@ def commuting_approximation(a, b) -> CommutingPair:
     """Exactly commuting pair near (a, b), by joint diagonalization.
 
     The returned pair shares one eigenbasis, so it commutes structurally;
-    dist_a and dist_b are the operator-norm distances to the inputs.  A 1x1
-    pair runs no Jacobi sweep.  Shapes and entries that joint_diagonalize
-    would reject are rejected at every size.
+    dist_a and dist_b are the operator-norm distances to the inputs,
+    measured when first read.  A 1x1 pair runs no Jacobi sweep.  Shapes and
+    entries that joint_diagonalize would reject are rejected at every size.
     """
     am, bm = as_array(a), as_array(b)
     if am.shape == bm.shape == (1, 1):
@@ -243,14 +267,11 @@ def commuting_approximation(a, b) -> CommutingPair:
         # -0.0 into 0.0, as the product u* a u below does
         u, report = np.ones((1, 1), dtype=np.complex128), _SCALAR_REPORT
         diag_a, diag_b = am.real[0] + 0.0, bm.real[0] + 0.0
-        dist_a, dist_b = float(abs(am.imag[0, 0])), float(abs(bm.imag[0, 0]))
     else:
         u, report = joint_diagonalize(am, bm)     # checks the shapes
         diag_a = np.real(np.diagonal(u.conj().T @ am @ u)).copy()
         diag_b = np.real(np.diagonal(u.conj().T @ bm @ u)).copy()
-        dist_a = op_norm(am - (u * diag_a) @ u.conj().T)
-        dist_b = op_norm(bm - (u * diag_b) @ u.conj().T)
     diag_a.flags.writeable = False
     diag_b.flags.writeable = False
-    return CommutingPair(basis=u, diag_a=diag_a, diag_b=diag_b,
-                         dist_a=dist_a, dist_b=dist_b, report=report)
+    return CommutingPair(basis=u, diag_a=diag_a, diag_b=diag_b, target=(am, bm),
+                         report=report)

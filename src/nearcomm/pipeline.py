@@ -3,11 +3,19 @@
 Given Hermitian (a, b) with ||b|| <= 1 and small nu = ||[a, b]||, produce an
 exactly commuting pair (a1, b1) nearby, with every intermediate bound of the
 construction measured: choose a window scale s, band-smooth b against s a,
-build a partition of unity subordinate to unit spectral windows of s a,
-compress both matrices to the blocks, solve each block by joint
+deflate the eigenvectors of a that the smoothed b couples to no other,
+build a partition of unity subordinate to unit spectral windows of s a on
+the rest, compress both matrices to the blocks, solve each block by joint
 diagonalization in the unit-norm regime, and reassemble in the common block
 basis.  Only ||b|| <= 1 matters; ||a|| may be arbitrary, which is the whole
-point of the block reduction.
+point of the block reduction, except that the partition can lose an
+eigenvalue that b couples to another above about 1e12 (see the README).
+
+Deflation is exact: the smoothed b vanishes between eigenvalues of s a at
+distance >= 1/2, so an eigenvalue with no other that close has a row of
+exact zeros off the diagonal, and its eigenvector is an exact joint
+eigenvector of the smoothed pair.  It needs no edge, block solve or polar
+correction.
 
 The scale balances the commutator [s a, b] = s nu against the window width
 1/s (Hastings, Commun. Math. Phys. 291, 2009); _window_scale gives the rule.
@@ -82,6 +90,16 @@ class CorrectionResult:
         }
 
 
+class _CorrectedPair(CommutingPair):
+    """The answer of theorem_c_correct.  Its target and its pair are
+    Hermitian, so each distance is the norm of the Hermitian part of the
+    difference, which op_norm takes through eigvalsh."""
+
+    def _distance(self, x: np.ndarray, diag: np.ndarray) -> float:
+        u = self.basis
+        return op_norm(hermitian_part(x - (u * diag) @ u.conj().T))
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -146,12 +164,19 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
 
     a is decomposed once, a = V diag(lambda) V*, and one window scale s, a
     power of two, is chosen from nu, ||a|| and eps (_window_scale).
-    Smoothing, partition, the tridiagonal check and the block solves all run
-    on the pair (s diag(lambda), V* b V), whose unit windows are windows of
-    width 1/s of a; diag_a is mapped back by 1/s, exactly.  The returned basis
-    is V times the basis found there, and dist_a, dist_b are measured against
-    the input matrices.  compress_defect_a and block_comms are reported in
-    a's units, and scale records s.  s nu is compared against the calibrated
+    Smoothing runs on the pair (s diag(lambda), V* b V), whose unit windows
+    are windows of width 1/s of a.  A coordinate i whose row of the smoothed
+    b has no nonzero entry off the diagonal is deflated: it is a rank-1 block
+    with column V e_i, diag_a lambda_i and diag_b the real part of its
+    diagonal entry, and its block_comms entry is 0.0.  The partition, the
+    tridiagonal check, the compression defects, the block solves and the
+    polar step run on the other, coupled, coordinates; the defects and the
+    tridiagonal residual equal their n x n values, since deflated rows are
+    zero off the diagonal.  The basis holds the coupled blocks' columns in
+    partition order, then the deflated ones in ascending lambda; diag_a is
+    mapped back by 1/s, exactly.  dist_a, dist_b are measured against the
+    input matrices.  compress_defect_a and block_comms are reported in a's
+    units, and scale records s.  s nu is compared against the calibrated
     admissible value for eps (the calibration fixture, which must exist);
     larger inputs still run but the result is flagged out_of_regime.
     """
@@ -173,27 +198,35 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
     scale = _window_scale(nu_unit, eps, admissible, float(np.max(np.abs(dec.eigenvalues))))
     out_of_regime = scale * nu_unit > admissible
     lam = scale * dec.eigenvalues
-    a_diag = np.diag(lam).astype(np.complex128)
-    smoothed = band_smooth(a_diag, v.conj().T @ bm @ v)
-    part = partition(a_diag, smoothed, eps)
+    smoothed = band_smooth(np.diag(lam).astype(np.complex128), v.conj().T @ bm @ v)
+
+    # deflation: a coordinate whose row of the smoothed b is zero off the
+    # diagonal is an exact joint eigenvector, a rank-1 block of its own; the
+    # partition and the block stage run on the coupled coordinates only
+    coupled = np.any(smoothed != 0, axis=1, where=~np.eye(lam.size, dtype=bool))
+    single = np.flatnonzero(~coupled)
+    lam_c, b_c = lam[coupled], smoothed[coupled][:, coupled]
+    m = lam_c.size
+    blocks = partition(np.diag(lam_c).astype(np.complex128), b_c, eps).blocks if m else ()
 
     # one conjugation into the block basis Q = [q_1 ... q_m] gives every block;
     # with Q unitary, ||x - sum_k p_k x p_k|| is the norm of x_q off the blocks
-    n = am.shape[0]
-    q_all = np.concatenate([blk.q for blk in part.blocks], axis=1)
-    if q_all.shape[1] != n:
-        raise BlockNormViolation(f"block ranks sum to {q_all.shape[1]}, expected {n}: "
+    ranks = [blk.q.shape[1] for blk in blocks]
+    if sum(ranks) != m:
+        raise BlockNormViolation(f"block ranks sum to {sum(ranks)}, expected {m}: "
                                  "partition incomplete")
-    ranks = [blk.q.shape[1] for blk in part.blocks]
-    ks = np.repeat([blk.k for blk in part.blocks], ranks)
-    a_q = hermitian_part(q_all.conj().T @ (lam[:, None] * q_all))
-    b_q = hermitian_part(q_all.conj().T @ smoothed @ q_all)
+    ks = np.repeat([blk.k for blk in blocks], ranks)
+    a_q = b_q = np.zeros((0, 0))
+    if m:
+        q_all = np.concatenate([blk.q for blk in blocks], axis=1)
+        a_q = hermitian_part(q_all.conj().T @ (lam_c[:, None] * q_all))
+        b_q = hermitian_part(q_all.conj().T @ b_c @ q_all)
     tridiag_residual = tridiagonal_check(ks, a_q, b_q)
     off_block = ks[:, None] != ks[None, :]
     compress_defect_a = op_norm(np.where(off_block, a_q, 0.0)) / scale
     compress_defect_b = op_norm(np.where(off_block, b_q, 0.0))
     cols, diag_a_parts, diag_b_parts, block_comms = [], [], [], []
-    for blk, stop in zip(part.blocks, np.cumsum(ranks)):
+    for blk, stop in zip(blocks, np.cumsum(ranks)):
         k, q = blk.k, blk.q
         sl = slice(stop - q.shape[1], stop)
         a_blk, b_blk = a_q[sl, sl], b_q[sl, sl]
@@ -211,17 +244,19 @@ def theorem_c_correct(a, b, eps: float) -> CorrectionResult:
         diag_a_parts.append(inner.diag_a / BLOCK_SCALE + (k + BLOCK_SHIFT))
         diag_b_parts.append(inner.diag_b)
 
-    w = v @ _orthonormalize(np.concatenate(cols, axis=1))
-    diag_a = np.concatenate(diag_a_parts) / scale
-    diag_b = np.concatenate(diag_b_parts) * b_rescale
-    a1 = (w * diag_a) @ w.conj().T
-    b1 = (w * diag_b) @ w.conj().T
-    dist_a = op_norm(hermitian_part(am - a1))
-    dist_b = op_norm(hermitian_part(bm_orig - b1))
+    # coupled blocks in partition order, then the deflated coordinates in
+    # ascending lambda, each its column of v and its diagonal entries
+    w = v[:, single]
+    if m:
+        w = np.concatenate([v[:, coupled] @ _orthonormalize(np.concatenate(cols, axis=1)), w],
+                           axis=1)
+    diag_a = np.concatenate([*diag_a_parts, lam[single]]) / scale
+    diag_b = np.concatenate([*diag_b_parts, smoothed.real[single, single]]) * b_rescale
+    block_comms += [0.0] * single.size
     diag_a.flags.writeable = False
     diag_b.flags.writeable = False
-    pair = CommutingPair(basis=w, diag_a=diag_a, diag_b=diag_b,
-                         dist_a=dist_a, dist_b=dist_b)
+    pair = _CorrectedPair(basis=w, diag_a=diag_a, diag_b=diag_b, target=(am, bm_orig))
+    _ = pair.dist_a, pair.dist_b        # measured here: they are part of the answer
     return CorrectionResult(pair=pair, nu=nu_input, eps_used=eps,
                             compress_defect_a=compress_defect_a,
                             compress_defect_b=compress_defect_b,

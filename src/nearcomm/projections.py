@@ -135,12 +135,18 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
     """Edge at cut point t for a = diag(lam), scale = max |lam|, and a b
     whose entries couple no eigenvalues farther apart than reach."""
     lo, win, hi = _split_masks(lam, t, scale)
-    # an empty window has q0 = 0 regardless of b, so p = E_a[t+1/4,oo)
-    mu, w = np.zeros(0), np.zeros((0, 0))
-    if np.any(win):
+    # (1 - p) b p joins rows below t + 1/4 to columns above t - 1/4, so each
+    # entry it keeps lies within 1/4 + reach of t, with the endpoint band to spare
+    span = np.abs(lam - t) < RAMP_HALF_WIDTH + reach
+    if not np.any(win):
+        # an empty window has q0 = 0 regardless of b, so p = E_a[t+1/4,oo)
+        # and (1 - p) b p is the block of b from lo to hi
+        w_in = w_out = np.zeros((0, 0))
+        comm_a, comm_b = 0.0, op_norm(bm[lo & span][:, hi & span])
+    else:
         # far from t the step is exactly 0 or 1 and no window column lives there
         near = np.abs(lam - t) < LOCAL_RADIUS
-        pair = commuting_approximation(hermitian_part(bm[np.ix_(near, near)]),
+        pair = commuting_approximation(hermitian_part(bm[near][:, near]),
                                        np.diag(_step_eval(lam[near] - t)))
         report = pair.report
         if not report.converged:
@@ -148,24 +154,25 @@ def _window_core(lam: np.ndarray, bm: np.ndarray, scale: float, t: float,
                 f"inner joint diagonalization stalled at t={t}: "
                 f"offdiag energy {report.offdiag_energy:.3e} after {report.sweeps} sweeps")
         q_near = pair.basis[:, pair.diag_b > 0.5]
-        m_win = (q_near @ q_near.conj().T)[np.ix_(win[near], win[near])]
-        mu, w = np.linalg.eigh(hermitian_part(m_win))
-        if np.all(mu > 0.5) or np.all(mu <= 0.5):
-            # q0 is the whole window or 0; eigh's basis of it is rounding noise
-            w = np.eye(mu.size)
-    w_in, w_out = w[:, mu > 0.5], w[:, mu <= 0.5]
+        m_win = (q_near @ q_near.conj().T)[win[near]][:, win[near]]
+        if m_win.shape[0] == 1:
+            # eigh's eigenvalue of a 1x1 window; q0 is then the window or 0
+            mu, w = m_win.real[0], np.eye(1)
+        else:
+            mu, w = np.linalg.eigh(hermitian_part(m_win))
+            if np.all(mu > 0.5) or np.all(mu <= 0.5):
+                # q0 is the whole window or 0; eigh's basis of it is rounding noise
+                w = np.eye(mu.size)
+        w_in, w_out = w[:, mu > 0.5], w[:, mu <= 0.5]
 
-    proj_defect = op_norm(w_in.conj().T @ w_in - np.eye(w_in.shape[1]))
-    if proj_defect > PROJECTION_TOL:
-        raise SandwichViolation(f"window projection at t={t} failed its certificate: "
-                                f"proj={proj_defect:.3e}")
-    comm_a = op_norm((w_out.conj().T * lam[win]) @ w_in)
-    # (1 - p) b p joins rows below t + 1/4 to columns above t - 1/4, so each
-    # entry it keeps lies within 1/4 + reach of t, with the endpoint band to spare
-    span = np.abs(lam - t) < RAMP_HALF_WIDTH + reach
-    inside = np.concatenate([_embed(win[span], w_in), _embed(hi[span])], axis=1)
-    outside = np.concatenate([_embed(lo[span]), _embed(win[span], w_out)], axis=1)
-    comm_b = op_norm(outside.conj().T @ bm[np.ix_(span, span)] @ inside)
+        proj_defect = op_norm(w_in.conj().T @ w_in - np.eye(w_in.shape[1]))
+        if proj_defect > PROJECTION_TOL:
+            raise SandwichViolation(f"window projection at t={t} failed its certificate: "
+                                    f"proj={proj_defect:.3e}")
+        comm_a = op_norm((w_out.conj().T * lam[win]) @ w_in)
+        inside = np.concatenate([_embed(win[span], w_in), _embed(hi[span])], axis=1)
+        outside = np.concatenate([_embed(lo[span]), _embed(win[span], w_out)], axis=1)
+        comm_b = op_norm(outside.conj().T @ bm[span][:, span] @ inside)
     if not (comm_a < eps and comm_b < eps):
         raise SandwichViolation(
             f"window projection at t={t} exceeds commutator budget eps={eps:.3e}: "
@@ -234,9 +241,9 @@ def partition(a, b, eps: float) -> ProjectionPartition:
         edge_comm = max(edge_comm, lo_edge.comm_a, lo_edge.comm_b)
         # e_k - e_{k+1}: the coordinates above edge k and below edge k+1's window
         between = lo_edge.hi & ~(hi_edge.win | hi_edge.hi)
-        q = np.concatenate([_embed(lo_edge.win, lo_edge.w_in), _embed(between),
-                            _embed(hi_edge.win, hi_edge.w_out)], axis=1)
-        if q.shape[1]:
+        if lo_edge.w_in.shape[1] or hi_edge.w_out.shape[1] or np.any(between):
+            q = np.concatenate([_embed(lo_edge.win, lo_edge.w_in), _embed(between),
+                                _embed(hi_edge.win, hi_edge.w_out)], axis=1)
             blocks.append(PartitionBlock(k=k, q=q))
     edge_comm = max(edge_comm, hi_edge.comm_a, hi_edge.comm_b)
     return ProjectionPartition(blocks=tuple(blocks), edge_comm=edge_comm)

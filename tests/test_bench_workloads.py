@@ -32,3 +32,37 @@ def test_tiny_op_passes_its_check(name, seed):
     inp = work.make_input(np.random.default_rng([seed, 0]))
     quality = work.check(inp, work.run(inp))
     assert np.isfinite(quality)
+
+
+def test_core_mix_op_skips_the_uncoupled_coordinates(monkeypatch):
+    """Work by counts on the full-size core-mix op of seed [1, 0].  Each
+    diagonal n=16, ||a|| = 100 pair has no coupled coordinate at s = 16: no
+    partition call and no Jacobi run (before deflation: one partition, 8 and
+    10 edge solves, 16 and 15 block solves).  The rotated n=64 pair makes 13
+    edge solves and 29 Jacobi runs, edge and block, against 23 and 38 before
+    deflation."""
+    from nearcomm import jointdiag, pipeline, projections
+
+    counts = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(pipeline, "partition")
+    counting(projections, "commuting_approximation")
+    counting(jointdiag, "joint_diagonalize")
+    work = workloads.make_workload("core-mix", False, ROOT)
+    inp = work.make_input(np.random.default_rng([1, 0]))
+    seen = []
+    for a, b, haar in inp:
+        counts.clear()
+        work.run(((a, b, haar),))
+        seen.append((haar, dict(counts)))
+    assert seen == [(True, {"partition": 1, "commuting_approximation": 13,
+                            "joint_diagonalize": 29}),
+                    (False, {}), (False, {})]

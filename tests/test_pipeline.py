@@ -173,28 +173,34 @@ class TestEigenbasisCore:
     arrives in."""
 
     def test_stages_receive_diagonal_a(self, monkeypatch):
+        """band_smooth sees s diag(lambda) on every coordinate, and partition
+        sees it on the coupled coordinates only.  The rotated n=32, ||a|| = 3
+        input of seed 21 couples 15 of its 32 coordinates at s = 16."""
         seen = []
 
         def capture(name):
             original = getattr(pipeline, name)
 
             def wrapper(a, *args):
-                seen.append((name, np.array(a)))
-                return original(a, *args)
+                result = original(a, *args)
+                seen.append((name, np.array(a), result))
+                return result
             return wrapper
 
         for name in ("band_smooth", "partition"):
             monkeypatch.setattr(pipeline, name, capture(name))
-        _, (a, b) = _rotated_instance(12, 3.0, 21)
+        _, (a, b) = _rotated_instance(32, 3.0, 21)
         res = theorem_c_correct(a, b, eps=0.1)
         # both stages see s diag(lambda), for the power of two s reported
         s = res.scale
         assert s > 1 and math.frexp(s)[0] == 0.5
         lam = s * np.linalg.eigvalsh(a)
-        assert [name for name, _ in seen] == ["band_smooth", "partition"]
-        for _, captured in seen:
-            assert np.all(captured[~np.eye(12, dtype=bool)] == 0.0)
-            np.testing.assert_allclose(np.diag(captured).real, lam, rtol=0, atol=1e-12 * s)
+        assert [name for name, _, _ in seen] == ["band_smooth", "partition"]
+        coupled = coupled_coordinates(seen[0][2])
+        assert 0 < np.count_nonzero(coupled) < 32
+        for (_, captured, _), want in zip(seen, (lam, lam[coupled])):
+            assert np.all(captured[~np.eye(len(want), dtype=bool)] == 0.0)
+            np.testing.assert_allclose(np.diag(captured).real, want, rtol=0, atol=1e-12 * s)
 
     def test_rotated_edge_sweeps_match_diagonal(self, monkeypatch):
         sweeps = []
@@ -217,9 +223,10 @@ class TestEigenbasisCore:
     def test_block_solves_start_diagonal_in_a(self, monkeypatch):
         """Each block solve receives its a-block as a real ascending diagonal.
         On the rotated n=64, ||a|| = 3 instance of seed 25, at its window
-        scale s = 16, the 34 block solves take 35 sweeps in all, as many as
-        when each block starts in the basis that the partition hands over
-        (at s = 1: 9 against 13)."""
+        scale s = 16, the 25 block solves of the coupled coordinates take 36
+        sweeps in all, as many as when each block starts in the basis that
+        the partition hands over (before deflation, 34 solves took 35; at
+        s = 1, 9 against 13)."""
         seen = []
         original = pipeline.commuting_approximation
 
@@ -236,7 +243,7 @@ class TestEigenbasisCore:
             assert np.isrealobj(a_blk)
             np.testing.assert_array_equal(a_blk, np.diag(np.diag(a_blk)))
             assert np.all(np.diff(np.diag(a_blk)) >= 0.0)
-        assert sum(sweeps for _, sweeps in seen) <= 35
+        assert sum(sweeps for _, sweeps in seen) <= 36
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("a_norm", [3.0, 100.0])
@@ -272,6 +279,11 @@ class TestEigenbasisCore:
         assert rotated.block_count == plain.block_count
         assert not rotated.out_of_regime
         np.testing.assert_allclose(rotated.block_comms, plain.block_comms, rtol=0, atol=tol)
+
+
+def coupled_coordinates(smoothed):
+    """The coordinates whose row of the smoothed b is nonzero off the diagonal."""
+    return np.any((smoothed != 0) & ~np.eye(len(smoothed), dtype=bool), axis=1)
 
 
 def block_frame(part, a, b):
@@ -352,46 +364,69 @@ class TestTridiagonalCheck:
 
 class TestCompressionDefects:
     """compress_defect_x equals ||x - sum_k p_k x p_k||, formed n x n from
-    the blocks, in the eigenbasis of a where the blocks live."""
+    the blocks of the coupled coordinates and the rank-1 projections of the
+    deflated ones, in the eigenbasis of a where the blocks live."""
 
     @pytest.mark.parametrize("n, a_norm, haar", [(16, 100.0, False), (64, 30.0, False),
                                                  (32, 3.0, True)])
     def test_defects_match_the_n_by_n_oracle(self, n, a_norm, haar, monkeypatch):
-        seen = []
-        original = pipeline.partition
-
-        def record(a, b, eps):
-            part = original(a, b, eps)
-            seen.append((np.array(a), np.array(b), part))
-            return part
-
-        monkeypatch.setattr(pipeline, "partition", record)
+        smoothed, parts = record_smoothing_and_partition(monkeypatch)
         inst, rotated = _rotated_instance(n, a_norm, 41)
         res = theorem_c_correct(*(rotated if haar else (inst.a, inst.b)), eps=0.1)
-        (a_scaled, b, part), = seen
-        # the partition sees s a; compress_defect_a is in a's own units
+        ((a_scaled, b),) = smoothed
         assert res.scale > 1
+        coupled = coupled_coordinates(b)
+        if not np.any(coupled):
+            # at s = 16 the smoothed b joins no two eigenvalues of the wide
+            # spectrum: every coordinate is deflated, and nothing is partitioned
+            assert parts == []
+            assert res.compress_defect_a == res.compress_defect_b == 0.0
+            return
+        (part,) = parts
+        # the partition sees s a; compress_defect_a is in a's own units
         a = a_scaled / res.scale
-        projs = [blk.q @ blk.q.conj().T for blk in part.blocks]
+        embed = np.eye(n)[:, coupled]
+        projs = [embed @ blk.q @ blk.q.conj().T @ embed.T for blk in part.blocks]
+        projs += [np.diag(np.eye(n)[i]) for i in np.flatnonzero(~coupled)]
         tol = 1e-12 * max(1.0, op_norm(a))
         for x, got in ((a, res.compress_defect_a), (b, res.compress_defect_b)):
             expected = op_norm(x - sum(p @ x @ p for p in projs))
             assert abs(got - expected) <= tol
         if all(blk.q.shape[1] == 1 for blk in part.blocks):
-            # at s = 16 every window of the wide spectrum holds one eigenvalue,
-            # and the smoothed b joins none of them: nothing is off the blocks
             assert res.compress_defect_a == res.compress_defect_b == 0.0
         else:
             assert res.compress_defect_a > 0.0 and res.compress_defect_b > 0.0
 
 
+def record_smoothing_and_partition(monkeypatch):
+    """Lists that fill with (s diag(lambda), smoothed b) per band_smooth call
+    and with the partition of each partition call of theorem_c_correct."""
+    smoothed, parts = [], []
+    original_smooth, original_partition = pipeline.band_smooth, pipeline.partition
+
+    def smooth(a, b):
+        result = original_smooth(a, b)
+        smoothed.append((np.array(a), result))
+        return result
+
+    def record(a, b, eps):
+        parts.append(original_partition(a, b, eps))
+        return parts[-1]
+
+    monkeypatch.setattr(pipeline, "band_smooth", smooth)
+    monkeypatch.setattr(pipeline, "partition", record)
+    return smoothed, parts
+
+
 class TestSolverWork:
     def test_each_block_makes_one_eigensolve(self, monkeypatch):
-        # per block: one unchecked decomposition of the rescaled a-block,
-        # whose eigenvalues also give the norm gate, and one op_norm, of the
-        # block commutator; the other six op_norm calls are of n x n arrays
-        # (nu, ||b||, two compression defects, dist_a, dist_b), and this
-        # partition's far part is exactly zero, so its check takes no norm
+        # per coupled block: one unchecked decomposition of the rescaled
+        # a-block, whose eigenvalues also give the norm gate, and one op_norm,
+        # of the block commutator; a deflated coordinate makes neither.  The
+        # other op_norm calls are four of n x n arrays (nu, ||b||, dist_a,
+        # dist_b) and the two compression defects on the m coupled
+        # coordinates; this partition's far part is exactly zero, so its
+        # check takes no norm
         decomps = []
 
         def counted(x):
@@ -400,32 +435,41 @@ class TestSolverWork:
 
         monkeypatch.setattr(pipeline, "_spectral_decomp", counted)
         norms = counting_op_norm(monkeypatch)
+        _, parts = record_smoothing_and_partition(monkeypatch)
         _, (a, b) = _rotated_instance(32, 3.0, 31)
         res = theorem_c_correct(a, b, eps=0.1)
-        assert res.block_count > 1
-        assert decomps[0] == (32, 32) and len(decomps) == 1 + res.block_count
-        assert len(norms) == 6 + res.block_count
-        assert sum(shape == (32, 32) for shape in norms) == 6
+        (part,) = parts
+        coupled_blocks = len(part.blocks)
+        m = sum(blk.q.shape[1] for blk in part.blocks)
+        assert 1 < coupled_blocks < res.block_count and 0 < m < 32
+        assert res.block_count == coupled_blocks + 32 - m
+        assert decomps[0] == (32, 32) and len(decomps) == 1 + coupled_blocks
+        assert len(norms) == 6 + coupled_blocks
+        assert sum(shape == (32, 32) for shape in norms) == 4
+        assert sum(shape == (m, m) for shape in norms) == 2
 
     def test_block_norm_gate_reads_the_block_spectrum(self, monkeypatch):
         # the gate's norm is max |eigenvalue| of the block decomposition
         # that the solve starts from: pushing those eigenvalues past 1
         # raises, and the message carries the norm read
-        calls = []
+        calls, norms = [], []
 
         def shifted(x):
             dec = _spectral_decomp(x)
             calls.append(x.shape)
             if len(calls) == 1:         # the decomposition of a itself
                 return dec
+            norms.append(float(np.max(np.abs(dec.eigenvalues + 2.0))))
             return dataclasses.replace(dec, eigenvalues=dec.eigenvalues + 2.0)
 
-        inst = pair_instance(8, 1e-3, instance_rng(7, 0, 0, 1))
-        assert theorem_c_correct(inst.a, inst.b, eps=0.05).block_count > 0
+        # n = 16 of this seed couples 8 coordinates into blocks; n = 8 couples
+        # none, so no block solve and no gate would run
+        inst = pair_instance(16, 1e-3, instance_rng(7, 0, 0, 1))
         monkeypatch.setattr(pipeline, "_spectral_decomp", shifted)
-        with pytest.raises(BlockNormViolation, match=r"norm [2-3]\.\d{8} exceeds 1"):
+        with pytest.raises(BlockNormViolation, match=r"norm \d\.\d{8} exceeds 1") as info:
             theorem_c_correct(inst.a, inst.b, eps=0.05)
-        assert len(calls) == 2
+        assert len(calls) == 2 and norms[0] > 1.0 + pipeline.BLOCK_NORM_SLACK
+        assert f"norm {norms[0]:.8f} exceeds 1" in str(info.value)
 
     def test_payload_carries_no_solver_report(self):
         # rotation and sweep counts are for inspection only: the payload
@@ -456,13 +500,17 @@ class TestWindowScale:
     """One power of two s per run: the windows are unit windows of s a."""
 
     # (case, scale, b_rescale, digest, nu, dist_a, dist_b) of the parent code,
-    # pinned on numpy 2.4.6 / scipy 1.17.1 with OpenBLAS on one thread
+    # pinned on numpy 2.4.6 / scipy 1.17.1 with OpenBLAS on one thread.
+    # flagged-b3 has a coordinate that the smoothed b couples to no other:
+    # deflated, it is a block of its own (block_count 5 -> 6) whose column is
+    # exactly its eigenvector of a, which the polar step used to round, so
+    # its digest is the deflating code's; nu, dist_a and dist_b are the parent's
     PINNED = (
         ("nu-0.05", 1.0, 1.0,
          "ba226b4c8b1ab50fd888a3fcb1f6ab89300d191a0aaaa72793d589f62fddd62b",
          0.04950617815794839, 0.0019050999735375556, 0.04665861142725005),
         ("flagged-b3", 1.0, 3.0000000000000013,
-         "96d9da661fc651c6b14a89a03ac8a9c67553d0d950af64d35ef2e01d34c60e70",
+         "1e594fa09804f73c7b20ea1bc01d3426c8e0f1b04c94028969bd02976f7c7f3d",
          1.4617541638500615, 0.011348607497196194, 0.6091010798469283),
     )
 
@@ -484,10 +532,18 @@ class TestWindowScale:
         for got, want in ((res.nu, nu), (res.pair.dist_a, dist_a), (res.pair.dist_b, dist_b)):
             assert got == pytest.approx(want, rel=1e-14)
 
-    @pytest.mark.parametrize("a_norm, nu, expected", [
-        (3.0, 0.0, 2.0 ** 10), (1e-8, 0.0, 2.0 ** 10), (1e4, 0.0, 2.0 ** 10),
-        (1e4, 1e-3, 16.0), (1e9, 1e-3, 8.0), (1e11, 1e-3, 1.0)])
-    def test_edge_cases_commute(self, a_norm, nu, expected, monkeypatch):
+    EDGE_CASES = (
+        (16, 3.0, 0.0, 2.0 ** 10), (16, 1e-8, 0.0, 2.0 ** 10), (16, 1e4, 0.0, 2.0 ** 10),
+        (16, 1e4, 1e-3, 16.0), (16, 1e9, 1e-3, 8.0), (16, 1e11, 1e-3, 1.0),
+        # every coordinate is deflated here, so no partition runs; before
+        # deflation each lost an eigenvalue, a BlockNormViolation (n = 1: a
+        # numpy ValueError)
+        *((8, a_norm, nu, 1.0) for a_norm in (1e12, 1e15, 1e16, 1e300) for nu in (0.0, 1e-3)),
+        (1, 1e15, 0.0, 1.0), (1, 1e300, 0.0, 1.0))
+
+    @pytest.mark.parametrize("n, a_norm, nu, expected", EDGE_CASES, ids=[
+        "-".join(map(str, case[1:] if case[0] == 16 else case)) for case in EDGE_CASES])
+    def test_edge_cases_commute(self, n, a_norm, nu, expected, monkeypatch):
         seen = []
         original = pipeline.band_smooth
 
@@ -496,7 +552,7 @@ class TestWindowScale:
             return original(a, b)
 
         monkeypatch.setattr(pipeline, "band_smooth", record)
-        inst = pair_instance(16, nu, instance_rng(7, 0, 0, 0), a_norm=a_norm)
+        inst = pair_instance(n, nu, instance_rng(7, 0, 0, 0), a_norm=a_norm)
         res = theorem_c_correct(inst.a, inst.b, eps=0.1)
         # s ||a|| stays below SCALED_NORM_LIMIT unless s = 1: at 1e11 a larger
         # s would push the windows' endpoint band past a quarter window
@@ -507,6 +563,19 @@ class TestWindowScale:
         scale = (max(1.0, float(np.max(np.abs(pair.diag_a))))
                  * max(1.0, float(np.max(np.abs(pair.diag_b)))))
         assert pair.commutation_residual() <= 1e-12 * scale
+
+    def test_coupled_pair_at_large_norm_is_a_named_error(self):
+        """Open: partition still loses an eigenvalue of a coupled pair once
+        s ||a|| reaches about 1e12, where the endpoint band 1e-12 s ||a||
+        takes a quarter window; it is named, not a numpy error.  At 1e11 the
+        same pair is corrected."""
+        b = np.array([[0.2, 0.1, 0.0], [0.1, -0.3, 0.0], [0.0, 0.0, 0.5]])
+        for base, gap in ((1e11, 0.3), (1e12, 0.1)):
+            res = theorem_c_correct(np.diag([base, base + gap, base + 7.0]), b, eps=0.1)
+            assert res.block_count == 2 and res.pair.commutation_residual() == 0.0
+        for base in (1e12, 1e13, 1e16):
+            with pytest.raises(BlockNormViolation, match="partition incomplete"):
+                theorem_c_correct(np.diag([base, base + 0.3, base + 7.0]), b, eps=0.1)
 
     @pytest.mark.parametrize("a_norm", [1e300, 1.7e308])
     @pytest.mark.parametrize("nu", [0.0, 1e-3, math.inf])
@@ -575,6 +644,45 @@ class TestWindowScale:
             assert all(d >= 0.999 for d in answers), others
         if spin == 16 and eps >= 1.0:
             assert chosen.scale == 2.0 and chosen.pair.dist_b < 0.6
+
+
+class TestDeflation:
+    """A coordinate whose row of the smoothed b is zero off the diagonal is
+    an exact joint eigenvector of (s diag(lambda), smoothed b): it is its own
+    rank-1 block, after the coupled blocks, in ascending lambda."""
+
+    def test_no_isolated_coordinate_keeps_parent_bytes(self, monkeypatch):
+        # the rotated n=32, ||a|| = 0.5 input of seed 10 couples all of its
+        # coordinates at s = 16; sha256 of its whole payload at the parent,
+        # pinned on numpy 2.4.6 / scipy 1.17.1 with OpenBLAS on one thread
+        smoothed, _ = record_smoothing_and_partition(monkeypatch)
+        _, (a, b) = _rotated_instance(32, 0.5, 10)
+        res = theorem_c_correct(a, b, eps=0.1)
+        assert res.scale == 16.0 and np.all(coupled_coordinates(smoothed[0][1]))
+        payload = json.dumps(res.to_payload(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "e7ba52160a1bae4d4129909d2bb5c05e73b05f70c4e1267c7394e95775c078b6")
+
+    @pytest.mark.parametrize("n, a_norm, haar, b_scale", [(32, 3.0, True, 1.0),
+                                                          (16, 100.0, False, 1.0),
+                                                          (24, 3.0, True, 2.5)])
+    def test_deflated_coordinates_are_exact(self, n, a_norm, haar, b_scale, monkeypatch):
+        smoothed, _ = record_smoothing_and_partition(monkeypatch)
+        inst, rotated = _rotated_instance(n, a_norm, 43)
+        a, b = rotated if haar else (inst.a, inst.b)
+        res = theorem_c_correct(a, b_scale * b, eps=0.1)
+        ((_, b_smooth),) = smoothed
+        single = np.flatnonzero(~coupled_coordinates(b_smooth))
+        assert single.size > 0
+        dec = spectral_decomp(a)
+        tail = slice(n - single.size, n)
+        pair = res.pair
+        assert pair.basis[:, tail].tobytes() == dec.basis[:, single].tobytes()
+        assert pair.diag_a[tail].tobytes() == dec.eigenvalues[single].tobytes()
+        want_b = b_smooth.real[single, single] * res.b_rescale
+        assert pair.diag_b[tail].tobytes() == want_b.tobytes()
+        assert res.block_comms[-single.size:] == (0.0,) * single.size
+        assert np.all(np.diff(pair.diag_a[tail]) > 0)
 
 
 class TestModulusSweep:

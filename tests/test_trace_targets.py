@@ -39,9 +39,10 @@ def test_window_core_takes_cut_point_fourth():
 
 @pytest.fixture(scope="module")
 def core_op_spans():
-    """Spans of one traced core-mix op."""
+    """Spans of one traced full-size core-mix op.  The tiny op deflates
+    almost every coordinate and makes no edge solve to trace."""
     workloads = load_perfbench("workloads")
-    work = workloads.make_workload("core-mix", True, ROOT)
+    work = workloads.make_workload("core-mix", False, ROOT)
     inp = work.make_input(np.random.default_rng([7, 0]))
     with load_perfbench("tracing").Tracer() as tracer:
         work.run(inp)
